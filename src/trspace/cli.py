@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _build_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
+def _parse_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
     if path is not None:
         if tokens:
             raise ParameterError(
@@ -94,6 +94,12 @@ def _build_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
     if "b" not in params or "h" not in params:
         raise ParameterError("tree needs b=<branching> h=<height>")
     return build_tree(params["b"], params["h"])
+
+
+def _build_instance(args, config: Config) -> SpaceModel:
+    model = _parse_instance(args.instance, args.instance_path)
+    model.max_reducts = config.max_reducts
+    return model
 
 
 def _build_front(model: SpaceModel, label: Optional[str]) -> Front:
@@ -146,8 +152,8 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 # Subcommands.
 
 def _cmd_verify_axioms(args) -> int:
-    model = _build_instance(args.instance, args.instance_path)
     config = _config(args)
+    model = _build_instance(args, config)
     reports = [check_axioms(model, a, config) for a in ("A1", "A2", "A3")]
     body = {"check": "verify_axioms", "reports": reports}
     _emit(report_envelope(model, body, config), args.out)
@@ -160,8 +166,8 @@ def _cmd_verify_axioms(args) -> int:
 
 
 def _cmd_enumerate_front(args) -> int:
-    model = _build_instance(args.instance, args.instance_path)
     config = _config(args)
+    model = _build_instance(args, config)
     front = _build_front(model, args.front)
     body = {
         "check": "enumerate_front",
@@ -173,8 +179,8 @@ def _cmd_enumerate_front(args) -> int:
 
 
 def _cmd_mixing_table(args) -> int:
-    model = _build_instance(args.instance, args.instance_path)
     config = _config(args)
+    model = _build_instance(args, config)
     front = _build_front(model, args.front)
     coloring = _build_coloring(model, front, args.coloring, args.seed)
     table = mixing_table(model, coloring, config=config)
@@ -193,8 +199,8 @@ def _cmd_mixing_table(args) -> int:
 
 
 def _cmd_transitivity(args) -> int:
-    model = _build_instance(args.instance, args.instance_path)
     config = _config(args)
+    model = _build_instance(args, config)
     front = _build_front(model, args.front)
     coloring = _build_coloring(model, front, args.coloring, args.seed)
     table = mixing_table(model, coloring, config=config)
@@ -209,8 +215,8 @@ def _cmd_transitivity(args) -> int:
 
 
 def _cmd_weak_mixing(args) -> int:
-    model = _build_instance(args.instance, args.instance_path)
     config = _config(args)
+    model = _build_instance(args, config)
     front = _build_front(model, args.front)
     coloring = _build_coloring(model, front, args.coloring, args.seed)
     table = mixing_table(model, coloring, config=config)
@@ -247,8 +253,8 @@ def _cmd_weak_mixing(args) -> int:
 
 
 def _cmd_canonize(args) -> int:
-    model = _build_instance(args.instance, args.instance_path)
     config = _config(args)
+    model = _build_instance(args, config)
     front = _build_front(model, args.front)
     coloring = _build_coloring(model, front, args.coloring, args.seed)
     report = canonize(model, coloring, config, oracle=args.oracle)
@@ -262,8 +268,8 @@ def _cmd_canonize(args) -> int:
 
 
 def _cmd_lemma_suite(args) -> int:
-    model = _build_instance(args.instance, args.instance_path)
     config = _config(args)
+    model = _build_instance(args, config)
     front = _build_front(model, args.front)
     coloring = _build_coloring(model, front, args.coloring, args.seed)
     report = canonize(model, coloring, config, oracle=False)

@@ -262,6 +262,9 @@ def front_to_json(front: Front) -> dict:
 
 
 def front_from_json(model: SpaceModel, payload: dict) -> Front:
+    """Load a front and check it against the instance: the scope and
+    every member lie below the full reduct, and the members form a front
+    of the scope. Raises ParameterError otherwise."""
     from .reportio import approx_from_json
 
     front = Front(
@@ -272,6 +275,16 @@ def front_from_json(model: SpaceModel, payload: dict) -> Front:
         flags=tuple(payload.get("flags", ())),
     )
     _check_instance(model, front)
+    for s in (front.scope,) + front.members:
+        if not model.leq_fin(s, model.full):
+            raise ParameterError(
+                f"front approximation {s.key} is not inside the {model.kind} instance"
+            )
+    verdict = is_front(model, front.members, scope=front.scope)
+    if verdict["verdict"] != "pass":
+        raise ParameterError(
+            f"front members are not a front: {verdict['witness']['reason']}"
+        )
     return front
 
 

@@ -55,6 +55,16 @@ class Block:
     def key(self) -> tuple[tuple[int, int], tuple[int, ...]]:
         return (self.source, self.atoms)
 
+    def __hash__(self) -> int:
+        # Frozen, so the structural hash is computed once and kept outside
+        # the dataclass fields (it never reaches repr, eq or JSON).
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.source, self.atoms))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def atom_set(self) -> frozenset[int]:
         return frozenset(self.atoms)
 
@@ -73,6 +83,15 @@ class Approx:
 
     def __getitem__(self, i: int) -> Block:
         return self.blocks[i]
+
+    def __hash__(self) -> int:
+        # Cached like Block.__hash__; the value is the dataclass default.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.blocks,))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def key(self) -> tuple:
@@ -158,9 +177,17 @@ class SpaceModel(ABC):
             seen.update(l)
         self.levels = lv
         self.params: dict = dict(params or {})
+        # Enumeration budget; the CLI sets it from Config.max_reducts
+        # before the reducts are first enumerated.
+        self.max_reducts = DEFAULT_CONFIG.max_reducts
         self._reducts: Optional[tuple[Approx, ...]] = None
         self._approxes: Optional[tuple[Approx, ...]] = None
         self._leq_cache: dict[tuple, bool] = {}
+        # Bitsets over all_reducts() (bit i is all_reducts()[i]), each
+        # filled on first use: reducts below x, and per segment length n
+        # the reducts grouped by their length-n segment.
+        self._sub_masks: dict[Approx, int] = {}
+        self._prefix_masks: dict[int, dict[Approx, int]] = {}
         self._sub_cache: dict[Approx, tuple[Approx, ...]] = {}
         self._ext_cache: dict[tuple, tuple[Block, ...]] = {}
         self.full = self._build_full()
@@ -200,6 +227,8 @@ class SpaceModel(ABC):
     def restrict(self, x: Approx, n: int) -> Approx:
         if n < 0 or n > len(x):
             raise DomainError(f"restriction length {n} out of range 0..{len(x)}")
+        if n == len(x):
+            return x
         return Approx(x.blocks[:n])
 
     def leq_fin(self, s: Approx, t: Approx) -> bool:
@@ -240,19 +269,52 @@ class SpaceModel(ABC):
             out: list[Approx] = []
             for y in self._enumerate_reducts():
                 out.append(y)
-                if len(out) > DEFAULT_CONFIG.max_reducts:
+                if len(out) > self.max_reducts:
                     raise BudgetExceededError(
-                        f"{self.kind} instance enumerates more than "
-                        f"{DEFAULT_CONFIG.max_reducts} reducts"
+                        f"reduct enumeration of the {self.kind} instance passed"
+                        f" the max_reducts budget of {self.max_reducts}"
                     )
             self._reducts = tuple(sorted(out, key=approx_sort_key))
         return self._reducts
+
+    def reducts_in(self, mask: int) -> tuple[Approx, ...]:
+        """The reducts whose bits are set, in documented order."""
+        reds = self.all_reducts()
+        return tuple(reds[i] for i in _bits(mask))
+
+    def sub_mask(self, x: Approx) -> int:
+        """Bitset of the reducts y <= x."""
+        hit = self._sub_masks.get(x)
+        if hit is None:
+            hit = 0
+            for i, y in enumerate(self.all_reducts()):
+                if self.leq_fin(y, x):
+                    hit |= 1 << i
+            self._sub_masks[x] = hit
+        return hit
+
+    def prefix_mask(self, s: Approx) -> int:
+        """Bitset of the reducts y with restrict(y, len(s)) == s.
+
+        One pass per length fills the masks of every segment of that
+        length, all through the model's own restrict.
+        """
+        n = len(s)
+        table = self._prefix_masks.get(n)
+        if table is None:
+            table = {}
+            for i, y in enumerate(self.all_reducts()):
+                if len(y) >= n:
+                    seg = self.restrict(y, n)
+                    table[seg] = table.get(seg, 0) | 1 << i
+            self._prefix_masks[n] = table
+        return table.get(s, 0)
 
     def sub_reducts(self, x: Approx) -> tuple[Approx, ...]:
         """All reducts y <= x, including x itself, in documented order."""
         hit = self._sub_cache.get(x)
         if hit is None:
-            hit = tuple(y for y in self.all_reducts() if self.leq_fin(y, x))
+            hit = self.reducts_in(self.sub_mask(x))
             self._sub_cache[x] = hit
         return hit
 
@@ -268,11 +330,7 @@ class SpaceModel(ABC):
 
     def basic(self, s: Approx, x: Approx) -> tuple[Approx, ...]:
         """[s, x]: reducts y <= x having s as an initial segment."""
-        n = len(s)
-        return tuple(
-            y for y in self.sub_reducts(x)
-            if len(y) >= n and self.restrict(y, n) == s
-        )
+        return self.reducts_in(self.sub_mask(x) & self.prefix_mask(s))
 
     # ---- identity --------------------------------------------------------
 
@@ -322,60 +380,80 @@ def _report(check: str, verdict: str, witness=None, coverage: float = 1.0, **ext
     return out
 
 
-def _pad_segment(model: SpaceModel, x: Approx, n: int):
-    # Segments past the truncated length compare as a distinct sentinel.
-    if n > len(x):
-        return ("#undefined", n)
-    return model.restrict(x, n).key
+def _bits(mask: int):
+    """Indices of the set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _segments(model: SpaceModel, xs: Iterable[Approx]) -> dict[Approx, tuple[Approx, ...]]:
+    """restrict(x, n) for n = 0..len(x), once per distinct x.
+
+    Equal approximations come back as one object (the first of the xs
+    that equals it), so relation-cache lookups succeed on identity.
+    """
+    canon: dict[Approx, Approx] = {}
+    for x in xs:
+        canon.setdefault(x, x)
+    return {
+        x: tuple(
+            canon.setdefault(seg, seg)
+            for seg in (model.restrict(x, n) for n in range(len(x) + 1))
+        )
+        for x in list(canon)
+    }
 
 
 def _check_a1(model: SpaceModel, config: Config) -> dict:
     reds = model.all_reducts()
+    table = _segments(model, reds)
+    segs = [table[x] for x in reds]
     # A.1(1): the empty segment of every reduct is empty.
-    for x in reds:
-        if model.restrict(x, 0) != EMPTY:
+    for x, sx in zip(reds, segs):
+        if sx[0] != EMPTY:
             return _report("A1", "fail", witness={"clause": 1, "x": x})
-    # A.1(2): distinct reducts differ at some segment length.
-    span = max(len(x) for x in reds) + 1
-    for x, y in itertools.combinations(reds, 2):
-        if all(_pad_segment(model, x, n) == _pad_segment(model, y, n) for n in range(span + 1)):
-            return _report("A1", "fail", witness={"clause": 2, "x": x, "y": y})
-    # A.1(3): equal segments force equal lengths and equal earlier segments.
-    for x in reds:
-        for y in reds:
-            for n in range(len(x) + 1):
-                rx = model.restrict(x, n)
-                for m in range(len(y) + 1):
-                    if rx != model.restrict(y, m):
-                        continue
-                    if n != m or any(
-                        model.restrict(x, k) != model.restrict(y, k) for k in range(n)
-                    ):
-                        return _report(
-                            "A1", "fail",
-                            witness={"clause": 3, "x": x, "y": y, "n": n, "m": m},
-                        )
+    # A.1(2): distinct reducts differ at some segment length, so no two
+    # share a segment tuple. The pairwise scan only names the first pair.
+    if len(set(segs)) < len(segs):
+        for (x, sx), (y, sy) in itertools.combinations(zip(reds, segs), 2):
+            if sx == sy:
+                return _report("A1", "fail", witness={"clause": 2, "x": x, "y": y})
+    # A.1(3): equal segments force equal lengths and equal earlier
+    # segments, i.e. equal tuples of earlier segments. That relation is
+    # an equivalence, so checking every occurrence of a segment against
+    # its first is linear; the pairwise scan only names the first witness.
+    first: dict[Approx, tuple[Approx, ...]] = {}
+    if any(first.setdefault(seg, sx[:n]) != sx[:n] for sx in segs for n, seg in enumerate(sx)):
+        for x, sx in zip(reds, segs):
+            for y, sy in zip(reds, segs):
+                for n, rx in enumerate(sx):
+                    for m, ry in enumerate(sy):
+                        if rx == ry and sx[:n] != sy[:m]:
+                            return _report(
+                                "A1", "fail",
+                                witness={"clause": 3, "x": x, "y": y, "n": n, "m": m},
+                            )
     return _report("A1", "pass", stats={"reducts": len(reds)})
 
 
 def _check_a2(model: SpaceModel, config: Config) -> dict:
     approxes = model.approximations()
     reds = model.all_reducts()
+    leq = model.leq_fin
+    segs = _segments(model, itertools.chain(approxes, reds))
     # A.2(1): predecessor sets are finite; report the largest one.
     largest = 0
     for t in approxes:
-        count = sum(1 for s in approxes if model.leq_fin(s, t))
+        count = sum(1 for s in approxes if leq(s, t))
         largest = max(largest, count)
     # A.2(2): the reduct order matches the segmentwise finitization order.
     for x in reds:
         for y in reds:
-            direct = model.leq_fin(x, y)
+            direct = leq(x, y)
             quantified = all(
-                any(
-                    model.leq_fin(model.restrict(x, n), model.restrict(y, m))
-                    for m in range(len(y) + 1)
-                )
-                for n in range(len(x) + 1)
+                any(leq(a, b) for b in segs[y]) for a in segs[x]
             )
             if direct != quantified:
                 return _report(
@@ -390,15 +468,10 @@ def _check_a2(model: SpaceModel, config: Config) -> dict:
     # room past the truncation; those misses are reported undecided.
     undecided = []
     for t in approxes:
-        for j in range(len(t) + 1):
-            s = model.restrict(t, j)
-            for tp in approxes:
-                if not model.leq_fin(t, tp):
-                    continue
-                if any(
-                    model.leq_fin(s, model.restrict(tp, k))
-                    for k in range(len(tp) + 1)
-                ):
+        above = [tp for tp in approxes if leq(t, tp)]
+        for s in segs[t]:
+            for tp in above:
+                if any(leq(s, b) for b in segs[tp]):
                     continue
                 if model.extension_blocks(tp, model.full):
                     undecided.append({"clause": 3, "s": s, "t": t, "tprime": tp})
@@ -419,45 +492,44 @@ def _check_a2(model: SpaceModel, config: Config) -> dict:
     )
 
 
+def _squeezes(sub: list[int], ps: int, bx: int, by: int) -> bool:
+    """Some z in [s, y] has a nonempty [s, z] inside [s, x], where ps is
+    the prefix mask of s and bx, by the masks of [s, x], [s, y]."""
+    # Members of [s, x] go first: under a transitive order any one works.
+    for cands in (by & bx, by & ~bx):
+        for i in _bits(cands):
+            bz = sub[i] & ps
+            if bz and not bz & ~bx:
+                return True
+    return False
+
+
 def _check_a3(model: SpaceModel, config: Config) -> dict:
     approxes = model.approximations()
     reds = model.all_reducts()
-    basics: dict[tuple[Approx, Approx], tuple[Approx, ...]] = {}
-
-    def basic_of(s: Approx, x: Approx) -> tuple[Approx, ...]:
-        key = (s, x)
-        hit = basics.get(key)
-        if hit is None:
-            hit = model.basic(s, x)
-            basics[key] = hit
-        return hit
-
+    sub = [model.sub_mask(x) for x in reds]
+    pre = [model.prefix_mask(s) for s in approxes]
     # A.3(1): nonemptiness of [s, x] passes down to every member.
-    for s in approxes:
-        for x in reds:
-            sx = basic_of(s, x)
-            if not sx:
-                continue
-            for y in sx:
-                if not basic_of(s, y):
-                    return _report("A3", "fail", witness={"clause": 1, "s": s, "x": x, "y": y})
+    for s, ps in zip(approxes, pre):
+        dead = sum(1 << i for i, sy in enumerate(sub) if not sy & ps)
+        for x, sx in zip(reds, sub):
+            hit = sx & ps & dead
+            if hit:
+                y = reds[next(_bits(hit))]
+                return _report("A3", "fail", witness={"clause": 1, "s": s, "x": x, "y": y})
     # A.3(2): inside a larger reduct, some member of [s, y] squeezes its
-    # basic set into [s, x]. Honest search over candidates, largest first.
-    for y in reds:
-        for x in model.sub_reducts(y):
-            for s in approxes:
-                sx = basic_of(s, x)
-                if not sx:
-                    continue
-                sx_keys = {z.key for z in sx}
-                found = None
-                for z in sorted(basic_of(s, y), key=witness_sort_key):
-                    sz = basic_of(s, z)
-                    if sz and all(w.key in sx_keys for w in sz):
-                        found = z
-                        break
-                if found is None:
-                    return _report("A3", "fail", witness={"clause": 2, "s": s, "x": x, "y": y})
+    # basic set into [s, x]. Honest search over every candidate.
+    live = [
+        [(s, ps, sx & ps) for s, ps in zip(approxes, pre) if sx & ps]
+        for sx in sub
+    ]
+    for y, sy in zip(reds, sub):
+        for xi in _bits(sy):
+            for s, ps, bx in live[xi]:
+                if not _squeezes(sub, ps, bx, sy & ps):
+                    return _report(
+                        "A3", "fail", witness={"clause": 2, "s": s, "x": reds[xi], "y": y}
+                    )
     return _report("A3", "pass", stats={"reducts": len(reds)})
 
 

@@ -36,7 +36,11 @@ class EllentuckModel(SpaceModel):
         return Approx(tuple(_atom_block(a) for a in range(len(self.levels))))
 
     def _shape_ok(self, s: Approx) -> bool:
-        return all(b == _atom_block(b.atoms[0]) for b in s.blocks)
+        # Each block is _atom_block(a) for its own atom a.
+        return all(
+            len(b.atoms) == 1 and b.source == (b.atoms[0] + 1, b.atoms[0] + 2)
+            for b in s.blocks
+        )
 
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         if not (self._shape_ok(s) and self._shape_ok(t)):
@@ -85,6 +89,7 @@ class FinModel(SpaceModel):
         self.span_cap = span_cap
         super().__init__(lv, params=params)
         self._level_sets = [frozenset(l) for l in self.levels]
+        self._ground: dict[Block, Optional[tuple[int, ...]]] = {}
 
     def _build_full(self) -> Approx:
         return Approx(tuple(
@@ -94,14 +99,18 @@ class FinModel(SpaceModel):
 
     def ground_indices(self, block: Block) -> Optional[tuple[int, ...]]:
         """0-based ground levels whose union is exactly this block."""
+        try:
+            return self._ground[block]
+        except KeyError:
+            pass
         atoms = set(block.atoms)
         picked = [i for i, l in enumerate(self._level_sets) if l <= atoms]
         covered: set[int] = set()
         for i in picked:
             covered |= self._level_sets[i]
-        if not picked or covered != atoms:
-            return None
-        return tuple(picked)
+        hit = tuple(picked) if picked and covered == atoms else None
+        self._ground[block] = hit
+        return hit
 
     def _block_ok(self, block: Block) -> bool:
         idx = self.ground_indices(block)
@@ -224,6 +233,7 @@ class TreeModel(SpaceModel):
             start = (branching ** d - 1) // (branching - 1)
             levels.append(range(start, start + branching ** d))
         super().__init__(levels, params={"b": branching, "h": height})
+        self._strong: dict[Approx, bool] = {}
 
     def _build_full(self) -> Approx:
         return Approx(tuple(
@@ -269,6 +279,12 @@ class TreeModel(SpaceModel):
         return all(lv[0] <= a <= lv[-1] for a in block.atoms)
 
     def _strong_segment(self, s: Approx) -> bool:
+        hit = self._strong.get(s)
+        if hit is None:
+            hit = self._strong[s] = self._check_strong(s)
+        return hit
+
+    def _check_strong(self, s: Approx) -> bool:
         if not all(self._block_ok(b) for b in s.blocks):
             return False
         if not s.blocks:

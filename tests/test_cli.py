@@ -181,3 +181,38 @@ def test_malformed_instance_file(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Budgets and JSON inputs are checked against the instance.
+
+def test_max_reducts_budget_is_honoured(capsys):
+    code = main(["verify-axioms", "ellentuck", "N=4", "--max-reducts", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "reduct enumeration" in err and "max_reducts budget of 3" in err
+    code, rep = run(capsys, ["verify-axioms", "ellentuck", "N=4", "--max-reducts", "15"])
+    assert code == 0
+    assert rep["reports"][0]["stats"]["reducts"] == 15
+
+
+def test_front_json_is_checked_against_the_instance(capsys, tmp_path):
+    _, rep = run(capsys, ["enumerate-front", "ellentuck", "N=4", "--front", "AU1"])
+    front = rep["front"]
+    stray = {"blocks": [{"atoms": [9], "source": [10, 11]}]}
+    cases = {
+        "same.json": (front, 0),
+        "stray.json": (dict(front, members=front["members"] + [stray]), 3),
+        # without {0}, every reduct starting at atom 0 dodges the family
+        "dodged.json": (dict(front, members=front["members"][1:]), 3),
+    }
+    for name, (payload, want) in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        code, _ = run(capsys, ["enumerate-front", "ellentuck", "N=4", "--front", str(path)])
+        assert code == want, name
+        code, _ = run(
+            capsys,
+            ["canonize", "ellentuck", "N=4", "--front", str(path), "--coloring", "min"],
+        )
+        assert code == want, name

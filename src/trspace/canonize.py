@@ -161,7 +161,7 @@ def oracle_canonize(
     verification would be vacuous."""
     family = inner_family(model)
     arity = coloring.front.arity()
-    reducts = model.all_reducts()
+    reducts = model.all_reducts(config.max_reducts)
     total = len(reducts) * len(family) ** arity
     if total > config.max_kernels:
         raise BudgetExceededError(
@@ -573,7 +573,7 @@ def maximality_check(
     a single member holds for every map, so admitting it would let any
     alternative through the precondition."""
     common = None
-    for y in sorted(model.all_reducts(), key=witness_sort_key):
+    for y in sorted(model.all_reducts(config.max_reducts), key=witness_sort_key):
         carried = sum(1 for m in coloring.front.members if model.leq_fin(m, y))
         if carried < 2:
             continue

@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .canonize import canonize, lemma_suite
@@ -29,9 +30,10 @@ from .fronts import (
     front_from_json,
     front_to_json,
     generated_coloring,
+    uniform_front,
 )
 from .mixing import MIXES, mixing_table, transitivity_check, weak_mixing_detect
-from .model import Config, SpaceModel, check_axioms
+from .model import DEFAULT_CONFIG, Config, SpaceModel, check_axioms
 from .ramsey import canonical_ramsey_number
 from .reportio import canonical_json, config_to_json, report_envelope
 from .spaces import build_ellentuck, build_fin, build_tree, instance_from_json
@@ -55,11 +57,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
+    if path is not None and tokens:
+        raise ParameterError(
+            "give either --instance or shorthand tokens, not both"
+        )
+    if len(tokens) == 1 and tokens[0].endswith(".json"):
+        path = tokens[0]
     if path is not None:
-        if tokens:
-            raise ParameterError(
-                "give either --instance or shorthand tokens, not both"
-            )
         with open(path) as fh:
             return instance_from_json(json.load(fh))
     if not tokens:
@@ -67,9 +71,6 @@ def _parse_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
             "no instance given; use e.g. 'ellentuck N=5', 'fin blocks=3"
             " span-cap=2', 'tree b=2 h=3' or a JSON path"
         )
-    if len(tokens) == 1 and tokens[0].endswith(".json"):
-        with open(tokens[0]) as fh:
-            return instance_from_json(json.load(fh))
     kind = tokens[0]
     if kind not in _INSTANCE_KEYS:
         raise ParameterError(f"unknown instance kind {kind!r}")
@@ -96,48 +97,37 @@ def _parse_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
     return build_tree(params["b"], params["h"])
 
 
-def _build_instance(args, config: Config) -> SpaceModel:
-    model = _parse_instance(args.instance, args.instance_path)
-    model.max_reducts = config.max_reducts
-    return model
-
-
 def _build_front(model: SpaceModel, label: Optional[str]) -> Front:
     if label is None:
         raise ParameterError("this command needs --front")
     if label.endswith(".json"):
         with open(label) as fh:
             return front_from_json(model, json.load(fh))
-    hit = re.fullmatch(r"(AU|AX)_?(\d+)", label, flags=re.IGNORECASE)
+    hit = re.fullmatch(r"AU_?(\d+)", label, flags=re.IGNORECASE)
     if hit is None:
         raise ParameterError(
-            f"front {label!r} not understood; use AU<k>, AX<k> or a JSON path"
+            f"front {label!r} not understood; use AU<k> or a JSON path"
         )
-    from .fronts import uniform_front
-
-    return uniform_front(model, int(hit.group(2)))
+    return uniform_front(model, int(hit.group(1)))
 
 
-def _build_coloring(
-    model: SpaceModel, front: Front, name: Optional[str], seed: int
-) -> Coloring:
+def _build_coloring(model: SpaceModel, args) -> Coloring:
+    """A generated coloring of --front, or a JSON coloring with its own front."""
+    name = args.coloring
     if name is None:
         raise ParameterError("this command needs --coloring")
-    if name.endswith(".json"):
-        with open(name) as fh:
-            return coloring_from_json(model, json.load(fh))
-    return generated_coloring(front, name, seed=seed)
+    if not name.endswith(".json"):
+        return generated_coloring(_build_front(model, args.front), name, seed=args.seed)
+    if args.front is not None:
+        raise ParameterError(
+            f"--coloring {name} carries its own front; drop --front {args.front}"
+        )
+    with open(name) as fh:
+        return coloring_from_json(model, json.load(fh))
 
 
 def _config(args) -> Config:
-    return Config(
-        mu=args.mu,
-        depth_budget=args.depth_budget,
-        retries=args.retries,
-        max_reducts=args.max_reducts,
-        max_kernels=args.max_kernels,
-        seed=args.seed,
-    )
+    return Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -148,93 +138,56 @@ def _emit(payload: dict, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _exit_code(finding, undecided) -> int:
+    return FINDING if finding else UNDECIDED_EXIT if undecided else PASS
+
+
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Commands. Each run takes the parsed arguments, the config, the instance
+# and the front and coloring its inputs name (None otherwise), and returns
+# the report body and the exit code.
 
-def _cmd_verify_axioms(args) -> int:
-    config = _config(args)
-    model = _build_instance(args, config)
+def _verify_axioms(args, config, model, front, coloring):
     reports = [check_axioms(model, a, config) for a in ("A1", "A2", "A3")]
-    body = {"check": "verify_axioms", "reports": reports}
-    _emit(report_envelope(model, body, config), args.out)
     verdicts = {r["verdict"] for r in reports}
-    if "fail" in verdicts:
-        return FINDING
-    if "undecided" in verdicts:
-        return UNDECIDED_EXIT
-    return PASS
+    body = {"check": "verify_axioms", "reports": reports}
+    return body, _exit_code("fail" in verdicts, "undecided" in verdicts)
 
 
-def _cmd_enumerate_front(args) -> int:
-    config = _config(args)
-    model = _build_instance(args, config)
-    front = _build_front(model, args.front)
+def _enumerate_front(args, config, model, front, coloring):
     body = {
         "check": "enumerate_front",
         "front": front_to_json(front),
         "count": len(front.members),
     }
-    _emit(report_envelope(model, body, config), args.out)
-    return PASS
+    return body, PASS
 
 
-def _cmd_mixing_table(args) -> int:
-    config = _config(args)
-    model = _build_instance(args, config)
-    front = _build_front(model, args.front)
-    coloring = _build_coloring(model, front, args.coloring, args.seed)
+def _mixing(args, config, model, front, coloring):
+    """mixing-table reports the table and its audit, transitivity the audit alone."""
     table = mixing_table(model, coloring, config=config)
     trans = transitivity_check(table)
-    body = {
-        "check": "mixing_table",
-        "table": table.to_json(),
-        "transitivity": trans,
-    }
-    _emit(report_envelope(model, body, config), args.out)
-    if trans["verdict"] == "fail" or trans["unequal_depth"]:
-        return FINDING
-    if table.undecided_pairs():
-        return UNDECIDED_EXIT
-    return PASS
+    if args.command == "mixing-table":
+        body = {"check": "mixing_table", "table": table.to_json(), "transitivity": trans}
+    else:
+        body = {"check": "transitivity", "report": trans}
+    finding = trans["verdict"] == "fail" or trans["unequal_depth"]
+    return body, _exit_code(finding, table.undecided_pairs())
 
 
-def _cmd_transitivity(args) -> int:
-    config = _config(args)
-    model = _build_instance(args, config)
-    front = _build_front(model, args.front)
-    coloring = _build_coloring(model, front, args.coloring, args.seed)
+def _weak_mixing(args, config, model, front, coloring):
     table = mixing_table(model, coloring, config=config)
-    trans = transitivity_check(table)
-    body = {"check": "transitivity", "report": trans}
-    _emit(report_envelope(model, body, config), args.out)
-    if trans["verdict"] == "fail" or trans["unequal_depth"]:
-        return FINDING
-    if table.undecided_pairs():
-        return UNDECIDED_EXIT
-    return PASS
-
-
-def _cmd_weak_mixing(args) -> int:
-    config = _config(args)
-    model = _build_instance(args, config)
-    front = _build_front(model, args.front)
-    coloring = _build_coloring(model, front, args.coloring, args.seed)
-    table = mixing_table(model, coloring, config=config)
-    engine = table.engine
     witnesses = []
     scanned = 0
     for (i, j), verdict in sorted(table.verdicts.items()):
-        if verdict.kind != MIXES or i == j:
+        if verdict.kind != MIXES or table.depths[i] == table.depths[j]:
             continue
         s, t = table.rows[i], table.rows[j]
-        ds, dt = table.depths[i], table.depths[j]
-        if ds == dt:
-            continue
-        if dt < ds:
+        if table.depths[j] < table.depths[i]:
             s, t = t, s
         scanned += 1
         hit = weak_mixing_detect(
-            model, table.reduct, s, t, coloring, config, engine=engine
+            model, table.reduct, s, t, coloring, config, engine=table.engine
         )
         if hit is not None:
             witnesses.append(hit)
@@ -244,78 +197,83 @@ def _cmd_weak_mixing(args) -> int:
         "pairs_scanned": scanned,
         "witnesses": witnesses,
     }
-    _emit(report_envelope(model, body, config), args.out)
-    if witnesses:
-        return FINDING
-    if table.undecided_pairs():
-        return UNDECIDED_EXIT
-    return PASS
+    return body, _exit_code(witnesses, table.undecided_pairs())
 
 
-def _cmd_canonize(args) -> int:
-    config = _config(args)
-    model = _build_instance(args, config)
-    front = _build_front(model, args.front)
-    coloring = _build_coloring(model, front, args.coloring, args.seed)
+def _canonize(args, config, model, front, coloring):
     report = canonize(model, coloring, config, oracle=args.oracle)
     body = {"check": "canonize", "result": report.to_json()}
-    _emit(report_envelope(model, body, config), args.out)
     if report.verdict != "pass":
-        return UNDECIDED_EXIT
-    if args.oracle and not report.oracle_agreement["agrees"]:
-        return FINDING
-    return PASS
+        return body, UNDECIDED_EXIT
+    return body, FINDING if args.oracle and not report.oracle_agreement["agrees"] else PASS
 
 
-def _cmd_lemma_suite(args) -> int:
-    config = _config(args)
-    model = _build_instance(args, config)
-    front = _build_front(model, args.front)
-    coloring = _build_coloring(model, front, args.coloring, args.seed)
+def _lemma_suite(args, config, model, front, coloring):
     report = canonize(model, coloring, config, oracle=False)
+    body = {"check": "lemma_suite", "canonize": report.to_json(), "suite": None}
     if report.verdict != "pass":
-        body = {"check": "lemma_suite", "canonize": report.to_json(), "suite": None}
-        _emit(report_envelope(model, body, config), args.out)
-        return UNDECIDED_EXIT
-    suite = lemma_suite(model, coloring, report.witness, report.phi, config)
-    body = {"check": "lemma_suite", "canonize": report.to_json(), "suite": suite}
-    _emit(report_envelope(model, body, config), args.out)
-    return PASS if suite["verdict"] == "pass" else FINDING
+        return body, UNDECIDED_EXIT
+    body["suite"] = lemma_suite(model, coloring, report.witness, report.phi, config)
+    return body, PASS if body["suite"]["verdict"] == "pass" else FINDING
 
 
-def _cmd_er_number(args) -> int:
-    config = _config(args)
+def _er_number(args, config, model, front, coloring):
+    body = {"check": "er_number", "config": config_to_json(config), "n": args.n, "m": args.m}
     try:
-        value = canonical_ramsey_number(args.n, args.m, config)
+        body["value"] = canonical_ramsey_number(args.n, args.m, config)
     except BudgetExceededError as err:
-        body = {
-            "check": "er_number",
-            "config": config_to_json(config),
-            "n": args.n,
-            "m": args.m,
-            "verdict": "undecided",
-            "largest_checked": err.largest_checked,
-            "error": str(err),
-        }
-        _emit(body, args.out)
-        return UNDECIDED_EXIT
-    body = {
-        "check": "er_number",
-        "config": config_to_json(config),
-        "n": args.n,
-        "m": args.m,
-        "value": value,
-        "verdict": "pass",
-    }
-    _emit(body, args.out)
-    return PASS
+        body.update(verdict="undecided", largest_checked=err.largest_checked, error=str(err))
+        return body, UNDECIDED_EXIT
+    body["verdict"] = "pass"
+    return body, PASS
+
+
+_COLORED = ("instance", "front", "coloring")
+
+# (name, help, inputs needed, run). The inputs name the arguments a
+# command takes beyond the Config flags and --out: "instance", "front",
+# "coloring", "oracle", or "arity" (the n and m of er-number).
+COMMANDS = (
+    ("verify-axioms", "check A1, A2, A3 on an instance", ("instance",), _verify_axioms),
+    ("enumerate-front", "list the members of a front", ("instance", "front"),
+     _enumerate_front),
+    ("mixing-table", "pairwise mixing verdicts plus transitivity scan", _COLORED, _mixing),
+    ("transitivity", "hunt mixing-transitivity failures", _COLORED, _mixing),
+    ("weak-mixing", "scan mixed unequal-depth pairs for transfer blocks", _COLORED,
+     _weak_mixing),
+    ("canonize", "search a canonical inner map", _COLORED + ("oracle",), _canonize),
+    ("lemma-suite", "canonize, then check the structure lemmas", _COLORED, _lemma_suite),
+    ("er-number", "canonical partition number by exhaustive search", ("arity",),
+     _er_number),
+)
+
+
+def _run(args) -> int:
+    """Config, instance and its reduct budget, front or coloring, then
+    the command's run; the report goes to stdout (and --out)."""
+    config = _config(args)
+    model = front = coloring = None
+    if "instance" in args.inputs:
+        model = _parse_instance(args.instance, args.instance_path)
+        model.all_reducts(config.max_reducts)
+    if "coloring" in args.inputs:
+        coloring = _build_coloring(model, args)
+        front = coloring.front
+    elif "front" in args.inputs:
+        front = _build_front(model, args.front)
+    body, code = args.run(args, config, model, front, coloring)
+    _emit(body if model is None else report_envelope(model, body, config), args.out)
+    return code
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly.
 
-def _add_shared(parser, instance=True, front=False, coloring=False, oracle=False):
-    if instance:
+def _add_arguments(parser, inputs: tuple[str, ...]) -> None:
+    if "arity" in inputs:
+        parser.add_argument("n", type=int, help="tuple arity")
+        parser.add_argument("m", type=int, help="target set size")
+    if "instance" in inputs:
         parser.add_argument(
             "instance", nargs="*",
             help="shorthand tokens (ellentuck N=5 | fin blocks=3 span-cap=2"
@@ -325,69 +283,32 @@ def _add_shared(parser, instance=True, front=False, coloring=False, oracle=False
             "--instance", dest="instance_path", default=None,
             help="instance JSON path (alternative to the shorthand)",
         )
-    if front:
+    if "front" in inputs:
         parser.add_argument("--front", default=None,
-                            help="AU<k>, AX<k> or a front JSON path")
-    if coloring:
+                            help="AU<k> or a front JSON path")
+    if "coloring" in inputs:
         parser.add_argument(
             "--coloring", default=None,
             help="generator name (constant, injective, min, max, union,"
-                 " parity, minmax, identity, random-kernel) or a JSON path",
+                 " parity, minmax, identity, random-kernel) or a JSON path;"
+                 " a JSON coloring carries its own front",
         )
-    if oracle:
+    if "oracle" in inputs:
         parser.add_argument("--oracle", action="store_true",
                             help="cross-validate against the exhaustive oracle")
-    parser.add_argument("--mu", type=int, default=1)
-    parser.add_argument("--depth-budget", dest="depth_budget", type=int, default=None)
-    parser.add_argument("--retries", type=int, default=3)
-    parser.add_argument("--max-reducts", dest="max_reducts", type=int, default=500_000)
-    parser.add_argument("--max-kernels", dest="max_kernels", type=int, default=2_000_000)
-    parser.add_argument("--seed", type=int, default=0)
+    for f in fields(Config):  # --mu, --depth-budget, ..., --seed
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=int,
+                            default=getattr(DEFAULT_CONFIG, f.name))
     parser.add_argument("--out", default=None, help="also write the report here")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trspace")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("verify-axioms", help="check A1, A2, A3 on an instance")
-    _add_shared(p)
-    p.set_defaults(handler=_cmd_verify_axioms)
-
-    p = sub.add_parser("enumerate-front", help="list the members of a front")
-    _add_shared(p, front=True)
-    p.set_defaults(handler=_cmd_enumerate_front)
-
-    p = sub.add_parser("mixing-table",
-                       help="pairwise mixing verdicts plus transitivity scan")
-    _add_shared(p, front=True, coloring=True)
-    p.set_defaults(handler=_cmd_mixing_table)
-
-    p = sub.add_parser("transitivity", help="hunt mixing-transitivity failures")
-    _add_shared(p, front=True, coloring=True)
-    p.set_defaults(handler=_cmd_transitivity)
-
-    p = sub.add_parser("weak-mixing",
-                       help="scan mixed unequal-depth pairs for transfer blocks")
-    _add_shared(p, front=True, coloring=True)
-    p.set_defaults(handler=_cmd_weak_mixing)
-
-    p = sub.add_parser("canonize", help="search a canonical inner map")
-    _add_shared(p, front=True, coloring=True, oracle=True)
-    p.set_defaults(handler=_cmd_canonize)
-
-    p = sub.add_parser("lemma-suite",
-                       help="canonize, then check the structure lemmas")
-    _add_shared(p, front=True, coloring=True)
-    p.set_defaults(handler=_cmd_lemma_suite)
-
-    p = sub.add_parser("er-number",
-                       help="canonical partition number by exhaustive search")
-    p.add_argument("n", type=int, help="tuple arity")
-    p.add_argument("m", type=int, help="target set size")
-    _add_shared(p, instance=False)
-    p.set_defaults(handler=_cmd_er_number)
-
+    for name, text, inputs, run in COMMANDS:
+        p = sub.add_parser(name, help=text)
+        _add_arguments(p, inputs)
+        p.set_defaults(inputs=inputs, run=run)
     return parser
 
 
@@ -400,7 +321,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # that into the return-code contract so callers never see the exit
         return int(err.code or 0)
     try:
-        return args.handler(args)
+        return _run(args)
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return UNDECIDED_EXIT

@@ -27,7 +27,7 @@ from .model import (
     approx_sort_key,
     fuse,
 )
-from .spaces import lx1
+from .spaces import closure
 
 MIXES = "mixes"
 SEPARATES = "separates"
@@ -47,6 +47,7 @@ class MixingEngine:
     """Caches realizability and color sets for one colored front."""
 
     def __init__(self, model: SpaceModel, coloring: Coloring, config: Config = DEFAULT_CONFIG):
+        model.all_reducts(config.max_reducts)
         self.model = model
         self.coloring = coloring
         self.front = coloring.front
@@ -308,7 +309,7 @@ def weak_mixing_detect(
     n = len(s)
     t_extra = t.atom_set() - s.atom_set()
     candidates = [
-        w for w in lx1(model, x) if set(w.atoms) <= t_extra
+        w for w in closure(model, x) if set(w.atoms) <= t_extra
     ]
     pool = eng.pool(x, s, t)
     pairs_by_y = []

@@ -177,9 +177,6 @@ class SpaceModel(ABC):
             seen.update(l)
         self.levels = lv
         self.params: dict = dict(params or {})
-        # Enumeration budget; the CLI sets it from Config.max_reducts
-        # before the reducts are first enumerated.
-        self.max_reducts = DEFAULT_CONFIG.max_reducts
         self._reducts: Optional[tuple[Approx, ...]] = None
         self._approxes: Optional[tuple[Approx, ...]] = None
         self._leq_cache: dict[tuple, bool] = {}
@@ -264,17 +261,24 @@ class SpaceModel(ABC):
     def extensions(self, s: Approx, x: Approx) -> tuple[Approx, ...]:
         return tuple(s.extend(b) for b in self.extension_blocks(s, x))
 
-    def all_reducts(self) -> tuple[Approx, ...]:
+    def all_reducts(self, budget: Optional[int] = None) -> tuple[Approx, ...]:
+        """Every reduct in documented order. BudgetExceededError when there
+        are more than budget, enumerated now or before; with no budget, a
+        first enumeration is held to the default and a stored tuple is
+        returned as is. Entry points taking a Config pass its max_reducts."""
+        limit = DEFAULT_CONFIG.max_reducts if budget is None else budget
+        reds = self._reducts
+        if reds is None:
+            reds = tuple(itertools.islice(self._enumerate_reducts(), limit + 1))
+        elif budget is None:
+            return reds
+        if len(reds) > limit:
+            raise BudgetExceededError(
+                f"reduct enumeration of the {self.kind} instance passed"
+                f" the max_reducts budget of {limit}"
+            )
         if self._reducts is None:
-            out: list[Approx] = []
-            for y in self._enumerate_reducts():
-                out.append(y)
-                if len(out) > self.max_reducts:
-                    raise BudgetExceededError(
-                        f"reduct enumeration of the {self.kind} instance passed"
-                        f" the max_reducts budget of {self.max_reducts}"
-                    )
-            self._reducts = tuple(sorted(out, key=approx_sort_key))
+            self._reducts = tuple(sorted(reds, key=approx_sort_key))
         return self._reducts
 
     def reducts_in(self, mask: int) -> tuple[Approx, ...]:
@@ -334,42 +338,18 @@ class SpaceModel(ABC):
 
     # ---- identity --------------------------------------------------------
 
-    def instance_payload(self) -> dict:
-        return {
-            "instance": self.kind,
-            "levels": [list(l) for l in self.levels],
-            "params": dict(sorted(self.params.items())),
-        }
-
     def instance_tag(self) -> str:
-        blob = json.dumps(self.instance_payload(), sort_keys=True).encode()
+        blob = json.dumps(instance_to_json(self), sort_keys=True).encode()
         return f"{self.kind}:{hashlib.sha256(blob).hexdigest()[:12]}"
 
 
-# ---- module-level operation aliases -------------------------------------
-
-def restrict(model: SpaceModel, x: Approx, n: int) -> Approx:
-    return model.restrict(x, n)
-
-
-def leq_fin(model: SpaceModel, s: Approx, t: Approx) -> bool:
-    return model.leq_fin(s, t)
-
-
-def depth(model: SpaceModel, x: Approx, s: Approx):
-    return model.depth(x, s)
-
-
-def extensions(model: SpaceModel, s: Approx, x: Approx) -> tuple[Approx, ...]:
-    return model.extensions(s, x)
-
-
-def compat(model: SpaceModel, x: Approx, s: Approx) -> bool:
-    return model.compat(x, s)
-
-
-def basic(model: SpaceModel, s: Approx, x: Approx) -> tuple[Approx, ...]:
-    return model.basic(s, x)
+def instance_to_json(model: SpaceModel) -> dict:
+    """The instance description that instance_from_json rebuilds from."""
+    return {
+        "instance": model.kind,
+        "levels": [list(l) for l in model.levels],
+        "params": dict(sorted(model.params.items())),
+    }
 
 
 # ---- axiom harness -------------------------------------------------------
@@ -533,7 +513,7 @@ def _check_a3(model: SpaceModel, config: Config) -> dict:
     return _report("A3", "pass", stats={"reducts": len(reds)})
 
 
-_AXIOM_CHECKS = {"A1": _check_a1, "A2": _check_a2, "A3": _check_a3}
+_CHECKERS = {"A1": _check_a1, "A2": _check_a2, "A3": _check_a3}
 
 
 def check_axioms(model: SpaceModel, axiom: str, config: Config = DEFAULT_CONFIG) -> dict:
@@ -543,9 +523,10 @@ def check_axioms(model: SpaceModel, axiom: str, config: Config = DEFAULT_CONFIG)
     entry point (pigeonhole_A4) because it takes a coloring.
     """
     try:
-        checker = _AXIOM_CHECKS[axiom.upper()]
+        checker = _CHECKERS[axiom.upper()]
     except KeyError:
         raise DomainError(f"unknown axiom group {axiom!r}; expected A1, A2 or A3")
+    model.all_reducts(config.max_reducts)
     report = checker(model, config)
     report["instance"] = model.instance_tag()
     return report
@@ -566,6 +547,7 @@ def pigeonhole_A4(
     exists, which at desk scale means [s, x] is empty or every candidate
     has fewer than mu extensions.
     """
+    model.all_reducts(config.max_reducts)
     domain = model.extensions(s, x)
     if not domain:
         raise TruncationTooShallowError(
@@ -638,6 +620,7 @@ def fuse(
     Raises FusionExhaustedError (carrying the stage and the partial
     reduct) when some agenda entry cannot be settled.
     """
+    model.all_reducts(config.max_reducts)
     x = start if start is not None else model.full
     if start is not None and not model.leq_fin(start, model.full):
         raise DomainError("fusion start must be a reduct of the space")

@@ -11,7 +11,7 @@ import json
 import math
 from typing import Optional
 
-from .model import Approx, Block, Config, SpaceModel
+from .model import Approx, Block, Config, SpaceModel, instance_to_json
 
 
 def block_to_json(block: Block) -> dict:
@@ -71,7 +71,7 @@ def canonical_json(obj) -> str:
 
 
 def report_envelope(model: SpaceModel, body: dict, config: Optional[Config] = None) -> dict:
-    out = {"instance": model.instance_payload(), "instance_tag": model.instance_tag()}
+    out = {"instance": instance_to_json(model), "instance_tag": model.instance_tag()}
     if config is not None:
         out["config"] = config_to_json(config)
     out.update(body)

@@ -401,11 +401,6 @@ def closure(model: SpaceModel, x: Approx) -> tuple[Block, ...]:
     return tuple(sorted(seen))
 
 
-def lx1(model: SpaceModel, x: Approx) -> tuple[Block, ...]:
-    """Level material of x in one block (the unary combination pool)."""
-    return closure(model, x)
-
-
 def combinations(model: SpaceModel, ws: Iterable[Block], s: Approx) -> tuple[Block, ...]:
     """Blocks built out of all the given generators on top of s.
 
@@ -475,10 +470,6 @@ def full_initial_segments(model: SpaceModel, s: Approx) -> bool:
 
 # ---------------------------------------------------------------------------
 # Instance serialization.
-
-def instance_to_json(model: SpaceModel) -> dict:
-    return model.instance_payload()
-
 
 def instance_from_json(payload) -> SpaceModel:
     if isinstance(payload, str):

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from trspace import build_ellentuck, instance_to_json
+from trspace import (
+    build_ellentuck,
+    coloring_to_json,
+    generated_coloring,
+    instance_to_json,
+    uniform_front,
+)
 from trspace.cli import main
 
 
@@ -158,6 +164,7 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
         ["verify-axioms", "fin", "span_cap=2"],  # blocks missing
         ["verify-axioms", "ellentuck", "N=0"],
         ["canonize", "ellentuck", "N=6", "--front", "ZZZ", "--coloring", "min"],
+        ["canonize", "ellentuck", "N=6", "--front", "AX2", "--coloring", "min"],
         ["canonize", "ellentuck", "N=6", "--front", "AU2"],  # coloring missing
         ["canonize", "ellentuck", "N=6", "--front", "AU2", "--coloring", "no-such"],
         ["verify-axioms", "--instance", "/no/such/file.json"],
@@ -216,3 +223,22 @@ def test_front_json_is_checked_against_the_instance(capsys, tmp_path):
             ["canonize", "ellentuck", "N=4", "--front", str(path), "--coloring", "min"],
         )
         assert code == want, name
+
+
+def test_json_coloring_carries_its_own_front(capsys, tmp_path):
+    path = tmp_path / "au2-min.json"
+    coloring = generated_coloring(uniform_front(build_ellentuck(5), 2), "min")
+    path.write_text(json.dumps(coloring_to_json(coloring)))
+    code, rep = run(capsys, ["canonize", "ellentuck", "N=5", "--coloring", str(path)])
+    assert code == 0
+    code, same = run(
+        capsys, ["canonize", "ellentuck", "N=5", "--front", "AU2", "--coloring", "min"]
+    )
+    assert code == 0
+    assert rep == same
+    # a --front beside it is a conflict, not a front to drop silently
+    code = main(["canonize", "ellentuck", "N=5", "--front", "AU1", "--coloring", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "carries its own front" in captured.err and "--front AU1" in captured.err

@@ -15,12 +15,18 @@ from trspace import (
     DEFAULT_CONFIG,
     EMPTY,
     ParameterError,
+    BudgetExceededError,
     PropertyOracle,
     approx_sort_key,
     build_ellentuck,
     build_fin,
+    canonize,
+    check_axioms,
     derive_seed,
     fuse,
+    generated_coloring,
+    mixing_table,
+    uniform_front,
     witness_sort_key,
 )
 from helpers import ea, fa, atoms_of
@@ -178,6 +184,48 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         Config(max_reducts=0)
     assert DEFAULT_CONFIG.mu == 1
+
+
+# Ellentuck N=4 has 15 reducts; every entry point taking a Config holds
+# the instance to its max_reducts.
+BUDGET_ENTRY_POINTS = {
+    "check_axioms": lambda model, config: check_axioms(model, "A1", config),
+    "fuse": lambda model, config: fuse(
+        model, PropertyOracle(check=lambda s, y: True), config=config
+    ),
+    "mixing_table": lambda model, config: mixing_table(
+        model, _min_coloring(model), config=config
+    ),
+    "canonize": lambda model, config: canonize(model, _min_coloring(model), config),
+}
+
+
+def _min_coloring(model):
+    return generated_coloring(uniform_front(model, 1), "min")
+
+
+@pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
+def test_library_calls_honour_max_reducts(entry):
+    call = BUDGET_ENTRY_POINTS[entry]
+    model = build_ellentuck(4)
+    with pytest.raises(BudgetExceededError, match="max_reducts budget of 14"):
+        call(model, Config(max_reducts=14))
+    call(model, Config(max_reducts=15))
+
+
+def test_reduct_budget_applies_before_and_after_enumeration():
+    model = build_ellentuck(4)
+    with pytest.raises(BudgetExceededError, match="ellentuck instance passed the max_reducts"):
+        check_axioms(model, "A1", Config(max_reducts=3))
+    # the stopped enumeration stored nothing; a first full one succeeds
+    assert check_axioms(model, "A1")["stats"]["reducts"] == 15
+    assert len(model.all_reducts()) == 15
+    # the reducts are stored now, and a smaller budget still refuses them
+    with pytest.raises(BudgetExceededError, match="max_reducts budget of 3"):
+        model.all_reducts(3)
+    with pytest.raises(BudgetExceededError, match="max_reducts budget of 3"):
+        check_axioms(model, "A2", Config(max_reducts=3))
+    assert len(model.all_reducts(15)) == 15
 
 
 def test_derive_seed_is_stable_and_sensitive():

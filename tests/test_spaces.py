@@ -17,7 +17,6 @@ from trspace import (
     full_initial_segments,
     instance_from_json,
     instance_to_json,
-    lx1,
     solid_in,
     uniform_front,
 )
@@ -145,7 +144,6 @@ def test_closure_examples(fin3, fin4):
     assert sorted(b.atoms for b in closure(fin3, fa((0,), (1,)))) == [(0,), (0, 1), (1,)]
     assert [b.atoms for b in closure(fin3, fa((0,)))] == [(0,)]
     assert len(closure(fin4, fin4.full)) == 15
-    assert lx1(fin4, fin4.full) == closure(fin4, fin4.full)
 
 
 def test_rank_one_front_blocks_sit_inside_the_catalog(fin4):

@@ -22,15 +22,14 @@ from .errors import (
     FusionExhaustedError,
     NoInnerWitnessError,
 )
-from .fronts import Coloring, Front, members_extending
-from .mixing import MIXES, SEPARATES, UNDECIDED, MixingEngine
+from .fronts import Coloring
+from .mixing import SEPARATES, UNDECIDED, MixingEngine
 from .model import (
     Approx,
     Config,
     DEFAULT_CONFIG,
     PropertyOracle,
     SpaceModel,
-    approx_sort_key,
     fuse,
     witness_sort_key,
 )
@@ -250,13 +249,6 @@ class CanonReport:
         }
 
 
-def _mixing_relation(engine: MixingEngine, z0: Approx):
-    def mixed(p: Approx, q: Approx) -> bool:
-        return engine.decide(z0, p, q).kind == MIXES
-
-    return mixed
-
-
 def _position_oracle(
     engine: MixingEngine, z0: Approx, pos: int, name: str
 ) -> PropertyOracle:
@@ -266,34 +258,19 @@ def _position_oracle(
     exempt."""
     model = engine.model
     member_set = set(engine.members)
-    mixed = _mixing_relation(engine, z0)
 
-    def live_exts(a: Approx, y: Approx) -> tuple[Approx, ...]:
-        return tuple(
-            p for p in model.extensions(a, y)
-            if engine.in_hat(p) and engine.count(y, p) >= 1
-        )
+    def mixed(p: Approx, q: Approx) -> bool:
+        return engine.mixes(z0, p, q)
 
     def check(a: Approx, y: Approx) -> bool:
         if engine.count(y, a) < 1:
             return True
-        return _kernel_matches(mixed, model, name, live_exts(a, y))
+        return _kernel_matches(mixed, model, name, engine.live_extensions(a, y))
 
     def domain(a: Approx) -> bool:
         return len(a) == pos and engine.in_hat(a) and a not in member_set
 
     return PropertyOracle(check=check, domain=domain, name=f"selector[{pos}]={name}")
-
-
-def _holds_everywhere(
-    engine: MixingEngine, oracle: PropertyOracle, pos: int, z: Approx
-) -> bool:
-    model = engine.model
-    bases = [
-        a for a in engine.hat_below(z)
-        if len(a) == pos and a not in set(engine.members)
-    ]
-    return all(oracle.check(a, z) for a in bases)
 
 
 def _assemble(engine: MixingEngine, z0: Approx, config: Config) -> tuple[Approx, InnerMap]:
@@ -313,7 +290,7 @@ def _assemble(engine: MixingEngine, z0: Approx, config: Config) -> tuple[Approx,
         chosen = None
         for name in family:
             oracle = _position_oracle(engine, z0, pos, name)
-            if _holds_everywhere(engine, oracle, pos, z):
+            if all(oracle.check(a, z) for a in engine.interior_below(z) if len(a) == pos):
                 chosen = name
                 break
         if chosen is None:
@@ -391,7 +368,7 @@ def canonize(
         stats["family_limited"] = True
 
     try:
-        z0 = fuse(model, engine.decide_property(), start=coloring.front.scope, config=config)
+        z0 = engine.deciding_reduct()
     except FusionExhaustedError as err:
         z0 = err.partial if err.partial is not None else coloring.front.scope
         stats["stage_a_exhausted"] = True
@@ -429,9 +406,7 @@ def canonize(
     witness = _grow(model, coloring, witness, phi)
     ok, cex = verify_canonical(model, witness, phi, coloring)
     stats["witness_size"] = len(witness)
-    stats["members_on_witness"] = sum(
-        1 for m in coloring.front.members if model.leq_fin(m, witness)
-    )
+    stats["members_on_witness"] = len(engine.front_below(witness))
     agreement = None
     if oracle:
         hits = oracle_canonize(model, coloring, config)
@@ -470,10 +445,9 @@ def lemma_suite(
     mixed with one segment share a selector value.
     """
     engine = MixingEngine(model, coloring, config)
-    members = [m for m in coloring.front.members if model.leq_fin(m, witness)]
-    member_set = set(members)
-    hat_w = [a for a in engine.hat_below(witness)]
-    interior = [a for a in hat_w if a not in member_set]
+    members = engine.front_below(witness)
+    hat_w = engine.hat_below(witness)
+    interior = engine.interior_below(witness)
     values: dict[Approx, tuple] = {a: eval_inner(model, phi, a) for a in hat_w}
 
     mix_violations = []
@@ -488,22 +462,14 @@ def lemma_suite(
             elif verdict.kind == UNDECIDED:
                 mix_gaps += 1
 
-    prefix_violations = []
-    for s in members:
-        for t in members:
-            if s is t:
-                continue
-            vs, vt = values[s], values[t]
-            if len(vs) < len(vt) and vt[: len(vs)] == vs:
-                prefix_violations.append({"s": s, "t": t})
-    prefix_info = 0
-    for s in interior:
-        for t in hat_w:
-            if s is t:
-                continue
-            vs, vt = values[s], values[t]
-            if len(vs) < len(vt) and vt[: len(vs)] == vs:
-                prefix_info += 1
+    def strict_prefix(s: Approx, t: Approx) -> bool:
+        vs, vt = values[s], values[t]
+        return len(vs) < len(vt) and vt[: len(vs)] == vs
+
+    prefix_violations = [
+        {"s": s, "t": t} for s in members for t in members if strict_prefix(s, t)
+    ]
+    prefix_info = sum(1 for s in interior for t in hat_w if strict_prefix(s, t))
 
     color_violations = []
     for i, s in enumerate(members):
@@ -516,21 +482,18 @@ def lemma_suite(
         pos = len(base)
         if pos >= len(phi.selectors):
             continue
-        exts = [
-            p for p in model.extensions(base, witness)
-            if engine.in_hat(p) and engine.count(witness, p) >= 1
-        ]
+        exts = engine.live_extensions(base, witness)
         for t in hat_w:
             for i, p in enumerate(exts):
                 dp = model.depth(witness, p)
                 if model.depth(witness, t) != dp:
                     continue
-                if engine.decide(witness, t, p).kind != MIXES:
+                if not engine.mixes(witness, t, p):
                     continue
                 for q in exts[i + 1:]:
                     if model.depth(witness, q) != dp:
                         continue
-                    if engine.decide(witness, t, q).kind != MIXES:
+                    if not engine.mixes(witness, t, q):
                         continue
                     vp = model.apply_selector(phi.selectors[pos], p.blocks[-1])
                     vq = model.apply_selector(phi.selectors[pos], q.blocks[-1])
@@ -617,10 +580,8 @@ def property_p_check(
     the other anywhere below a reduct, that reduct must hide a
     separating one."""
     engine = MixingEngine(model, coloring, config)
-    z0 = fuse(model, engine.decide_property(), start=coloring.front.scope, config=config)
-    member_set = set(engine.members)
-    interior = [a for a in engine.hat_below(z0) if a not in member_set]
-    mixed = _mixing_relation(engine, z0)
+    z0 = engine.deciding_reduct()
+    interior = engine.interior_below(z0)
     violations = []
     skipped = 0
     checked = 0
@@ -641,18 +602,12 @@ def property_p_check(
                 skipped += 1
                 continue
             for z in model.sub_reducts(z0):
-                t_exts = [
-                    p for p in model.extensions(t, z)
-                    if engine.in_hat(p) and engine.count(z, p) >= 1
-                ]
-                s_exts = [
-                    q for q in model.extensions(s, z)
-                    if engine.in_hat(q) and engine.count(z, q) >= 1
-                ]
+                t_exts = engine.live_extensions(t, z)
+                s_exts = engine.live_extensions(s, z)
                 if not t_exts or not s_exts:
                     continue
                 any_hit = any(
-                    mixed(p, q)
+                    engine.mixes(z0, p, q)
                     and model.apply_selector(sel_t, p.blocks[-1])
                     == model.apply_selector(sel_s, q.blocks[-1])
                     for p in t_exts
@@ -682,7 +637,7 @@ def _mix_class(engine: MixingEngine, z0: Approx, base: Approx, p: Approx):
     the least extension of the base it mixes with."""
     model = engine.model
     for q in model.extensions(base, z0):
-        if engine.in_hat(q) and engine.decide(z0, p, q).kind == MIXES:
+        if engine.in_hat(q) and engine.mixes(z0, p, q):
             return q.key
     return p.key
 

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Builds instances from shorthand tokens or JSON files, runs the
+Builds instances from shorthand tokens or --instance JSON files, runs the
 checks and searches, and emits canonical JSON reports. Exit codes:
 0 everything passed, 1 a mathematical finding or failure, 2 an
 undecided verdict or exhausted budget, 3 a usage or input error.
@@ -36,15 +36,9 @@ from .mixing import MIXES, mixing_table, transitivity_check, weak_mixing_detect
 from .model import DEFAULT_CONFIG, Config, SpaceModel, check_axioms
 from .ramsey import canonical_ramsey_number
 from .reportio import canonical_json, config_to_json, report_envelope
-from .spaces import build_ellentuck, build_fin, build_tree, instance_from_json
+from .spaces import instance_from_json
 
 PASS, FINDING, UNDECIDED_EXIT, USAGE = 0, 1, 2, 3
-
-_INSTANCE_KEYS = {
-    "ellentuck": {"N"},
-    "fin": {"blocks", "span_cap"},
-    "tree": {"b", "h"},
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,54 +50,47 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _load_json(path: str):
+    """The JSON document in a file; an unreadable file is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:  # ValueError: bad JSON or bad UTF-8
+        raise ParameterError(f"cannot read {path}: {err}") from err
+
+
 def _parse_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
+    """The instance of --instance PATH or of shorthand tokens, both built
+    by instance_from_json."""
     if path is not None and tokens:
         raise ParameterError(
             "give either --instance or shorthand tokens, not both"
         )
-    if len(tokens) == 1 and tokens[0].endswith(".json"):
-        path = tokens[0]
     if path is not None:
-        with open(path) as fh:
-            return instance_from_json(json.load(fh))
+        return instance_from_json(_load_json(path))
     if not tokens:
         raise ParameterError(
             "no instance given; use e.g. 'ellentuck N=5', 'fin blocks=3"
-            " span-cap=2', 'tree b=2 h=3' or a JSON path"
+            " span_cap=2', 'tree b=2 h=3' or --instance PATH"
         )
-    kind = tokens[0]
-    if kind not in _INSTANCE_KEYS:
-        raise ParameterError(f"unknown instance kind {kind!r}")
     params: dict[str, int] = {}
     for token in tokens[1:]:
         key, sep, value = token.partition("=")
-        key = key.replace("-", "_")
-        if not sep or key not in _INSTANCE_KEYS[kind]:
-            raise ParameterError(f"unexpected {kind} parameter {token!r}")
+        if not sep or key in params:
+            raise ParameterError(f"parameter {token!r} is not key=value or repeats a key")
         try:
             params[key] = int(value)
         except ValueError:
             raise ParameterError(f"parameter {token!r} is not an integer")
-    if kind == "ellentuck":
-        if "N" not in params:
-            raise ParameterError("ellentuck needs N=<atoms>")
-        return build_ellentuck(params["N"])
-    if kind == "fin":
-        if "blocks" not in params:
-            raise ParameterError("fin needs blocks=<count>")
-        return build_fin(params["blocks"], span_cap=params.get("span_cap"))
-    if "b" not in params or "h" not in params:
-        raise ParameterError("tree needs b=<branching> h=<height>")
-    return build_tree(params["b"], params["h"])
+    return instance_from_json({"instance": tokens[0], "params": params})
 
 
 def _build_front(model: SpaceModel, label: Optional[str]) -> Front:
     if label is None:
         raise ParameterError("this command needs --front")
     if label.endswith(".json"):
-        with open(label) as fh:
-            return front_from_json(model, json.load(fh))
-    hit = re.fullmatch(r"AU_?(\d+)", label, flags=re.IGNORECASE)
+        return front_from_json(model, _load_json(label))
+    hit = re.fullmatch(r"AU(0|[1-9][0-9]*)", label)
     if hit is None:
         raise ParameterError(
             f"front {label!r} not understood; use AU<k> or a JSON path"
@@ -122,8 +109,7 @@ def _build_coloring(model: SpaceModel, args) -> Coloring:
         raise ParameterError(
             f"--coloring {name} carries its own front; drop --front {args.front}"
         )
-    with open(name) as fh:
-        return coloring_from_json(model, json.load(fh))
+    return coloring_from_json(model, _load_json(name))
 
 
 def _config(args) -> Config:
@@ -276,12 +262,12 @@ def _add_arguments(parser, inputs: tuple[str, ...]) -> None:
     if "instance" in inputs:
         parser.add_argument(
             "instance", nargs="*",
-            help="shorthand tokens (ellentuck N=5 | fin blocks=3 span-cap=2"
-                 " | tree b=2 h=3) or a JSON path",
+            help="shorthand tokens (ellentuck N=5 | fin blocks=3 span_cap=2"
+                 " | tree b=2 h=3)",
         )
         parser.add_argument(
-            "--instance", dest="instance_path", default=None,
-            help="instance JSON path (alternative to the shorthand)",
+            "--instance", dest="instance_path", default=None, metavar="PATH",
+            help="instance JSON path (instead of the shorthand)",
         )
     if "front" in inputs:
         parser.add_argument("--front", default=None,
@@ -328,7 +314,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParameterError, DomainError, InstanceMismatchError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
-    except (OSError, json.JSONDecodeError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except SpaceError as err:

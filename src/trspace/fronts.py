@@ -10,7 +10,7 @@ induced partitions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, InstanceMismatchError, ParameterError
@@ -83,7 +83,8 @@ def is_front(model: SpaceModel, members: Iterable[Approx], scope: Optional[Appro
                 }
     boundary = []
     for y in model.sub_reducts(x):
-        if any(len(y) >= len(s) and model.restrict(y, len(s)) == s for s in mem):
+        segs = model.segments(y)
+        if any(len(s) < len(segs) and segs[len(s)] == s for s in mem):
             continue
         if any(y.is_prefix_of(s) for s in mem):
             continue  # en route to a member, its extensions answer for it
@@ -107,8 +108,7 @@ def hat(model: SpaceModel, front: Front) -> tuple[Approx, ...]:
     _check_instance(model, front)
     seen: set[Approx] = set()
     for m in front.members:
-        for k in range(len(m) + 1):
-            seen.add(model.restrict(m, k))
+        seen.update(model.segments(m))
     return tuple(sorted(seen, key=approx_sort_key))
 
 
@@ -267,12 +267,19 @@ def front_from_json(model: SpaceModel, payload: dict) -> Front:
     of the scope. Raises ParameterError otherwise."""
     from .reportio import approx_from_json
 
+    flags = payload.get("flags", []) if isinstance(payload, dict) else None
+    if not (
+        isinstance(flags, list) and all(isinstance(f, str) for f in flags)
+        and isinstance(payload.get("members"), list)
+        and isinstance(payload.get("instance"), str)
+    ):
+        raise ParameterError("a front is an object with members, an instance tag and string flags")
     front = Front(
         members=tuple(approx_from_json(m) for m in payload["members"]),
-        scope=approx_from_json(payload["scope"]),
+        scope=approx_from_json(payload.get("scope")),
         instance=payload["instance"],
         anchor=approx_from_json(payload.get("anchor", {"blocks": []})),
-        flags=tuple(payload.get("flags", ())),
+        flags=tuple(flags),
     )
     _check_instance(model, front)
     for s in (front.scope,) + front.members:
@@ -297,5 +304,12 @@ def coloring_to_json(coloring: Coloring) -> dict:
 
 
 def coloring_from_json(model: SpaceModel, payload: dict) -> Coloring:
-    front = front_from_json(model, payload["front"])
-    return Coloring(front, tuple(payload["colors"]), name=payload.get("name", "custom"))
+    """Load a coloring with its front, checked as front_from_json checks
+    it. Raises ParameterError on a malformed payload."""
+    from .reportio import is_int_list
+
+    colors = payload.get("colors") if isinstance(payload, dict) else None
+    if not (is_int_list(colors) and isinstance(payload.get("name", ""), str)):
+        raise ParameterError("a coloring is an object with a front and a list of integer colors")
+    front = front_from_json(model, payload.get("front"))
+    return Coloring(front, tuple(colors), name=payload.get("name", "custom"))

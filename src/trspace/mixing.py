@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import DomainError
-from .fronts import Coloring, Front, hat, members_extending, restrict_front
+from .fronts import Coloring, hat, members_extending
 from .model import (
     Approx,
-    Block,
     Config,
     DEFAULT_CONFIG,
     PropertyOracle,
@@ -116,15 +115,23 @@ class MixingEngine:
     def hat_below(self, x: Approx) -> tuple[Approx, ...]:
         """Initial segments of members realizable inside x."""
         live = self.real_bits(x)
-        out = [
-            a for a in self.hat_members
-            if self._ext_bits[a] & live
-        ]
-        return tuple(out)
+        return tuple(a for a in self.hat_members if self._ext_bits[a] & live)
 
     def front_below(self, x: Approx) -> tuple[Approx, ...]:
         live = self.real_bits(x)
         return tuple(m for i, m in enumerate(self.members) if live & (1 << i))
+
+    def interior_below(self, x: Approx) -> tuple[Approx, ...]:
+        """hat_below(x) without the members: the interior segments."""
+        return tuple(a for a in self.hat_below(x) if a not in self._member_set)
+
+    def live_extensions(self, a: Approx, y: Approx) -> tuple[Approx, ...]:
+        """One-block extensions of a inside y that are hat segments with
+        a member realizable in y."""
+        return tuple(
+            p for p in self.model.extensions(a, y)
+            if self.in_hat(p) and self.live_bits(y, p)
+        )
 
     # -- verdicts ------------------------------------------------------------
 
@@ -151,18 +158,21 @@ class MixingEngine:
         self._verdicts[key] = v
         return v
 
-    def decide_property(self) -> PropertyOracle:
-        """The pair property handed to fuse: the reduct decides the pair
-        or the pair has already left the hat below it."""
+    def mixes(self, x: Approx, s: Approx, t: Approx) -> bool:
+        return self.decide(x, s, t).kind == MIXES
+
+    def deciding_reduct(self) -> Approx:
+        """Stage A: fuse the front's scope down to a reduct that decides
+        every pair of hat segments, or sees the pair leave the hat below
+        it. Raises FusionExhaustedError as fuse does."""
 
         def check(s: Approx, t: Approx, y: Approx) -> bool:
             if not self.pool(y, s, t):
                 return True
             return self.decide(y, s, t).decided()
 
-        return PropertyOracle(
-            check=check, pair=True, domain=self.in_hat, name="decides"
-        )
+        oracle = PropertyOracle(check=check, pair=True, domain=self.in_hat, name="decides")
+        return fuse(self.model, oracle, start=self.front.scope, config=self.config)
 
 
 def decide(
@@ -217,27 +227,20 @@ class MixingTable:
 def mixing_table(
     model: SpaceModel,
     coloring: Coloring,
-    x: Optional[Approx] = None,
     config: Config = DEFAULT_CONFIG,
-    fuse_first: bool = True,
 ) -> MixingTable:
     """All pairwise verdicts over the interior segments (hat minus the
-    front) surviving inside the working reduct. With fuse_first the
-    reduct is first shrunk so every surviving pair is decided."""
+    front) surviving inside the deciding reduct, which decides every
+    surviving pair."""
     engine = MixingEngine(model, coloring, config)
-    z = x if x is not None else coloring.front.scope
-    fused = False
-    if fuse_first:
-        z = fuse(model, engine.decide_property(), start=z, config=config)
-        fused = True
-    front_z = set(engine.front_below(z))
-    rows = tuple(a for a in engine.hat_below(z) if a not in front_z)
+    z = engine.deciding_reduct()
+    rows = engine.interior_below(z)
     depths = tuple(model.depth(z, a) for a in rows)
     verdicts: dict[tuple[int, int], Verdict] = {}
     for i in range(len(rows)):
         for j in range(i, len(rows)):
             verdicts[(i, j)] = engine.decide(z, rows[i], rows[j])
-    return MixingTable(z, rows, depths, verdicts, fused, engine)
+    return MixingTable(z, rows, depths, verdicts, True, engine)
 
 
 def transitivity_check(table: MixingTable) -> dict:

@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -185,6 +185,10 @@ class SpaceModel(ABC):
         # the reducts grouped by their length-n segment.
         self._sub_masks: dict[Approx, int] = {}
         self._prefix_masks: dict[int, dict[Approx, int]] = {}
+        # segments(x) per x, and every segment interned to the first
+        # equal object seen.
+        self._segments: dict[Approx, tuple[Approx, ...]] = {}
+        self._interned: dict[Approx, Approx] = {}
         self._sub_cache: dict[Approx, tuple[Approx, ...]] = {}
         self._ext_cache: dict[tuple, tuple[Block, ...]] = {}
         self.full = self._build_full()
@@ -240,10 +244,26 @@ class SpaceModel(ABC):
         """[s, x] is nonempty in the truncation: s is realizable inside x."""
         return self.leq_fin(s, x)
 
+    def segments(self, x: Approx) -> tuple[Approx, ...]:
+        """restrict(x, n) for n = 0..len(x), through the model's own restrict.
+
+        Equal segments come back as one object (the first one seen), so
+        relation-cache lookups succeed on identity.
+        """
+        hit = self._segments.get(x)
+        if hit is None:
+            interned = self._interned
+            hit = tuple(
+                interned.setdefault(seg, seg)
+                for seg in (self.restrict(x, n) for n in range(len(x) + 1))
+            )
+            self._segments[x] = hit
+        return hit
+
     def depth(self, x: Approx, s: Approx):
         """Least k with s a reduction of restrict(x, k); math.inf if none."""
-        for k in range(len(x) + 1):
-            if self.leq_fin(s, self.restrict(x, k)):
+        for k, seg in enumerate(self.segments(x)):
+            if self.leq_fin(s, seg):
                 return k
         return math.inf
 
@@ -301,7 +321,10 @@ class SpaceModel(ABC):
         """Bitset of the reducts y with restrict(y, len(s)) == s.
 
         One pass per length fills the masks of every segment of that
-        length, all through the model's own restrict.
+        length, all through the model's own restrict. It needs one
+        length per reduct, so it calls restrict once per reduct rather
+        than building every segment with segments(): a cold pigeonhole
+        battery asks for a single length.
         """
         n = len(s)
         table = self._prefix_masks.get(n)
@@ -327,8 +350,7 @@ class SpaceModel(ABC):
         if self._approxes is None:
             seen: set[Approx] = {EMPTY}
             for y in self.all_reducts():
-                for k in range(1, len(y) + 1):
-                    seen.add(self.restrict(y, k))
+                seen.update(self.segments(y)[1:])
             self._approxes = tuple(sorted(seen, key=approx_sort_key))
         return self._approxes
 
@@ -368,28 +390,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _segments(model: SpaceModel, xs: Iterable[Approx]) -> dict[Approx, tuple[Approx, ...]]:
-    """restrict(x, n) for n = 0..len(x), once per distinct x.
-
-    Equal approximations come back as one object (the first of the xs
-    that equals it), so relation-cache lookups succeed on identity.
-    """
-    canon: dict[Approx, Approx] = {}
-    for x in xs:
-        canon.setdefault(x, x)
-    return {
-        x: tuple(
-            canon.setdefault(seg, seg)
-            for seg in (model.restrict(x, n) for n in range(len(x) + 1))
-        )
-        for x in list(canon)
-    }
-
-
 def _check_a1(model: SpaceModel, config: Config) -> dict:
     reds = model.all_reducts()
-    table = _segments(model, reds)
-    segs = [table[x] for x in reds]
+    segs = [model.segments(x) for x in reds]
     # A.1(1): the empty segment of every reduct is empty.
     for x, sx in zip(reds, segs):
         if sx[0] != EMPTY:
@@ -422,19 +425,18 @@ def _check_a2(model: SpaceModel, config: Config) -> dict:
     approxes = model.approximations()
     reds = model.all_reducts()
     leq = model.leq_fin
-    segs = _segments(model, itertools.chain(approxes, reds))
+    app_segs = [model.segments(t) for t in approxes]
+    red_segs = [model.segments(x) for x in reds]
     # A.2(1): predecessor sets are finite; report the largest one.
     largest = 0
     for t in approxes:
         count = sum(1 for s in approxes if leq(s, t))
         largest = max(largest, count)
     # A.2(2): the reduct order matches the segmentwise finitization order.
-    for x in reds:
-        for y in reds:
+    for x, sx in zip(reds, red_segs):
+        for y, sy in zip(reds, red_segs):
             direct = leq(x, y)
-            quantified = all(
-                any(leq(a, b) for b in segs[y]) for a in segs[x]
-            )
+            quantified = all(any(leq(a, b) for b in sy) for a in sx)
             if direct != quantified:
                 return _report(
                     "A2", "fail",
@@ -447,11 +449,11 @@ def _check_a2(model: SpaceModel, config: Config) -> dict:
     # decidable except when the larger approximation still has extension
     # room past the truncation; those misses are reported undecided.
     undecided = []
-    for t in approxes:
-        above = [tp for tp in approxes if leq(t, tp)]
-        for s in segs[t]:
-            for tp in above:
-                if any(leq(s, b) for b in segs[tp]):
+    for t, st in zip(approxes, app_segs):
+        above = [(tp, stp) for tp, stp in zip(approxes, app_segs) if leq(t, tp)]
+        for s in st:
+            for tp, stp in above:
+                if any(leq(s, b) for b in stp):
                     continue
                 if model.extension_blocks(tp, model.full):
                     undecided.append({"clause": 3, "s": s, "t": t, "tprime": tp})
@@ -580,15 +582,12 @@ class PropertyOracle:
 
     check(args..., y) decides the property against reduct y; for the
     single form args is one approximation, for the pair form two. domain
-    restricts which approximations are fused over (default: all). A
-    custom refine(args, prefix, x) may return a better reduct in
-    [prefix, x]; when absent, fuse scans [prefix, x] largest-first.
+    restricts which approximations are fused over (default: all).
     """
 
     check: Callable[..., bool]
     pair: bool = False
     domain: Optional[Callable[[Approx], bool]] = None
-    refine: Optional[Callable[..., Optional[Approx]]] = None
     name: str = "P"
 
     def holds(self, args: tuple[Approx, ...], y: Approx) -> bool:
@@ -636,13 +635,10 @@ def fuse(
             if bad is None:
                 break
             replacement = None
-            if oracle.refine is not None:
-                replacement = oracle.refine(bad, frozen, x)
-            if replacement is None:
-                for y in sorted(model.basic(frozen, x), key=witness_sort_key):
-                    if y != x and oracle.holds(bad, y):
-                        replacement = y
-                        break
+            for y in sorted(model.basic(frozen, x), key=witness_sort_key):
+                if y != x and oracle.holds(bad, y):
+                    replacement = y
+                    break
             if replacement is None or replacement == x:
                 raise FusionExhaustedError(stage, partial=x)
             x = replacement

@@ -11,7 +11,13 @@ import json
 import math
 from typing import Optional
 
+from .errors import ParameterError
 from .model import Approx, Block, Config, SpaceModel, instance_to_json
+
+
+def is_int_list(value) -> bool:
+    """A JSON list of integers (booleans are not integers here)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def block_to_json(block: Block) -> dict:
@@ -19,7 +25,10 @@ def block_to_json(block: Block) -> dict:
 
 
 def block_from_json(payload: dict) -> Block:
-    return Block(source=tuple(payload["source"]), atoms=tuple(payload["atoms"]))
+    source = payload.get("source") if isinstance(payload, dict) else None
+    if not (is_int_list(source) and len(source) == 2 and is_int_list(payload.get("atoms"))):
+        raise ParameterError("a block is an object with an atoms list and a two-entry source")
+    return Block(source=tuple(source), atoms=tuple(payload["atoms"]))
 
 
 def approx_to_json(s: Approx) -> dict:
@@ -27,6 +36,8 @@ def approx_to_json(s: Approx) -> dict:
 
 
 def approx_from_json(payload: dict) -> Approx:
+    if not (isinstance(payload, dict) and isinstance(payload.get("blocks"), list)):
+        raise ParameterError("an approximation is an object with a blocks list")
     return Approx(tuple(block_from_json(b) for b in payload["blocks"]))
 
 

@@ -9,11 +9,11 @@ checks look at.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Iterable, Optional
 
 from .errors import DomainError, ParameterError
 from .model import Approx, Block, EMPTY, SpaceModel
+from .reportio import is_int_list
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,7 @@ class FinModel(SpaceModel):
         super().__init__(lv, params=params)
         self._level_sets = [frozenset(l) for l in self.levels]
         self._ground: dict[Block, Optional[tuple[int, ...]]] = {}
+        self._checked: dict[Block, Optional[frozenset[int]]] = {}
 
     def _build_full(self) -> Approx:
         return Approx(tuple(
@@ -112,13 +113,22 @@ class FinModel(SpaceModel):
         self._ground[block] = hit
         return hit
 
-    def _block_ok(self, block: Block) -> bool:
+    def _block_levels(self, block: Block) -> Optional[frozenset[int]]:
+        """The ground levels of a block of this instance: a union of
+        ground levels within the span cap, with the matching source.
+        None for any other block."""
+        try:
+            return self._checked[block]
+        except KeyError:
+            pass
         idx = self.ground_indices(block)
-        if idx is None or not idx:
-            return False
-        if self.span_cap is not None and len(idx) > self.span_cap:
-            return False
-        return block.source == (idx[0] + 1, idx[-1] + 2)
+        ok = (
+            idx is not None
+            and (self.span_cap is None or len(idx) <= self.span_cap)
+            and block.source == (idx[0] + 1, idx[-1] + 2)
+        )
+        hit = self._checked[block] = frozenset(idx) if ok else None
+        return hit
 
     def make_block(self, indices: Iterable[int]) -> Block:
         idx = sorted(set(indices))
@@ -130,11 +140,13 @@ class FinModel(SpaceModel):
         return Block(source=(idx[0] + 1, idx[-1] + 2), atoms=tuple(sorted(atoms)))
 
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
-        if not all(self._block_ok(b) for b in itertools.chain(s, t)):
+        t_idx = [self._block_levels(b) for b in t.blocks]
+        if None in t_idx:
             return False
-        t_idx = [set(self.ground_indices(b)) for b in t.blocks]
         for sb in s.blocks:
-            want = set(self.ground_indices(sb))
+            want = self._block_levels(sb)
+            if want is None:
+                return False
             got: set[int] = set()
             for ti in t_idx:
                 if ti <= want:
@@ -471,20 +483,40 @@ def full_initial_segments(model: SpaceModel, s: Approx) -> bool:
 # ---------------------------------------------------------------------------
 # Instance serialization.
 
-def instance_from_json(payload) -> SpaceModel:
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    kind = payload.get("instance")
-    params = payload.get("params", {})
-    levels = payload.get("levels")
-    if kind == "ellentuck":
-        n = params.get("N", len(levels) if levels else 0)
-        return build_ellentuck(int(n))
-    if kind == "fin":
-        cap = params.get("span_cap")
-        if levels:
-            return build_fin(levels=levels, span_cap=cap)
-        return build_fin(int(params.get("blocks", 0)), span_cap=cap)
-    if kind == "tree":
-        return build_tree(int(params.get("b", 0)), int(params.get("h", 0)))
-    raise DomainError(f"unknown instance kind {payload.get('instance')!r}")
+# kind: (builder, required params, optional params), in builder order.
+# fin may give its levels in place of blocks.
+_INSTANCE_KEYS = {
+    "ellentuck": (build_ellentuck, ("N",), ()),
+    "fin": (build_fin, ("blocks",), ("span_cap",)),
+    "tree": (build_tree, ("b", "h"), ()),
+}
+
+
+def instance_from_json(payload: dict) -> SpaceModel:
+    """Build an instance from {"instance": kind, "params": {...},
+    "levels": [[atom, ...], ...]}, as instance_to_json writes it; levels
+    may be left out, and must match the instance when given. Raises
+    ParameterError on a malformed description."""
+    if not (isinstance(payload, dict) and set(payload) <= {"instance", "params", "levels"}):
+        raise ParameterError("an instance is an object with the keys instance, params and levels")
+    kind, params, levels = (payload.get(k) for k in ("instance", "params", "levels"))
+    if not isinstance(kind, str) or kind not in _INSTANCE_KEYS:
+        raise ParameterError(f"unknown instance kind {kind!r}")
+    builder, required, optional = _INSTANCE_KEYS[kind]
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ParameterError(f"{kind} params must be an object")
+    for key, value in params.items():
+        if key not in required + optional or type(value) is not int:
+            raise ParameterError(f"unexpected {kind} parameter {key}={value!r}")
+    if levels is not None and not (isinstance(levels, list) and all(is_int_list(l) for l in levels)):
+        raise ParameterError("levels must be a list of lists of integer atoms")
+    if kind == "fin" and levels is not None and "blocks" not in params:
+        model = build_fin(levels=levels, span_cap=params.get("span_cap"))
+    elif set(required) <= set(params):
+        model = builder(*(params.get(k) for k in required + optional))
+    else:
+        raise ParameterError(f"{kind} needs " + " ".join(f"{k}=<int>" for k in required))
+    if levels is not None and [list(l) for l in model.levels] != levels:
+        raise ParameterError(f"the levels do not match the {kind} parameters")
+    return model

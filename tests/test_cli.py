@@ -9,6 +9,7 @@ import pytest
 from trspace import (
     build_ellentuck,
     coloring_to_json,
+    front_to_json,
     generated_coloring,
     instance_to_json,
     uniform_front,
@@ -140,6 +141,9 @@ def test_instance_from_file(capsys, tmp_path):
     code, rep = run(capsys, ["verify-axioms", "--instance", str(path)])
     assert code == 0
     assert [r["verdict"] for r in rep["reports"]] == ["pass", "pass", "pass"]
+    # an instance file comes only through --instance, never as a token
+    code, rep = run(capsys, ["verify-axioms", str(path)])
+    assert (code, rep) == (3, None)
 
 
 def test_repeat_runs_are_byte_identical(capsys, tmp_path):
@@ -162,9 +166,17 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
     (
         ["verify-axioms", "quux", "N=5"],
         ["verify-axioms", "fin", "span_cap=2"],  # blocks missing
+        ["verify-axioms", "fin", "blocks=3", "span-cap=2"],  # the key is span_cap
+        ["verify-axioms", "ellentuck", "N=4", "N=5"],  # one value per key
         ["verify-axioms", "ellentuck", "N=0"],
         ["canonize", "ellentuck", "N=6", "--front", "ZZZ", "--coloring", "min"],
         ["canonize", "ellentuck", "N=6", "--front", "AX2", "--coloring", "min"],
+        # AU<k> is the one spelling of a uniform front
+        ["enumerate-front", "ellentuck", "N=4", "--front", "au1"],
+        ["enumerate-front", "ellentuck", "N=4", "--front", "Au1"],
+        ["enumerate-front", "ellentuck", "N=4", "--front", "AU_1"],
+        ["enumerate-front", "ellentuck", "N=4", "--front", "au_1"],
+        ["enumerate-front", "ellentuck", "N=4", "--front", "AU01"],
         ["canonize", "ellentuck", "N=6", "--front", "AU2"],  # coloring missing
         ["canonize", "ellentuck", "N=6", "--front", "AU2", "--coloring", "no-such"],
         ["verify-axioms", "--instance", "/no/such/file.json"],
@@ -183,6 +195,54 @@ def test_malformed_instance_file(capsys, tmp_path):
     path.write_text("{this is not json")
     code, _ = run(capsys, ["verify-axioms", "--instance", str(path)])
     assert code == 3
+
+
+def _malformed_inputs() -> dict:
+    """Input files that are well-formed JSON but not a valid instance,
+    front or coloring, by name: (option, payload)."""
+    model = build_ellentuck(4)
+    front = front_to_json(uniform_front(model, 1))
+    coloring = coloring_to_json(generated_coloring(uniform_front(model, 1), "min"))
+
+    def plus_member(block):
+        return dict(front, members=front["members"] + [{"blocks": [block]}])
+
+    return {
+        "instance-N-not-int": ("--instance", {"instance": "ellentuck", "params": {"N": "abc"}}),
+        "instance-list": ("--instance", [1, 2]),
+        "instance-span-cap-not-int": (
+            "--instance", {"instance": "fin", "levels": [[0], [1]], "params": {"span_cap": "x"}}),
+        "instance-string-atoms": ("--instance", {"instance": "fin", "levels": [["a"]]}),
+        "instance-levels-string": ("--instance", {"instance": "fin", "levels": "ab"}),
+        "instance-unknown-param": ("--instance", {"instance": "ellentuck", "params": {"N": 4, "M": 2}}),
+        "instance-levels-mismatch": (
+            "--instance", {"instance": "ellentuck", "params": {"N": 4}, "levels": [[0], [1]]}),
+        "front-no-members": ("--front", {k: v for k, v in front.items() if k != "members"}),
+        "front-block-no-atoms": ("--front", plus_member({"source": [1, 2]})),
+        "front-atoms-string": ("--front", plus_member({"source": [1, 2], "atoms": "a"})),
+        "front-list": ("--front", [front]),
+        "coloring-no-colors": ("--coloring", {k: v for k, v in coloring.items() if k != "colors"}),
+        "coloring-front-int": ("--coloring", dict(coloring, front=5)),
+    }
+
+
+MALFORMED = _malformed_inputs()
+MALFORMED_ARGV = {
+    "--instance": ["verify-axioms", "--instance"],
+    "--front": ["enumerate-front", "ellentuck", "N=4", "--front"],
+    "--coloring": ["canonize", "ellentuck", "N=4", "--coloring"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_json_inputs_exit_3(capsys, tmp_path, name):
+    option, payload = MALFORMED[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main(MALFORMED_ARGV[option] + [str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

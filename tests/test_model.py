@@ -119,6 +119,17 @@ def test_leq_fin_examples(fin4):
     assert not e5.leq_fin(ea(0, 3), ea(0, 1, 2))
 
 
+def test_fin_order_holds_only_for_blocks_of_the_instance(fin4, fin4cap2):
+    """A block wider than the span cap, or whose source is not its
+    ground levels, sits below nothing and has nothing below it."""
+    wide = fa((0, 1, 2))
+    mislabeled = Approx((Block((2, 3), (0,)),))
+    assert fin4.leq_fin(wide, fin4.full) and fin4.leq_fin(EMPTY, wide)
+    for model, s in ((fin4cap2, wide), (fin4, mislabeled), (fin4cap2, mislabeled)):
+        assert not model.leq_fin(s, model.full)
+        assert not model.leq_fin(EMPTY, s)
+
+
 def test_prefixes_sit_below_their_whole(e5):
     for x in e5.all_reducts():
         for k in range(len(x) + 1):

@@ -199,6 +199,22 @@ def test_basic_matches_scan_on_trees(b, h):
 
 
 # ---------------------------------------------------------------------------
+# segments(x): every restriction of x, through the model's restrict, with
+# equal segments interned to one object.
+
+@pytest.mark.parametrize("name", ["e5", "fin3", "tree22", *DEFECTS])
+def test_segments_are_the_restrictions(request, name):
+    model = _model(request, name)
+    interned = {}
+    for x in model.all_reducts():
+        segs = model.segments(x)
+        assert segs == tuple(model.restrict(x, n) for n in range(len(x) + 1))
+        assert model.segments(Approx(x.blocks)) is segs
+        for seg in segs:
+            assert interned.setdefault(seg, seg) is seg
+
+
+# ---------------------------------------------------------------------------
 # Cached hashes: a cache, never part of the value.
 
 def test_independent_equal_values_hash_and_compare_equal():

@@ -1,0 +1,58 @@
+"""Golden library reports: the axiom reports of the injected defects and
+the property-P probe, byte for byte.
+
+The A1-A3 reports of every defective model and two property-P probes
+are serialized with `canonical_json` and compared with the files in
+`tests/golden/reports/`. They pin the witnesses that the relation layer
+and the mixing engine name, which the CLI goldens never reach. When a
+report changes on purpose, re-record with
+
+    PYTHONPATH=src python tests/test_report_golden.py
+
+and review the diff of `tests/golden/reports/`.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from trspace import (
+    build_ellentuck,
+    build_fin,
+    canonical_json,
+    check_axioms,
+    generated_coloring,
+    property_p_check,
+    uniform_front,
+)
+from test_relation_layer import DEFECTS
+
+GOLDEN = Path(__file__).parent / "golden" / "reports"
+
+
+def _property_p(model, rank, name):
+    return property_p_check(model, generated_coloring(uniform_front(model, rank), name))
+
+
+CASES = {
+    **{
+        f"{name}-{axiom}": (lambda cls=cls, axiom=axiom: check_axioms(cls(4), axiom))
+        for name, cls in DEFECTS.items()
+        for axiom in ("A1", "A2", "A3")
+    },
+    "property-p-ellentuck-N-6-AU2-min": lambda: _property_p(build_ellentuck(6), 2, "min"),
+    "property-p-fin-blocks-4-AU1-min": lambda: _property_p(build_fin(4), 1, "min"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_library_report(case):
+    assert canonical_json(CASES[case]()) == (GOLDEN / f"{case}.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for case, build in sorted(CASES.items()):
+        (GOLDEN / f"{case}.json").write_text(canonical_json(build()))

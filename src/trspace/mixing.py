@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError
-from .fronts import Coloring, hat, members_extending
+from .fronts import Coloring, hat
 from .model import (
     Approx,
     Config,
     DEFAULT_CONFIG,
     PropertyOracle,
     SpaceModel,
+    _bits,
     approx_sort_key,
     fuse,
 )
@@ -314,16 +315,13 @@ def weak_mixing_detect(
     candidates = [
         w for w in closure(model, x) if set(w.atoms) <= t_extra
     ]
-    pool = eng.pool(x, s, t)
+    members, colors = eng.members, eng.coloring.colors
     pairs_by_y = []
-    for y in pool:
+    for y in eng.pool(x, s, t):
         eq_pairs = [
-            (sbar, tbar)
-            for sbar in members_extending(eng.front, s)
-            if model.leq_fin(sbar, y) and len(sbar) > n
-            for tbar in members_extending(eng.front, t)
-            if model.leq_fin(tbar, y)
-            if eng.coloring(sbar) == eng.coloring(tbar)
+            (members[i], members[j])
+            for i in _bits(eng.live_bits(y, s)) if len(members[i]) > n
+            for j in _bits(eng.live_bits(y, t)) if colors[i] == colors[j]
         ]
         pairs_by_y.append((y, eq_pairs))
 

@@ -157,9 +157,13 @@ def derive_seed(*parts) -> int:
 class SpaceModel(ABC):
     """A finite truncation of one topological Ramsey space.
 
-    Subclasses fix the block shape, the finitization order leq_fin and
-    the one-step extension relation. Everything else (depth, basic sets,
-    axiom checks, fusion) is shared and expressed through these three.
+    The full reduct has one block per ground level, and the reducts are
+    what one-step extensions grow from EMPTY inside it; their initial
+    segments are the approximations of the instance. Subclasses supply
+    the finitization order _leq_fin on those approximations, the one-step
+    extensions _extension_blocks and the selector catalog. Everything
+    else (depth, basic sets, axiom checks, fusion) is shared and
+    expressed through these two hooks.
     """
 
     kind: str = "abstract"
@@ -178,6 +182,7 @@ class SpaceModel(ABC):
         self.levels = lv
         self.params: dict = dict(params or {})
         self._reducts: Optional[tuple[Approx, ...]] = None
+        self._reduct_set: Optional[frozenset[Approx]] = None
         self._approxes: Optional[tuple[Approx, ...]] = None
         self._leq_cache: dict[tuple, bool] = {}
         # Bitsets over all_reducts() (bit i is all_reducts()[i]), each
@@ -191,28 +196,25 @@ class SpaceModel(ABC):
         self._interned: dict[Approx, Approx] = {}
         self._sub_cache: dict[Approx, tuple[Approx, ...]] = {}
         self._ext_cache: dict[tuple, tuple[Block, ...]] = {}
-        self.full = self._build_full()
+        # The maximal reduct (the truncated space itself).
+        self.full = Approx(tuple(
+            Block(source=(i + 1, i + 2), atoms=l) for i, l in enumerate(lv)
+        ))
 
     # ---- per-space structure -------------------------------------------
 
     @abstractmethod
-    def _build_full(self) -> Approx:
-        """The maximal reduct (the truncated space itself)."""
-
-    @abstractmethod
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
-        """s is a finite reduction of t (both are approximations)."""
+        """s is a finite reduction of t (both are approximations of the
+        instance: EMPTY or reducts)."""
 
     @abstractmethod
     def _extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
         """Blocks b with s.extend(b) an approximation inside x.
 
-        Preconditions (ensured by the caller): compat(x, s).
+        Preconditions (ensured by the caller): x is a reduct and
+        leq_fin(s, x).
         """
-
-    @abstractmethod
-    def _enumerate_reducts(self) -> Iterable[Approx]:
-        """All nonempty reducts of the truncated space."""
 
     # Inner selector catalog; canonize builds on these.
     def selector_names(self) -> tuple[str, ...]:
@@ -233,16 +235,17 @@ class SpaceModel(ABC):
         return Approx(x.blocks[:n])
 
     def leq_fin(self, s: Approx, t: Approx) -> bool:
+        """s is a finite reduction of t. False unless both are
+        approximations of the instance (EMPTY or a reduct)."""
         key = (s, t)
         hit = self._leq_cache.get(key)
         if hit is None:
-            hit = self._leq_fin(s, t)
+            known = self._reduct_set
+            if known is None:
+                known = self._reduct_set = frozenset((EMPTY,) + self.all_reducts())
+            hit = s in known and t in known and self._leq_fin(s, t)
             self._leq_cache[key] = hit
         return hit
-
-    def compat(self, x: Approx, s: Approx) -> bool:
-        """[s, x] is nonempty in the truncation: s is realizable inside x."""
-        return self.leq_fin(s, x)
 
     def segments(self, x: Approx) -> tuple[Approx, ...]:
         """restrict(x, n) for n = 0..len(x), through the model's own restrict.
@@ -271,7 +274,7 @@ class SpaceModel(ABC):
         key = (s, x)
         hit = self._ext_cache.get(key)
         if hit is None:
-            if not self.compat(x, s):
+            if not self.leq_fin(s, x):
                 hit = ()
             else:
                 hit = tuple(sorted(self._extension_blocks(s, x)))
@@ -300,6 +303,17 @@ class SpaceModel(ABC):
         if self._reducts is None:
             self._reducts = tuple(sorted(reds, key=approx_sort_key))
         return self._reducts
+
+    def _enumerate_reducts(self) -> Iterable[Approx]:
+        """Every nonempty reduct: the closure of EMPTY under the one-step
+        extensions inside the full reduct."""
+        stack = [EMPTY]
+        while stack:
+            s = stack.pop()
+            for block in self._extension_blocks(s, self.full):
+                ext = s.extend(block)
+                yield ext
+                stack.append(ext)
 
     def reducts_in(self, mask: int) -> tuple[Approx, ...]:
         """The reducts whose bits are set, in documented order."""

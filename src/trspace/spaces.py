@@ -1,6 +1,7 @@
 """Concrete space instances: Ellentuck, block sequences (FIN), strong trees.
 
-Each model fixes the block shape and the finitization order. Atoms are
+Each model fixes the finitization order on its approximations, the
+one-step extensions the reducts grow from, and its selectors. Atoms are
 plain ints; a block remembers the 1-based half-open interval of ground
 levels it draws from, which is what the solidity and level-matching
 checks look at.
@@ -12,17 +13,13 @@ import itertools
 from typing import Iterable, Optional
 
 from .errors import DomainError, ParameterError
-from .model import Approx, Block, EMPTY, SpaceModel
+from .model import Approx, Block, SpaceModel
 from .reportio import is_int_list
 
 
 # ---------------------------------------------------------------------------
 # Ellentuck: atoms are naturals, level n holds the single atom n-1,
 # approximations are finite increasing sets read as singleton blocks.
-
-def _atom_block(a: int) -> Block:
-    return Block(source=(a + 1, a + 2), atoms=(a,))
-
 
 class EllentuckModel(SpaceModel):
     kind = "ellentuck"
@@ -32,30 +29,12 @@ class EllentuckModel(SpaceModel):
             raise ParameterError("ellentuck instance needs at least one atom")
         super().__init__(([a] for a in range(n_atoms)), params={"N": n_atoms})
 
-    def _build_full(self) -> Approx:
-        return Approx(tuple(_atom_block(a) for a in range(len(self.levels))))
-
-    def _shape_ok(self, s: Approx) -> bool:
-        # Each block is _atom_block(a) for its own atom a.
-        return all(
-            len(b.atoms) == 1 and b.source == (b.atoms[0] + 1, b.atoms[0] + 2)
-            for b in s.blocks
-        )
-
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
-        if not (self._shape_ok(s) and self._shape_ok(t)):
-            return False
         return s.atom_set() <= t.atom_set()
 
     def _extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
-        floor = max(s.atom_set(), default=-1)
-        return tuple(_atom_block(a) for a in sorted(x.atom_set()) if a > floor)
-
-    def _enumerate_reducts(self) -> Iterable[Approx]:
-        atoms = range(len(self.levels))
-        for k in range(1, len(self.levels) + 1):
-            for combo in itertools.combinations(atoms, k):
-                yield Approx(tuple(_atom_block(a) for a in combo))
+        floor = s.blocks[-1].atoms[0] if s.blocks else -1
+        return tuple(b for b in x.blocks if b.atoms[0] > floor)
 
     def selector_names(self) -> tuple[str, ...]:
         return ("drop", "keep")
@@ -90,13 +69,7 @@ class FinModel(SpaceModel):
         super().__init__(lv, params=params)
         self._level_sets = [frozenset(l) for l in self.levels]
         self._ground: dict[Block, Optional[tuple[int, ...]]] = {}
-        self._checked: dict[Block, Optional[frozenset[int]]] = {}
-
-    def _build_full(self) -> Approx:
-        return Approx(tuple(
-            Block(source=(i + 1, i + 2), atoms=l)
-            for i, l in enumerate(self.levels)
-        ))
+        self._levels: dict[Block, frozenset[int]] = {}
 
     def ground_indices(self, block: Block) -> Optional[tuple[int, ...]]:
         """0-based ground levels whose union is exactly this block."""
@@ -113,40 +86,17 @@ class FinModel(SpaceModel):
         self._ground[block] = hit
         return hit
 
-    def _block_levels(self, block: Block) -> Optional[frozenset[int]]:
-        """The ground levels of a block of this instance: a union of
-        ground levels within the span cap, with the matching source.
-        None for any other block."""
-        try:
-            return self._checked[block]
-        except KeyError:
-            pass
-        idx = self.ground_indices(block)
-        ok = (
-            idx is not None
-            and (self.span_cap is None or len(idx) <= self.span_cap)
-            and block.source == (idx[0] + 1, idx[-1] + 2)
-        )
-        hit = self._checked[block] = frozenset(idx) if ok else None
+    def _block_levels(self, block: Block) -> frozenset[int]:
+        """The ground levels of a block of this instance, as a set."""
+        hit = self._levels.get(block)
+        if hit is None:
+            hit = self._levels[block] = frozenset(self.ground_indices(block))
         return hit
-
-    def make_block(self, indices: Iterable[int]) -> Block:
-        idx = sorted(set(indices))
-        if not idx:
-            raise ParameterError("a fin block needs at least one ground level")
-        atoms: list[int] = []
-        for i in idx:
-            atoms.extend(self.levels[i])
-        return Block(source=(idx[0] + 1, idx[-1] + 2), atoms=tuple(sorted(atoms)))
 
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         t_idx = [self._block_levels(b) for b in t.blocks]
-        if None in t_idx:
-            return False
         for sb in s.blocks:
             want = self._block_levels(sb)
-            if want is None:
-                return False
             got: set[int] = set()
             for ti in t_idx:
                 if ti <= want:
@@ -156,39 +106,22 @@ class FinModel(SpaceModel):
         return True
 
     def _extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
-        floor = -1
-        for b in s.blocks:
-            floor = max(floor, max(self.ground_indices(b)))
-        positions = [
-            j for j, xb in enumerate(x.blocks)
-            if min(self.ground_indices(xb)) > floor
-        ]
+        # Blocks of the instance are separated and increasing, so the
+        # pieces of x past s start where the last block of s ends.
+        start = s.blocks[-1].source[1] if s.blocks else 1
+        pieces = [xb for xb in x.blocks if xb.source[0] >= start]
+        cap = self.span_cap
+        # Every piece holds at least one ground level, so more pieces
+        # than the span cap always merge past it.
+        widest = len(pieces) if cap is None else min(len(pieces), cap)
         out = []
-        for k in range(1, len(positions) + 1):
-            for combo in itertools.combinations(positions, k):
-                merged: list[int] = []
-                for j in combo:
-                    merged.extend(self.ground_indices(x.blocks[j]))
-                if self.span_cap is not None and len(merged) > self.span_cap:
-                    continue
-                out.append(self.make_block(merged))
+        for k in range(1, widest + 1):
+            for combo in itertools.combinations(pieces, k):
+                if cap is None or sum(len(self.ground_indices(b)) for b in combo) <= cap:
+                    atoms = tuple(sorted(a for b in combo for a in b.atoms))
+                    source = (combo[0].source[0], combo[-1].source[1])
+                    out.append(Block(source=source, atoms=atoms))
         return tuple(out)
-
-    def _enumerate_reducts(self) -> Iterable[Approx]:
-        n = len(self.levels)
-
-        def rec(prefix: tuple[Block, ...], floor: int):
-            for i in range(floor, n):
-                rest = range(i + 1, n)
-                limit = n - i if self.span_cap is None else min(self.span_cap, n - i)
-                for k in range(0, limit):
-                    for extra in itertools.combinations(rest, k):
-                        block = self.make_block((i,) + extra)
-                        seq = prefix + (block,)
-                        yield Approx(seq)
-                        yield from rec(seq, max((i,) + extra) + 1)
-
-        yield from rec((), 0)
 
     def selector_names(self) -> tuple[str, ...]:
         return ("drop", "min", "max", "minmax", "identity")
@@ -245,13 +178,6 @@ class TreeModel(SpaceModel):
             start = (branching ** d - 1) // (branching - 1)
             levels.append(range(start, start + branching ** d))
         super().__init__(levels, params={"b": branching, "h": height})
-        self._strong: dict[Approx, bool] = {}
-
-    def _build_full(self) -> Approx:
-        return Approx(tuple(
-            Block(source=(d + 1, d + 2), atoms=tuple(l))
-            for d, l in enumerate(self.levels)
-        ))
 
     # node helpers -------------------------------------------------------
 
@@ -283,46 +209,10 @@ class TreeModel(SpaceModel):
     def _block_depth(self, block: Block) -> int:
         return block.source[0] - 1
 
-    def _block_ok(self, block: Block) -> bool:
-        d = self._block_depth(block)
-        if not (0 <= d <= self.h) or block.source != (d + 1, d + 2):
-            return False
-        lv = self.levels[d]
-        return all(lv[0] <= a <= lv[-1] for a in block.atoms)
-
-    def _strong_segment(self, s: Approx) -> bool:
-        hit = self._strong.get(s)
-        if hit is None:
-            hit = self._strong[s] = self._check_strong(s)
-        return hit
-
-    def _check_strong(self, s: Approx) -> bool:
-        if not all(self._block_ok(b) for b in s.blocks):
-            return False
-        if not s.blocks:
-            return True
-        if len(s.blocks[0].atoms) != 1:
-            return False
-        for prev, cur in zip(s.blocks, s.blocks[1:]):
-            dp, dc = self._block_depth(prev), self._block_depth(cur)
-            if dc <= dp:
-                return False
-            want = []
-            for u in prev.atoms:
-                for c in range(self.b):
-                    hits = [v for v in cur.atoms if v in self.descendants(self.child(u, c), dc)]
-                    if len(hits) != 1:
-                        return False
-                    want.extend(hits)
-            if sorted(want) != list(cur.atoms):
-                return False
-        return True
-
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
-        # Ground strongness plus containment is equivalent to strongness
-        # relative to t, so the order reduces to levels and node sets.
-        if not (self._strong_segment(s) and self._strong_segment(t)):
-            return False
+        # Both are strong subtrees of the instance, and ground strongness
+        # plus containment is equivalent to strongness relative to t, so
+        # the order reduces to levels and node sets.
         s_levels = {b.source for b in s.blocks}
         t_levels = {b.source for b in t.blocks}
         return s_levels <= t_levels and s.atom_set() <= t.atom_set()
@@ -351,17 +241,6 @@ class TreeModel(SpaceModel):
             for pick in itertools.product(*slots):
                 out.append(Block(source=(dl + 1, dl + 2), atoms=tuple(sorted(pick))))
         return tuple(out)
-
-    def _enumerate_reducts(self) -> Iterable[Approx]:
-        full = self.full
-
-        def rec(s: Approx):
-            for block in self._extension_blocks(s, full):
-                ext = s.extend(block)
-                yield ext
-                yield from rec(ext)
-
-        yield from rec(EMPTY)
 
     def selector_names(self) -> tuple[str, ...]:
         # Per-node selectors are not expressible per level; the catalog

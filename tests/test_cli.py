@@ -285,6 +285,31 @@ def test_front_json_is_checked_against_the_instance(capsys, tmp_path):
         assert code == want, name
 
 
+def test_reversed_member_is_not_an_approximation(capsys, tmp_path):
+    _, rep = run(capsys, ["enumerate-front", "ellentuck", "N=4", "--front", "AU2"])
+    front = rep["front"]
+    members = [
+        dict(m, blocks=m["blocks"][::-1])
+        if [a for b in m["blocks"] for a in b["atoms"]] == [1, 3] else m
+        for m in front["members"]
+    ]
+    assert members != front["members"]
+    bad = dict(front, members=members)
+    coloring = coloring_to_json(generated_coloring(uniform_front(build_ellentuck(4), 2), "min"))
+    inputs = {
+        "--front": ("bad.json", bad, ["enumerate-front", "ellentuck", "N=4", "--front"]),
+        "--coloring": ("bad_coloring.json", dict(coloring, front=bad),
+                       ["canonize", "ellentuck", "N=4", "--coloring"]),
+    }
+    for name, payload, argv in inputs.values():
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        code = main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, ""), name
+        assert "is not inside the ellentuck instance" in captured.err
+
+
 def test_json_coloring_carries_its_own_front(capsys, tmp_path):
     path = tmp_path / "au2-min.json"
     coloring = generated_coloring(uniform_front(build_ellentuck(5), 2), "min")

@@ -20,6 +20,7 @@ from trspace import (
     approx_sort_key,
     build_ellentuck,
     build_fin,
+    build_tree,
     canonize,
     check_axioms,
     derive_seed,
@@ -128,6 +129,39 @@ def test_fin_order_holds_only_for_blocks_of_the_instance(fin4, fin4cap2):
     for model, s in ((fin4cap2, wide), (fin4, mislabeled), (fin4cap2, mislabeled)):
         assert not model.leq_fin(s, model.full)
         assert not model.leq_fin(EMPTY, s)
+
+
+def _foreign_cases():
+    e4, fin4, tree22 = build_ellentuck(4), build_fin(4), build_tree(2, 2)
+    # the root, then only one of its two children
+    lopsided = Approx((Block((1, 2), (0,)), Block((2, 3), (1,))))
+    return {
+        "ellentuck-reversed": (e4, ea(3, 1), e4.full),
+        "ellentuck-repeated": (e4, ea(1, 1), e4.full),
+        "ellentuck-stray-atom": (e4, ea(5), e4.full),
+        "ellentuck-stray-atom-itself": (e4, ea(5), ea(5)),
+        "fin-misordered": (fin4, fa((2,), (0,)), fin4.full),
+        "fin-interleaved": (fin4, fa((0, 2), (1,)), fin4.full),
+        "tree-not-strong": (tree22, lopsided, tree22.full),
+    }
+
+
+FOREIGN = _foreign_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN))
+def test_foreign_approximations_sit_below_nothing(name):
+    """Only EMPTY and the reducts are approximations of the instance;
+    anything else is below nothing and has nothing below it."""
+    model, s, t = FOREIGN[name]
+    assert not model.leq_fin(s, t)
+    assert not model.leq_fin(EMPTY, s)
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4", "fin4cap2", "tree22", "tree23"])
+def test_approximations_are_the_reducts_and_empty(request, name):
+    model = request.getfixturevalue(name)
+    assert set(model.approximations()) == set(model.all_reducts()) | {EMPTY}
 
 
 def test_prefixes_sit_below_their_whole(e5):
@@ -257,7 +291,7 @@ def test_fuse_reaches_a_reduct_satisfying_the_property(e6):
     )
     z = fuse(e6, oracle)
     assert len(z) <= 4 or all(
-        len(e6.extensions(s, z)) <= 4 for s in e6.approximations() if e6.compat(z, s)
+        len(e6.extensions(s, z)) <= 4 for s in e6.approximations() if e6.leq_fin(s, z)
     )
 
 

@@ -199,6 +199,44 @@ def test_basic_matches_scan_on_trees(b, h):
 
 
 # ---------------------------------------------------------------------------
+# extension_blocks(s, x) against the truncation: the last blocks of the
+# one-block-longer reducts that start with s and lie below x. The
+# reducts grow from the same hook inside the full reduct, so for x below
+# it this scan is the hook's independent slow path.
+
+def _assert_extensions_match_truncation(model):
+    reds = model.all_reducts()
+    for x in reds:
+        for s in model.approximations():
+            if not model.leq_fin(s, x):
+                continue
+            n = len(s)
+            grown = {
+                r.blocks[-1] for r in reds
+                if len(r) == n + 1 and model.restrict(r, n) == s and model.leq_fin(r, x)
+            }
+            assert set(model.extension_blocks(s, x)) == grown, (s, x)
+
+
+EXTENSION_INSTANCES = {
+    "fin5": lambda: build_fin(5),
+    "tree32": lambda: build_tree(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4", "fin4cap2", "fin5", "tree22", "tree23", "tree32"])
+def test_extension_blocks_match_the_truncation(request, name):
+    build = EXTENSION_INSTANCES.get(name)
+    _assert_extensions_match_truncation(build() if build else request.getfixturevalue(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=fin_instances())
+def test_extension_blocks_match_the_truncation_on_fin_partitions(model):
+    _assert_extensions_match_truncation(model)
+
+
+# ---------------------------------------------------------------------------
 # segments(x): every restriction of x, through the model's restrict, with
 # equal segments interned to one object.
 

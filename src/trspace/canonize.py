@@ -263,7 +263,7 @@ def _position_oracle(
         return engine.mixes(z0, p, q)
 
     def check(a: Approx, y: Approx) -> bool:
-        if engine.count(y, a) < 1:
+        if not engine.live_bits(y, a):
             return True
         return _kernel_matches(mixed, model, name, engine.live_extensions(a, y))
 
@@ -315,11 +315,9 @@ def _assemble(engine: MixingEngine, z0: Approx, config: Config) -> tuple[Approx,
 def _grow(model: SpaceModel, coloring: Coloring, x: Approx, phi: InnerMap) -> Approx:
     """Largest reduct above x on which the map still verifies."""
     best = x
-    for g in sorted(model.all_reducts(), key=witness_sort_key):
+    for g in sorted(model.reducts_in(model.up_mask(x)), key=witness_sort_key):
         if len(g) <= len(best):
             break
-        if not model.leq_fin(x, g):
-            continue
         ok, _ = verify_canonical(model, g, phi, coloring)
         if ok:
             best = g
@@ -616,11 +614,8 @@ def property_p_check(
                 if any_hit:
                     continue
                 checked += 1
-                separated = any(
-                    engine.decide(zp, s, t).kind == SEPARATES
-                    for zp in model.sub_reducts(z)
-                )
-                if not separated:
+                # Separating reducts below z: admissible, no equal pair.
+                if not engine.pool(z, s, t) & ~engine.equal_pairs(s, t):
                     violations.append({"s": s, "t": t, "z": z})
     return {
         "check": "property_p",

@@ -262,9 +262,9 @@ def front_to_json(front: Front) -> dict:
 
 
 def front_from_json(model: SpaceModel, payload: dict) -> Front:
-    """Load a front and check it against the instance: the scope and
-    every member lie below the full reduct, and the members form a front
-    of the scope. Raises ParameterError otherwise."""
+    """Load a front and check it against the instance: the scope is a
+    reduct, the members are distinct, lie below the scope, extend the
+    anchor and form a front of the scope. Raises ParameterError otherwise."""
     from .reportio import approx_from_json
 
     flags = payload.get("flags", []) if isinstance(payload, dict) else None
@@ -282,11 +282,20 @@ def front_from_json(model: SpaceModel, payload: dict) -> Front:
         flags=tuple(flags),
     )
     _check_instance(model, front)
+    if len(set(front.members)) < len(front.members):
+        raise ParameterError("front members must be distinct")
+    if front.scope == EMPTY:
+        raise ParameterError("a front's scope must be a nonempty reduct")
     for s in (front.scope,) + front.members:
         if not model.leq_fin(s, model.full):
             raise ParameterError(
                 f"front approximation {s.key} is not inside the {model.kind} instance"
             )
+    for m in front.members:
+        if not model.leq_fin(m, front.scope):
+            raise ParameterError(f"front member {m.key} is not inside the scope")
+        if not front.anchor.is_prefix_of(m):
+            raise ParameterError(f"front anchor is not an initial segment of member {m.key}")
     verdict = is_front(model, front.members, scope=front.scope)
     if verdict["verdict"] != "pass":
         raise ParameterError(
@@ -305,11 +314,18 @@ def coloring_to_json(coloring: Coloring) -> dict:
 
 def coloring_from_json(model: SpaceModel, payload: dict) -> Coloring:
     """Load a coloring with its front, checked as front_from_json checks
-    it. Raises ParameterError on a malformed payload."""
-    from .reportio import is_int_list
+    it. The i-th color belongs to the i-th member as listed in the file.
+    Raises ParameterError on a malformed payload."""
+    from .reportio import approx_from_json, is_int_list
 
     colors = payload.get("colors") if isinstance(payload, dict) else None
     if not (is_int_list(colors) and isinstance(payload.get("name", ""), str)):
         raise ParameterError("a coloring is an object with a front and a list of integer colors")
     front = front_from_json(model, payload.get("front"))
-    return Coloring(front, tuple(colors), name=payload.get("name", "custom"))
+    if len(colors) != len(front.members):
+        raise ParameterError("need exactly one color per member")
+    # Front sorts its members; pair each color with its member first.
+    color_of = dict(zip(map(approx_from_json, payload["front"]["members"]), colors))
+    return Coloring(
+        front, tuple(color_of[m] for m in front.members), name=payload.get("name", "custom")
+    )

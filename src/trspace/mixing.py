@@ -6,7 +6,8 @@ inside), mixes them (every admissible reduct below keeps an equally
 colored pair), or leaves the pair undecided. Admissible means both
 segments still have at least mu front extensions; pairs with an empty
 admissibility pool are sticky undecided, they have fallen out of the
-front's hat below this reduct.
+front's hat below this reduct. MixingEngine holds pools and equal pairs
+as bitsets over the model's reducts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .model import (
     PropertyOracle,
     SpaceModel,
     _bits,
-    approx_sort_key,
     fuse,
 )
 from .spaces import closure
@@ -43,8 +43,18 @@ class Verdict:
         return self.kind in (MIXES, SEPARATES)
 
 
+_MIXED = Verdict(MIXES)
+_SEPARATED = Verdict(SEPARATES)
+_LEFT_HAT = Verdict(UNDECIDED, "no admissible reduct below; the pair leaves the hat")
+_SPLIT = Verdict(UNDECIDED, "equal-colored pair on the reduct but a separating reduct below")
+
+
 class MixingEngine:
-    """Caches realizability and color sets for one colored front."""
+    """Realizability rows of one colored front, as bitsets over the
+    model's reducts: per hat segment a, the reducts realizing at least mu
+    members extending a, and per color those realizing one of that color.
+    Realizability is up-closed under leq_fin, so a nonempty pool below x
+    contains x, and decide is three mask tests on it."""
 
     def __init__(self, model: SpaceModel, coloring: Coloring, config: Config = DEFAULT_CONFIG):
         model.all_reducts(config.max_reducts)
@@ -56,17 +66,12 @@ class MixingEngine:
         self.hat_members = hat(model, self.front)
         self._hat_set = set(self.hat_members)
         self._member_set = set(self.members)
-        n_classes = coloring.classes()
-        self._class_masks = [0] * n_classes
-        for i, c in enumerate(coloring.colors):
-            self._class_masks[c] |= 1 << i
         self._ext_bits = {
             a: sum(1 << i for i, m in enumerate(self.members) if a.is_prefix_of(m))
             for a in self.hat_members
         }
         self._real_bits: dict[Approx, int] = {}
-        self._colorsets: dict[tuple[Approx, Approx], int] = {}
-        self._verdicts: dict[tuple, Verdict] = {}
+        self._rows: dict[Approx, tuple[int, dict[int, int]]] = {}
 
     # -- masks -------------------------------------------------------------
 
@@ -82,33 +87,37 @@ class MixingEngine:
     def live_bits(self, y: Approx, a: Approx) -> int:
         return self._ext_bits[a] & self.real_bits(y)
 
-    def count(self, y: Approx, a: Approx) -> int:
-        return self.live_bits(y, a).bit_count()
+    def _row(self, a: Approx) -> tuple[int, dict[int, int]]:
+        """The rows of hat segment a, from the up masks of its members."""
+        row = self._rows.get(a)
+        if row is None:
+            # Bit-sliced counters: slice k holds the reducts realizing
+            # more than k of the members seen so far.
+            more_than = [0] * self.config.mu
+            by_color: dict[int, int] = {}
+            for i in _bits(self._ext_bits[a]):
+                up = self.model.up_mask(self.members[i])
+                for k in range(len(more_than) - 1, 0, -1):
+                    more_than[k] |= more_than[k - 1] & up
+                more_than[0] |= up
+                c = self.coloring.colors[i]
+                by_color[c] = by_color.get(c, 0) | up
+            row = self._rows[a] = (more_than[-1], by_color)
+        return row
 
-    def colorset(self, y: Approx, a: Approx) -> int:
-        key = (y, a)
-        cs = self._colorsets.get(key)
-        if cs is None:
-            bits = self.live_bits(y, a)
-            cs = 0
-            for c, mask in enumerate(self._class_masks):
-                if bits & mask:
-                    cs |= 1 << c
-            self._colorsets[key] = cs
-        return cs
+    def pool(self, x: Approx, s: Approx, t: Approx) -> int:
+        """Bitset of the admissible reducts below x: those keeping at
+        least mu front extensions of s and of t."""
+        return self.model.sub_mask(x) & self._row(s)[0] & self._row(t)[0]
 
-    def equal_pair(self, y: Approx, s: Approx, t: Approx) -> bool:
-        """Some f-equal pair of front extensions of s and t lives in y."""
-        return bool(self.colorset(y, s) & self.colorset(y, t))
-
-    def admissible(self, y: Approx, s: Approx, t: Approx) -> bool:
-        mu = self.config.mu
-        return self.count(y, s) >= mu and self.count(y, t) >= mu
-
-    def pool(self, x: Approx, s: Approx, t: Approx) -> tuple[Approx, ...]:
-        return tuple(
-            y for y in self.model.sub_reducts(x) if self.admissible(y, s, t)
-        )
+    def equal_pairs(self, s: Approx, t: Approx) -> int:
+        """Bitset of the reducts keeping an equally colored pair of front
+        extensions of s and t."""
+        by_s, by_t = self._row(s)[1], self._row(t)[1]
+        equal = 0
+        for c in by_s.keys() & by_t.keys():
+            equal |= by_s[c] & by_t[c]
+        return equal
 
     def in_hat(self, a: Approx) -> bool:
         return a in self._hat_set
@@ -139,25 +148,13 @@ class MixingEngine:
     def decide(self, x: Approx, s: Approx, t: Approx) -> Verdict:
         if not (self.in_hat(s) and self.in_hat(t)):
             raise DomainError("mixing is defined on initial segments of members")
-        a, b = sorted((s, t), key=approx_sort_key)
-        key = (x, a, b)
-        hit = self._verdicts.get(key)
-        if hit is not None:
-            return hit
-        pool = self.pool(x, a, b)
+        pool = self.pool(x, s, t)
         if not pool:
-            v = Verdict(UNDECIDED, "no admissible reduct below; the pair leaves the hat")
-        elif all(self.equal_pair(y, a, b) for y in pool):
-            v = Verdict(MIXES)
-        elif not self.equal_pair(x, a, b):
-            v = Verdict(SEPARATES)
-        else:
-            v = Verdict(
-                UNDECIDED,
-                "equal-colored pair on the reduct but a separating reduct below",
-            )
-        self._verdicts[key] = v
-        return v
+            return _LEFT_HAT
+        equal = pool & self.equal_pairs(s, t)
+        if equal == pool:
+            return _MIXED
+        return _SPLIT if equal else _SEPARATED
 
     def mixes(self, x: Approx, s: Approx, t: Approx) -> bool:
         return self.decide(x, s, t).kind == MIXES
@@ -168,9 +165,7 @@ class MixingEngine:
         it. Raises FusionExhaustedError as fuse does."""
 
         def check(s: Approx, t: Approx, y: Approx) -> bool:
-            if not self.pool(y, s, t):
-                return True
-            return self.decide(y, s, t).decided()
+            return self.decide(y, s, t) != _SPLIT
 
         oracle = PropertyOracle(check=check, pair=True, domain=self.in_hat, name="decides")
         return fuse(self.model, oracle, start=self.front.scope, config=self.config)
@@ -317,7 +312,7 @@ def weak_mixing_detect(
     ]
     members, colors = eng.members, eng.coloring.colors
     pairs_by_y = []
-    for y in eng.pool(x, s, t):
+    for y in model.reducts_in(eng.pool(x, s, t)):
         eq_pairs = [
             (members[i], members[j])
             for i in _bits(eng.live_bits(y, s)) if len(members[i]) > n

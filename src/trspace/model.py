@@ -186,15 +186,15 @@ class SpaceModel(ABC):
         self._approxes: Optional[tuple[Approx, ...]] = None
         self._leq_cache: dict[tuple, bool] = {}
         # Bitsets over all_reducts() (bit i is all_reducts()[i]), each
-        # filled on first use: reducts below x, and per segment length n
-        # the reducts grouped by their length-n segment.
+        # filled on first use: reducts below x, reducts above s, and per
+        # segment length n the reducts grouped by their length-n segment.
         self._sub_masks: dict[Approx, int] = {}
+        self._up_masks: dict[Approx, int] = {}
         self._prefix_masks: dict[int, dict[Approx, int]] = {}
         # segments(x) per x, and every segment interned to the first
         # equal object seen.
         self._segments: dict[Approx, tuple[Approx, ...]] = {}
         self._interned: dict[Approx, Approx] = {}
-        self._sub_cache: dict[Approx, tuple[Approx, ...]] = {}
         self._ext_cache: dict[tuple, tuple[Block, ...]] = {}
         # The maximal reduct (the truncated space itself).
         self.full = Approx(tuple(
@@ -331,6 +331,18 @@ class SpaceModel(ABC):
             self._sub_masks[x] = hit
         return hit
 
+    def up_mask(self, s: Approx) -> int:
+        """Bitset of the reducts y >= s, the reducts realizing s: the
+        transpose of sub_mask."""
+        hit = self._up_masks.get(s)
+        if hit is None:
+            hit = 0
+            for i, y in enumerate(self.all_reducts()):
+                if self.leq_fin(s, y):
+                    hit |= 1 << i
+            self._up_masks[s] = hit
+        return hit
+
     def prefix_mask(self, s: Approx) -> int:
         """Bitset of the reducts y with restrict(y, len(s)) == s.
 
@@ -353,11 +365,7 @@ class SpaceModel(ABC):
 
     def sub_reducts(self, x: Approx) -> tuple[Approx, ...]:
         """All reducts y <= x, including x itself, in documented order."""
-        hit = self._sub_cache.get(x)
-        if hit is None:
-            hit = self.reducts_in(self.sub_mask(x))
-            self._sub_cache[x] = hit
-        return hit
+        return self.reducts_in(self.sub_mask(x))
 
     def approximations(self) -> tuple[Approx, ...]:
         """Every initial segment of every reduct (the truncated AR set)."""

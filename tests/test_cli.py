@@ -267,11 +267,17 @@ def test_front_json_is_checked_against_the_instance(capsys, tmp_path):
     _, rep = run(capsys, ["enumerate-front", "ellentuck", "N=4", "--front", "AU1"])
     front = rep["front"]
     stray = {"blocks": [{"atoms": [9], "source": [10, 11]}]}
+    head = {"blocks": [{"atoms": [0], "source": [1, 2]}, {"atoms": [1], "source": [2, 3]}]}
     cases = {
         "same.json": (front, 0),
         "stray.json": (dict(front, members=front["members"] + [stray]), 3),
         # without {0}, every reduct starting at atom 0 dodges the family
         "dodged.json": (dict(front, members=front["members"][1:]), 3),
+        "twice.json": (dict(front, members=front["members"] + front["members"][:1]), 3),
+        "no_scope.json": (dict(front, scope={"blocks": []}), 3),
+        # {0} and {1} cover the scope; {2} and {3} lie outside it
+        "outside.json": (dict(front, scope=head), 3),
+        "anchor.json": (dict(front, anchor={"blocks": [{"atoms": [99], "source": [7, 8]}]}), 3),
     }
     for name, (payload, want) in cases.items():
         path = tmp_path / name
@@ -283,6 +289,27 @@ def test_front_json_is_checked_against_the_instance(capsys, tmp_path):
             ["canonize", "ellentuck", "N=4", "--front", str(path), "--coloring", "min"],
         )
         assert code == want, name
+
+
+def test_json_colors_follow_the_listed_members(capsys, tmp_path):
+    _, rep = run(capsys, ["enumerate-front", "ellentuck", "N=4", "--front", "AU1"])
+    front = rep["front"]
+    # both files color {3} alone, one listing the members in reverse
+    files = {
+        "reversed.json": dict(front, members=front["members"][::-1]),
+        "sorted.json": front,
+    }
+    colors = {"reversed.json": [1, 0, 0, 0], "sorted.json": [0, 0, 0, 1]}
+    reports = []
+    for name, listed in files.items():
+        path = tmp_path / name
+        path.write_text(json.dumps({"front": listed, "colors": colors[name]}))
+        code, report = run(
+            capsys, ["canonize", "ellentuck", "N=4", "--coloring", str(path), "--oracle"]
+        )
+        assert code == 0, name
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_reversed_member_is_not_an_approximation(capsys, tmp_path):

@@ -1,10 +1,11 @@
 """The relation layer's fast paths against the plain scans they replace.
 
-The bitset masks behind sub_reducts/basic, the linear A.1 pass and the
-mask-based A.3 search must give the same answers, and the same witness,
-as the direct loops kept here as references. A counting subclass pins
-the amount of relation work, so a quadratic pass that comes back fails
-without any timing.
+The bitset masks behind sub_reducts/basic/up_mask, the linear A.1 pass,
+the mask-based A.3 search and the mixing engine's mask verdicts must
+give the same answers, and the same witness, as the direct loops kept
+here as references. Counting wrappers pin the amount of relation work,
+so a quadratic pass or a per-reduct loop that comes back fails without
+any timing.
 """
 
 from __future__ import annotations
@@ -18,13 +19,23 @@ from hypothesis import given, settings, strategies as st
 
 from trspace import (
     EMPTY,
+    GENERATORS,
+    MIXES,
+    SEPARATES,
+    UNDECIDED,
     Approx,
     Block,
+    Config,
     EllentuckModel,
+    MixingEngine,
     build_fin,
     build_tree,
     canonical_json,
     check_axioms,
+    color_front,
+    generated_coloring,
+    mixing_table,
+    uniform_front,
     witness_sort_key,
 )
 from helpers import ea
@@ -318,3 +329,121 @@ def test_leq_fin_evaluations_do_not_grow(axiom):
     model = CountingEllentuck(5)
     assert check_axioms(model, axiom)["verdict"] == "pass"
     assert model.leq_fin_calls <= LEQ_FIN_BEFORE[axiom]
+
+
+# ---------------------------------------------------------------------------
+# Mixing verdicts: the per-reduct pool and decide loop the engine's masks
+# replace, written against the model's public relations and memoized per
+# (reduct, segment) so that every triple of the fixtures stays cheap.
+
+LEFT_HAT = "no admissible reduct below; the pair leaves the hat"
+SPLIT = "equal-colored pair on the reduct but a separating reduct below"
+
+
+class ReferenceMixing:
+    def __init__(self, model, coloring, mu):
+        self.model, self.mu = model, mu
+        self.colored = tuple(zip(coloring.front.members, coloring.colors))
+        self._live = {}
+        self._sub = {}
+
+    def live(self, y, a):
+        """How many members extending a are realizable in y, and their colors."""
+        key = (y, a)
+        hit = self._live.get(key)
+        if hit is None:
+            colors = [
+                c for m, c in self.colored if a.is_prefix_of(m) and self.model.leq_fin(m, y)
+            ]
+            hit = self._live[key] = (len(colors), frozenset(colors))
+        return hit
+
+    def admissible(self, y, s, t):
+        return self.live(y, s)[0] >= self.mu and self.live(y, t)[0] >= self.mu
+
+    def equal_pair(self, y, s, t):
+        return not self.live(y, s)[1].isdisjoint(self.live(y, t)[1])
+
+    def pool(self, x, s, t):
+        if x not in self._sub:
+            self._sub[x] = reference_sub_reducts(self.model, x)
+        return [y for y in self._sub[x] if self.admissible(y, s, t)]
+
+    def decide(self, x, s, t):
+        pool = self.pool(x, s, t)
+        if not pool:
+            return (UNDECIDED, LEFT_HAT)
+        if all(self.equal_pair(y, s, t) for y in pool):
+            return (MIXES, "")
+        if not self.equal_pair(x, s, t):
+            return (SEPARATES, "")
+        return (UNDECIDED, SPLIT)
+
+
+def _assert_up_mask_is_the_transpose(model):
+    reds = model.all_reducts()
+    for i, s in enumerate(reds):
+        for j, y in enumerate(reds):
+            assert (model.up_mask(s) >> j & 1) == (model.sub_mask(y) >> i & 1), (s, y)
+
+
+def _assert_engine_matches_reference(model, coloring, mu, triples):
+    engine = MixingEngine(model, coloring, Config(mu=mu))
+    reference = ReferenceMixing(model, coloring, mu)
+    for x, s, t in triples:
+        v = engine.decide(x, s, t)
+        assert (v.kind, v.reason) == reference.decide(x, s, t), (x, s, t)
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4", "fin4cap2", "tree22"])
+def test_mixing_engine_matches_reference_on_every_triple(request, name):
+    model = request.getfixturevalue(name)
+    _assert_up_mask_is_the_transpose(model)
+    front = uniform_front(model, 2)
+    colorings = [color_front(front, GENERATORS[g], name=g) for g in ("min", "union")]
+    colorings.append(generated_coloring(front, "random-kernel", seed=3))
+    segs = MixingEngine(model, colorings[0]).hat_members
+    triples = [
+        (x, s, t) for x in model.all_reducts()
+        for i, s in enumerate(segs) for t in segs[i:]
+    ]
+    for coloring in colorings:
+        for mu in (1, 2):
+            _assert_engine_matches_reference(model, coloring, mu, triples)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=fin_instances(), data=st.data())
+def test_mixing_engine_matches_reference_on_fin_partitions(model, data):
+    _assert_up_mask_is_the_transpose(model)
+    reds = model.all_reducts()
+    rank = data.draw(st.integers(1, min(2, max(len(y) for y in reds))))
+    front = uniform_front(model, rank)
+    coloring = generated_coloring(front, "random-kernel", seed=data.draw(st.integers(0, 99)))
+    segs = MixingEngine(model, coloring).hat_members
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    triples = [(rng.choice(reds), rng.choice(segs), rng.choice(segs)) for _ in range(60)]
+    _assert_engine_matches_reference(model, coloring, data.draw(st.sampled_from((1, 2))), triples)
+
+
+def _counting(calls, key, fn):
+    def wrapper(*args):
+        calls[key] += 1
+        return fn(*args)
+    return wrapper
+
+
+def test_deciding_a_warm_table_makes_no_relation_calls():
+    model = build_fin(4)
+    coloring = color_front(uniform_front(model, 2), GENERATORS["union"], name="union")
+    table = mixing_table(model, coloring)
+    pairs = sorted(table.verdicts)
+    calls = {"leq_fin": 0, "real_bits": 0}
+    model.leq_fin = _counting(calls, "leq_fin", model.leq_fin)
+    # the table's own engine, and a fresh one on the same warm model
+    for engine in (table.engine, MixingEngine(model, coloring)):
+        engine.real_bits = _counting(calls, "real_bits", engine.real_bits)
+        for i, j in pairs:
+            verdict = engine.decide(table.reduct, table.rows[i], table.rows[j])
+            assert verdict == table.verdicts[(i, j)]
+    assert calls == {"leq_fin": 0, "real_bits": 0}

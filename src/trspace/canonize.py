@@ -140,7 +140,7 @@ def verify_canonical(
 ) -> tuple[bool, Optional[tuple[Approx, Approx]]]:
     """Check f(s) = f(t) iff phi(s) = phi(t) over the front members
     realizable in x; returns the first violating pair in member order."""
-    members = [m for m in coloring.front.members if model.leq_fin(m, x)]
+    members = model.below(coloring.front.members, x)
     values = [eval_inner(model, phi, m) for m in members]
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -171,7 +171,7 @@ def oracle_canonize(
     for x in sorted(reducts, key=witness_sort_key):
         if len(x) < best:
             break
-        if not any(model.leq_fin(m, x) for m in coloring.front.members):
+        if not model.below(coloring.front.members, x):
             continue
         for names in itertools.product(family, repeat=arity):
             phi = InnerMap(names)
@@ -208,10 +208,7 @@ def oracle_agreement(
     common_best = 0
     if ok:
         for x_o, phi_o in oracle_hits:
-            common = [
-                m for m in coloring.front.members
-                if model.leq_fin(m, witness) and model.leq_fin(m, x_o)
-            ]
+            common = model.below(model.below(coloring.front.members, witness), x_o)
             ours = _member_kernel([eval_inner(model, phi, m) for m in common])
             theirs = _member_kernel([eval_inner(model, phi_o, m) for m in common])
             if ours == theirs:
@@ -330,10 +327,7 @@ def _fallback(model: SpaceModel, coloring: Coloring) -> Optional[tuple[Approx, I
     carries that member alone, where the all-drop map verifies."""
     arity = coloring.front.arity()
     phi = InnerMap(("drop",) * arity)
-    for m in coloring.front.members:
-        x = Approx(m.blocks)
-        if not model.leq_fin(x, model.full):
-            continue
+    for x in model.below(coloring.front.members, model.full):
         ok, _ = verify_canonical(model, x, phi, coloring)
         if ok:
             return x, phi
@@ -447,6 +441,7 @@ def lemma_suite(
     hat_w = engine.hat_below(witness)
     interior = engine.interior_below(witness)
     values: dict[Approx, tuple] = {a: eval_inner(model, phi, a) for a in hat_w}
+    depths = {a: model.depth(witness, a) for a in hat_w}
 
     mix_violations = []
     mix_gaps = 0
@@ -483,13 +478,12 @@ def lemma_suite(
         exts = engine.live_extensions(base, witness)
         for t in hat_w:
             for i, p in enumerate(exts):
-                dp = model.depth(witness, p)
-                if model.depth(witness, t) != dp:
+                if depths[t] != depths[p]:
                     continue
                 if not engine.mixes(witness, t, p):
                     continue
                 for q in exts[i + 1:]:
-                    if model.depth(witness, q) != dp:
+                    if depths[q] != depths[p]:
                         continue
                     if not engine.mixes(witness, t, q):
                         continue
@@ -535,8 +529,7 @@ def maximality_check(
     alternative through the precondition."""
     common = None
     for y in sorted(model.all_reducts(config.max_reducts), key=witness_sort_key):
-        carried = sum(1 for m in coloring.front.members if model.leq_fin(m, y))
-        if carried < 2:
+        if len(model.below(coloring.front.members, y)) < 2:
             continue
         ok1, _ = verify_canonical(model, y, phi, coloring)
         ok2, _ = verify_canonical(model, y, phi_alt, coloring)
@@ -548,7 +541,7 @@ def maximality_check(
             "the maps have no common verifying reduct; rejected as input"
         )
     for z in sorted(model.sub_reducts(common), key=witness_sort_key):
-        members = [m for m in coloring.front.members if model.leq_fin(m, z)]
+        members = model.below(coloring.front.members, z)
         if not members:
             continue
         contained = all(

@@ -134,7 +134,7 @@ def restrict_front(model: SpaceModel, front: Front, y: Approx) -> Front:
     _check_instance(model, front)
     if not model.leq_fin(y, front.scope):
         raise DomainError("restriction target is not a reduct of the scope")
-    mem = tuple(m for m in front.members if model.leq_fin(m, y))
+    mem = model.below(front.members, y)
     flags: tuple[str, ...] = ()
     if mem:
         verdict = is_front(model, mem, scope=y)
@@ -243,7 +243,12 @@ def generated_coloring(front: Front, name: str, seed: Optional[int] = None) -> C
     fn = GENERATORS.get(name)
     if fn is None:
         raise ParameterError(f"unknown coloring generator {name!r}")
-    return color_front(front, fn, name=name)
+    try:
+        return color_front(front, fn, name=name)
+    except ValueError:  # min or max of the atoms of EMPTY, the rank-0 member
+        raise ParameterError(
+            f"coloring generator {name!r} reads atoms, and a front member has none"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +291,15 @@ def front_from_json(model: SpaceModel, payload: dict) -> Front:
         raise ParameterError("front members must be distinct")
     if front.scope == EMPTY:
         raise ParameterError("a front's scope must be a nonempty reduct")
+    inside = set(model.below((front.scope,) + front.members, model.full))
     for s in (front.scope,) + front.members:
-        if not model.leq_fin(s, model.full):
+        if s not in inside:
             raise ParameterError(
                 f"front approximation {s.key} is not inside the {model.kind} instance"
             )
+    below_scope = set(model.below(front.members, front.scope))
     for m in front.members:
-        if not model.leq_fin(m, front.scope):
+        if m not in below_scope:
             raise ParameterError(f"front member {m.key} is not inside the scope")
         if not front.anchor.is_prefix_of(m):
             raise ParameterError(f"front anchor is not an initial segment of member {m.key}")

@@ -64,12 +64,11 @@ class MixingEngine:
         self.config = config
         self.members = self.front.members
         self.hat_members = hat(model, self.front)
-        self._hat_set = set(self.hat_members)
-        self._member_set = set(self.members)
-        self._ext_bits = {
-            a: sum(1 << i for i, m in enumerate(self.members) if a.is_prefix_of(m))
-            for a in self.hat_members
-        }
+        self._member_ids = {m: i for i, m in enumerate(self.members)}
+        self._ext_bits = dict.fromkeys(self.hat_members, 0)
+        for i, m in enumerate(self.members):
+            for a in model.segments(m):
+                self._ext_bits[a] |= 1 << i
         self._real_bits: dict[Approx, int] = {}
         self._rows: dict[Approx, tuple[int, dict[int, int]]] = {}
 
@@ -78,9 +77,7 @@ class MixingEngine:
     def real_bits(self, y: Approx) -> int:
         bits = self._real_bits.get(y)
         if bits is None:
-            bits = sum(
-                1 << i for i, m in enumerate(self.members) if self.model.leq_fin(m, y)
-            )
+            bits = sum(1 << self._member_ids[m] for m in self.model.below(self.members, y))
             self._real_bits[y] = bits
         return bits
 
@@ -120,7 +117,7 @@ class MixingEngine:
         return equal
 
     def in_hat(self, a: Approx) -> bool:
-        return a in self._hat_set
+        return a in self._ext_bits
 
     def hat_below(self, x: Approx) -> tuple[Approx, ...]:
         """Initial segments of members realizable inside x."""
@@ -133,7 +130,7 @@ class MixingEngine:
 
     def interior_below(self, x: Approx) -> tuple[Approx, ...]:
         """hat_below(x) without the members: the interior segments."""
-        return tuple(a for a in self.hat_below(x) if a not in self._member_set)
+        return tuple(a for a in self.hat_below(x) if a not in self._member_ids)
 
     def live_extensions(self, a: Approx, y: Approx) -> tuple[Approx, ...]:
         """One-block extensions of a inside y that are hat segments with

@@ -163,7 +163,9 @@ class SpaceModel(ABC):
     the finitization order _leq_fin on those approximations, the one-step
     extensions _extension_blocks and the selector catalog. Everything
     else (depth, basic sets, axiom checks, fusion) is shared and
-    expressed through these two hooks.
+    expressed through these two hooks. leq_fin memoizes no pairs: the
+    relation is stored only as lazily filled bitsets over the reduct ids,
+    rows (up_mask) and columns (sub_mask).
     """
 
     kind: str = "abstract"
@@ -182,19 +184,17 @@ class SpaceModel(ABC):
         self.levels = lv
         self.params: dict = dict(params or {})
         self._reducts: Optional[tuple[Approx, ...]] = None
-        self._reduct_set: Optional[frozenset[Approx]] = None
+        # Dense reduct ids: reduct i is all_reducts()[i], bit i of every mask.
+        self._ids: Optional[dict[Approx, int]] = None
         self._approxes: Optional[tuple[Approx, ...]] = None
-        self._leq_cache: dict[tuple, bool] = {}
-        # Bitsets over all_reducts() (bit i is all_reducts()[i]), each
-        # filled on first use: reducts below x, reducts above s, and per
-        # segment length n the reducts grouped by their length-n segment.
+        # The relation's only stores, bitsets over the reduct ids, each
+        # filled on first use: reducts below x (columns), reducts above s
+        # (rows), and per segment length n the reducts grouped by their
+        # length-n segment.
         self._sub_masks: dict[Approx, int] = {}
         self._up_masks: dict[Approx, int] = {}
         self._prefix_masks: dict[int, dict[Approx, int]] = {}
-        # segments(x) per x, and every segment interned to the first
-        # equal object seen.
         self._segments: dict[Approx, tuple[Approx, ...]] = {}
-        self._interned: dict[Approx, Approx] = {}
         self._ext_cache: dict[tuple, tuple[Block, ...]] = {}
         # The maximal reduct (the truncated space itself).
         self.full = Approx(tuple(
@@ -234,39 +234,39 @@ class SpaceModel(ABC):
             return x
         return Approx(x.blocks[:n])
 
+    def _reduct_ids(self) -> dict[Approx, int]:
+        if self._ids is None:
+            self._ids = {y: i for i, y in enumerate(self.all_reducts())}
+        return self._ids
+
     def leq_fin(self, s: Approx, t: Approx) -> bool:
         """s is a finite reduction of t. False unless both are
-        approximations of the instance (EMPTY or a reduct)."""
-        key = (s, t)
-        hit = self._leq_cache.get(key)
-        if hit is None:
-            known = self._reduct_set
-            if known is None:
-                known = self._reduct_set = frozenset((EMPTY,) + self.all_reducts())
-            hit = s in known and t in known and self._leq_fin(s, t)
-            self._leq_cache[key] = hit
-        return hit
+        approximations of the instance (EMPTY or a reduct); nothing is
+        memoized, the rows and columns are the relation's stores."""
+        ids = self._reduct_ids()
+        return (not s.blocks or s in ids) and (not t.blocks or t in ids) and self._leq_fin(s, t)
 
     def segments(self, x: Approx) -> tuple[Approx, ...]:
         """restrict(x, n) for n = 0..len(x), through the model's own restrict.
 
-        Equal segments come back as one object (the first one seen), so
-        relation-cache lookups succeed on identity.
+        A segment that is a reduct comes back as the stored reduct, and
+        an empty one as EMPTY, so equal segments are one object.
         """
         hit = self._segments.get(x)
         if hit is None:
-            interned = self._interned
+            reds, ids = self.all_reducts(), self._reduct_ids()
             hit = tuple(
-                interned.setdefault(seg, seg)
+                reds[ids[seg]] if seg in ids else (seg if seg.blocks else EMPTY)
                 for seg in (self.restrict(x, n) for n in range(len(x) + 1))
             )
             self._segments[x] = hit
         return hit
 
     def depth(self, x: Approx, s: Approx):
-        """Least k with s a reduction of restrict(x, k); math.inf if none."""
+        """Least k with s a reduction of restrict(x, k), read off
+        up_mask(s) at the segments of x; math.inf if none."""
         for k, seg in enumerate(self.segments(x)):
-            if self.leq_fin(s, seg):
+            if self.below((s,), seg):
                 return k
         return math.inf
 
@@ -320,26 +320,30 @@ class SpaceModel(ABC):
         reds = self.all_reducts()
         return tuple(reds[i] for i in _bits(mask))
 
+    def below(self, approxes: Iterable[Approx], x: Approx) -> tuple[Approx, ...]:
+        """The given approximations s <= x, in their order, read off x's
+        bit in each up_mask(s). Below EMPTY, or below anything that is no
+        approximation, only EMPTY can lie."""
+        i = self._reduct_ids().get(x)
+        if i is None:
+            empty = tuple(s for s in approxes if not s.blocks)
+            return empty if empty and self.leq_fin(EMPTY, x) else ()
+        return tuple(s for s in approxes if self.up_mask(s) >> i & 1)
+
     def sub_mask(self, x: Approx) -> int:
-        """Bitset of the reducts y <= x."""
+        """Bitset of the reducts y <= x, the column of x."""
         hit = self._sub_masks.get(x)
         if hit is None:
-            hit = 0
-            for i, y in enumerate(self.all_reducts()):
-                if self.leq_fin(y, x):
-                    hit |= 1 << i
+            hit = sum(1 << i for i, y in enumerate(self.all_reducts()) if self.leq_fin(y, x))
             self._sub_masks[x] = hit
         return hit
 
     def up_mask(self, s: Approx) -> int:
-        """Bitset of the reducts y >= s, the reducts realizing s: the
-        transpose of sub_mask."""
+        """Bitset of the reducts y >= s, the reducts realizing s: the row
+        of s, the transpose of sub_mask."""
         hit = self._up_masks.get(s)
         if hit is None:
-            hit = 0
-            for i, y in enumerate(self.all_reducts()):
-                if self.leq_fin(s, y):
-                    hit |= 1 << i
+            hit = sum(1 << i for i, y in enumerate(self.all_reducts()) if self.leq_fin(s, y))
             self._up_masks[s] = hit
         return hit
 
@@ -446,19 +450,25 @@ def _check_a1(model: SpaceModel, config: Config) -> dict:
 def _check_a2(model: SpaceModel, config: Config) -> dict:
     approxes = model.approximations()
     reds = model.all_reducts()
-    leq = model.leq_fin
-    app_segs = [model.segments(t) for t in approxes]
-    red_segs = [model.segments(x) for x in reds]
+    n = len(approxes)
+    # One row per approximation, each pair asked of leq_fin once. The
+    # clauses also name reducts and segments that an overridden restrict
+    # can leave out of approximations(), so the rows span those too, after
+    # the approximations. seg_mask[t] holds the segments of t.
+    named = (*approxes, *reds)
+    universe = tuple(dict.fromkeys(itertools.chain(named, *map(model.segments, named))))
+    index = {u: j for j, u in enumerate(universe)}
+    rows = [sum(1 << j for j, t in enumerate(universe) if model.leq_fin(s, t)) for s in universe]
+    seg_mask = {t: sum(1 << j for j in {index[u] for u in model.segments(t)}) for t in named}
     # A.2(1): predecessor sets are finite; report the largest one.
-    largest = 0
-    for t in approxes:
-        count = sum(1 for s in approxes if leq(s, t))
-        largest = max(largest, count)
+    largest = max(sum(row >> j & 1 for row in rows[:n]) for j in range(n))
     # A.2(2): the reduct order matches the segmentwise finitization order.
-    for x, sx in zip(reds, red_segs):
-        for y, sy in zip(reds, red_segs):
-            direct = leq(x, y)
-            quantified = all(any(leq(a, b) for b in sy) for a in sx)
+    for x in reds:
+        row_x = rows[index[x]]
+        seg_rows = [rows[index[a]] for a in model.segments(x)]
+        for y in reds:
+            direct = bool(row_x >> index[y] & 1)
+            quantified = all(row & seg_mask[y] for row in seg_rows)
             if direct != quantified:
                 return _report(
                     "A2", "fail",
@@ -471,11 +481,11 @@ def _check_a2(model: SpaceModel, config: Config) -> dict:
     # decidable except when the larger approximation still has extension
     # room past the truncation; those misses are reported undecided.
     undecided = []
-    for t, st in zip(approxes, app_segs):
-        above = [(tp, stp) for tp, stp in zip(approxes, app_segs) if leq(t, tp)]
-        for s in st:
-            for tp, stp in above:
-                if any(leq(s, b) for b in stp):
+    for i, t in enumerate(approxes):
+        above = [approxes[j] for j in _bits(rows[i] & ((1 << n) - 1))]
+        for s in model.segments(t):
+            for tp in above:
+                if rows[index[s]] & seg_mask[tp]:
                     continue
                 if model.extension_blocks(tp, model.full):
                     undecided.append({"clause": 3, "s": s, "t": t, "tprime": tp})
@@ -617,7 +627,7 @@ class PropertyOracle:
 
 
 def _fusion_agenda(model: SpaceModel, oracle: PropertyOracle, bound: Approx):
-    pool = [z for z in model.approximations() if model.leq_fin(z, bound)]
+    pool = [EMPTY, *model.sub_reducts(bound)]
     if oracle.domain is not None:
         pool = [z for z in pool if oracle.domain(z)]
     if oracle.pair:

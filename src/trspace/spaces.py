@@ -68,35 +68,26 @@ class FinModel(SpaceModel):
         self.span_cap = span_cap
         super().__init__(lv, params=params)
         self._level_sets = [frozenset(l) for l in self.levels]
-        self._ground: dict[Block, Optional[tuple[int, ...]]] = {}
-        self._levels: dict[Block, frozenset[int]] = {}
+        self._ground: dict[Block, Optional[frozenset[int]]] = {}
 
-    def ground_indices(self, block: Block) -> Optional[tuple[int, ...]]:
-        """0-based ground levels whose union is exactly this block."""
+    def ground_indices(self, block: Block) -> Optional[frozenset[int]]:
+        """0-based ground levels whose union is exactly this block; None
+        when no union of ground levels is."""
         try:
             return self._ground[block]
         except KeyError:
             pass
         atoms = set(block.atoms)
-        picked = [i for i, l in enumerate(self._level_sets) if l <= atoms]
-        covered: set[int] = set()
-        for i in picked:
-            covered |= self._level_sets[i]
-        hit = tuple(picked) if picked and covered == atoms else None
+        picked = frozenset(i for i, l in enumerate(self._level_sets) if l <= atoms)
+        covered = set().union(*(self._level_sets[i] for i in picked))
+        hit = picked if picked and covered == atoms else None
         self._ground[block] = hit
         return hit
 
-    def _block_levels(self, block: Block) -> frozenset[int]:
-        """The ground levels of a block of this instance, as a set."""
-        hit = self._levels.get(block)
-        if hit is None:
-            hit = self._levels[block] = frozenset(self.ground_indices(block))
-        return hit
-
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
-        t_idx = [self._block_levels(b) for b in t.blocks]
+        t_idx = [self.ground_indices(b) for b in t.blocks]
         for sb in s.blocks:
-            want = self._block_levels(sb)
+            want = self.ground_indices(sb)
             got: set[int] = set()
             for ti in t_idx:
                 if ti <= want:
@@ -142,13 +133,9 @@ class FinModel(SpaceModel):
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
         bi = self.ground_indices(block)
         wi = self.ground_indices(w)
-        if bi is None or wi is None:
+        if bi is None or wi is None or not wi < bi:
             return False
-        if not set(wi) < set(bi):
-            return False
-        floor = -1
-        for sb in s.blocks:
-            floor = max(floor, max(self.ground_indices(sb)))
+        floor = max((max(self.ground_indices(sb)) for sb in s.blocks), default=-1)
         # The leftover ground levels always split into separated chain
         # pieces, so containment above the base segment is the whole test.
         return min(bi) > floor
@@ -348,9 +335,7 @@ def solid_in(model: SpaceModel, block: Block) -> bool:
         return True
     if isinstance(model, FinModel):
         idx = model.ground_indices(block)
-        if idx is None:
-            return False
-        return list(idx) == list(range(idx[0], idx[-1] + 1))
+        return idx is not None and max(idx) - min(idx) + 1 == len(idx)
     return True
 
 

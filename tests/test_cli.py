@@ -183,11 +183,23 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
         ["verify-axioms"],  # no instance at all
         ["no-such-command"],
         ["er-number", "1"],  # m missing
+        # the one member of the rank-0 front, EMPTY, has no atoms to read
+        ["canonize", "fin", "blocks=3", "--front", "AU0", "--coloring", "parity"],
+        ["mixing-table", "fin", "blocks=3", "--front", "AU0", "--coloring", "min"],
+        ["lemma-suite", "ellentuck", "N=4", "--front", "AU0", "--coloring", "max"],
+        ["weak-mixing", "tree", "b=2", "h=1", "--front", "AU0", "--coloring", "minmax"],
     ),
 )
 def test_usage_errors(capsys, argv):
     code, _ = run(capsys, argv)
     assert code == 3
+
+
+@pytest.mark.parametrize("generator", ["constant", "injective", "union", "identity", "random-kernel"])
+def test_rank_zero_front_takes_colorings_that_read_no_atoms(capsys, generator):
+    code, rep = run(capsys, ["canonize", "fin", "blocks=3", "--front", "AU0", "--coloring", generator])
+    assert code == 0
+    assert rep["result"]["stats"]["members_on_witness"] == 1
 
 
 def test_malformed_instance_file(capsys, tmp_path):

@@ -1,17 +1,18 @@
 """The relation layer's fast paths against the plain scans they replace.
 
-The bitset masks behind sub_reducts/basic/up_mask, the linear A.1 pass,
-the mask-based A.3 search and the mixing engine's mask verdicts must
-give the same answers, and the same witness, as the direct loops kept
-here as references. Counting wrappers pin the amount of relation work,
-so a quadratic pass or a per-reduct loop that comes back fails without
-any timing.
+The bitset masks behind sub_reducts/basic/up_mask/below/depth, the
+linear A.1 pass, the row-based A.2 and mask-based A.3 searches and the
+mixing engine's mask verdicts must give the same answers, and the same
+witness, as the direct loops kept here as references. Counting wrappers
+pin the amount of relation work, so a quadratic pass or a per-reduct
+loop that comes back fails without any timing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -43,7 +44,7 @@ from test_axioms import InflatedLeq, ShiftedRestrict
 
 
 # ---------------------------------------------------------------------------
-# Reference scans: the relation layer and the A.1/A.3 loops as they were
+# Reference scans: the relation layer and the A.1-A.3 loops as they were
 # before the masks, written against the model's public relations only.
 
 def reference_sub_reducts(model, x):
@@ -88,6 +89,53 @@ def reference_a1(model):
                             "witness": {"clause": 3, "x": x, "y": y, "n": n, "m": m},
                         }
     return {"verdict": "pass", "witness": None}
+
+
+def reference_a2(model):
+    approxes = model.approximations()
+    reds = model.all_reducts()
+    leq = model.leq_fin
+    app_segs = [model.segments(t) for t in approxes]
+    red_segs = [model.segments(x) for x in reds]
+    largest = 0
+    for t in approxes:
+        count = sum(1 for s in approxes if leq(s, t))
+        largest = max(largest, count)
+    for x, sx in zip(reds, red_segs):
+        for y, sy in zip(reds, red_segs):
+            direct = leq(x, y)
+            quantified = all(any(leq(a, b) for b in sy) for a in sx)
+            if direct != quantified:
+                return {
+                    "verdict": "fail",
+                    "witness": {"clause": 2, "x": x, "y": y,
+                                "direct": direct, "quantified": quantified},
+                    "stats": {"max_predecessors": largest},
+                }
+    undecided = []
+    for t, st in zip(approxes, app_segs):
+        above = [(tp, stp) for tp, stp in zip(approxes, app_segs) if leq(t, tp)]
+        for s in st:
+            for tp, stp in above:
+                if any(leq(s, b) for b in stp):
+                    continue
+                if model.extension_blocks(tp, model.full):
+                    undecided.append({"clause": 3, "s": s, "t": t, "tprime": tp})
+                else:
+                    return {
+                        "verdict": "fail",
+                        "witness": {"clause": 3, "s": s, "t": t, "tprime": tp},
+                        "stats": {"max_predecessors": largest},
+                    }
+    if undecided:
+        return {
+            "verdict": "undecided", "witness": undecided[0],
+            "stats": {"max_predecessors": largest, "boundary_misses": len(undecided)},
+        }
+    return {
+        "verdict": "pass", "witness": None,
+        "stats": {"max_predecessors": largest, "approximations": len(approxes)},
+    }
 
 
 def reference_a3(model):
@@ -160,11 +208,15 @@ def _model(request, name):
 
 
 @pytest.mark.parametrize("name", ["e5", "fin3", "tree22", *DEFECTS])
-@pytest.mark.parametrize("axiom, reference", [("A1", reference_a1), ("A3", reference_a3)])
+@pytest.mark.parametrize(
+    "axiom, reference", [("A1", reference_a1), ("A2", reference_a2), ("A3", reference_a3)]
+)
 def test_fast_axioms_match_reference(request, name, axiom, reference):
     fast = check_axioms(_model(request, name), axiom)
     slow = reference(_model(request, name))
     assert (fast["verdict"], fast["witness"]) == (slow["verdict"], slow["witness"])
+    if "stats" in slow:
+        assert fast["stats"] == slow["stats"]
 
 
 def test_new_defects_reach_their_clauses():
@@ -207,6 +259,33 @@ def test_basic_matches_scan_on_fin_partitions(model):
 @pytest.mark.parametrize("b, h", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_basic_matches_scan_on_trees(b, h):
     _assert_basic_matches_scan(build_tree(b, h))
+
+
+# ---------------------------------------------------------------------------
+# depth(x, s) and below(approxes, x), read off the up rows, against plain
+# leq_fin scans on every (x, s), with x also EMPTY.
+
+def _assert_rows_match_scan(model):
+    approxes = model.approximations()
+    for x in (EMPTY, *model.all_reducts()):
+        assert model.below(approxes, x) == tuple(s for s in approxes if model.leq_fin(s, x))
+        for s in approxes:
+            scan = next(
+                (k for k in range(len(x) + 1) if model.leq_fin(s, model.restrict(x, k))),
+                math.inf,
+            )
+            assert model.depth(x, s) == scan, (x, s)
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4", "fin4cap2", "tree22"])
+def test_depth_and_below_match_scan(request, name):
+    _assert_rows_match_scan(request.getfixturevalue(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=fin_instances())
+def test_depth_and_below_match_scan_on_fin_partitions(model):
+    _assert_rows_match_scan(model)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from .model import (
     DEFAULT_CONFIG,
     PropertyOracle,
     SpaceModel,
+    a4star_search,
+    first_mismatch,
     fuse,
     witness_sort_key,
 )
@@ -70,23 +72,6 @@ def eval_inner(model: SpaceModel, phi: InnerMap, t: Approx) -> tuple:
     return tuple(out)
 
 
-def _kernel_matches(
-    pairs_equal: Callable[[Approx, Approx], bool],
-    model: SpaceModel,
-    name: str,
-    exts: tuple[Approx, ...],
-) -> bool:
-    """Biconditional between a pair relation on extensions and selector
-    equality on their last blocks."""
-    for i, p in enumerate(exts):
-        vp = model.apply_selector(name, p.blocks[-1])
-        for q in exts[i + 1:]:
-            vq = model.apply_selector(name, q.blocks[-1])
-            if pairs_equal(p, q) != (vp == vq):
-                return False
-    return True
-
-
 def search_inner_A4star(
     model: SpaceModel,
     s: Approx,
@@ -101,32 +86,15 @@ def search_inner_A4star(
     selectors are tried in family order, so the drop component wins
     whenever the coloring is constant on the survivors.
     """
+    model.all_reducts(config.max_reducts)
     if not model.extensions(s, x):
         raise DomainError("the segment has no extensions inside the reduct")
-    colors: dict[Approx, object] = {}
-
-    def equal(p: Approx, q: Approx) -> bool:
-        if p not in colors:
-            colors[p] = coloring_of_ext(p)
-        if q not in colors:
-            colors[q] = coloring_of_ext(q)
-        return colors[p] == colors[q]
-
-    family = inner_family(model)
-    ranked = sorted(
-        model.basic(s, x),
-        key=lambda y: (-len(model.extensions(s, y)), y.key),
-    )
-    for y in ranked:
-        exts = model.extensions(s, y)
-        if len(exts) < config.mu:
-            continue
-        for name in family:
-            if _kernel_matches(equal, model, name, exts):
-                return y, name
-    raise NoInnerWitnessError(
-        "no selector in the family matches the kernel on any admissible reduct"
-    )
+    found = a4star_search(model, s, x, coloring_of_ext, inner_family(model), config)
+    if found is None:
+        raise NoInnerWitnessError(
+            "no selector in the family matches the kernel on any admissible reduct"
+        )
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +110,8 @@ def verify_canonical(
     realizable in x; returns the first violating pair in member order."""
     members = model.below(coloring.front.members, x)
     values = [eval_inner(model, phi, m) for m in members]
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            same_f = coloring(members[i]) == coloring(members[j])
-            if same_f != (values[i] == values[j]):
-                return False, (members[i], members[j])
-    return True, None
+    pair = first_mismatch(members, lambda p, q: coloring(p) == coloring(q), values)
+    return pair is None, pair
 
 
 def oracle_canonize(
@@ -186,13 +150,6 @@ def oracle_canonize(
     return tuple(sorted(hits, key=lambda h: (h[0].key, h[1].selectors)))
 
 
-def _member_kernel(values: list) -> tuple[tuple[int, ...], ...]:
-    groups: dict = {}
-    for i, v in enumerate(values):
-        groups.setdefault(v, []).append(i)
-    return tuple(sorted(tuple(g) for g in groups.values()))
-
-
 def oracle_agreement(
     model: SpaceModel,
     coloring: Coloring,
@@ -207,11 +164,12 @@ def oracle_agreement(
     agree = False
     common_best = 0
     if ok:
+        mine = model.below(coloring.front.members, witness)
+        ours = {m: eval_inner(model, phi, m) for m in mine}
         for x_o, phi_o in oracle_hits:
-            common = model.below(model.below(coloring.front.members, witness), x_o)
-            ours = _member_kernel([eval_inner(model, phi, m) for m in common])
-            theirs = _member_kernel([eval_inner(model, phi_o, m) for m in common])
-            if ours == theirs:
+            common = model.below(mine, x_o)
+            theirs = [eval_inner(model, phi_o, m) for m in common]
+            if first_mismatch(common, lambda p, q: ours[p] == ours[q], theirs) is None:
                 agree = True
                 common_best = max(common_best, len(common))
     return {
@@ -256,13 +214,12 @@ def _position_oracle(
     model = engine.model
     member_set = set(engine.members)
 
-    def mixed(p: Approx, q: Approx) -> bool:
-        return engine.mixes(z0, p, q)
-
     def check(a: Approx, y: Approx) -> bool:
         if not engine.live_bits(y, a):
             return True
-        return _kernel_matches(mixed, model, name, engine.live_extensions(a, y))
+        exts = engine.live_extensions(a, y)
+        values = [model.apply_selector(name, p.blocks[-1]) for p in exts]
+        return first_mismatch(exts, lambda p, q: engine.mixes(z0, p, q), values) is None
 
     def domain(a: Approx) -> bool:
         return len(a) == pos and engine.in_hat(a) and a not in member_set

@@ -132,7 +132,7 @@ def restrict_front(model: SpaceModel, front: Front, y: Approx) -> Front:
     """Members realizable inside y. When the restriction fails to cover
     some grown reduct of y the result carries an undecided flag."""
     _check_instance(model, front)
-    if not model.leq_fin(y, front.scope):
+    if not (y.blocks and model.leq_fin(y, front.scope)):
         raise DomainError("restriction target is not a reduct of the scope")
     mem = model.below(front.members, y)
     flags: tuple[str, ...] = ()

@@ -39,9 +39,6 @@ class Verdict:
     kind: str
     reason: str = ""
 
-    def decided(self) -> bool:
-        return self.kind in (MIXES, SEPARATES)
-
 
 _MIXED = Verdict(MIXES)
 _SEPARATED = Verdict(SEPARATES)
@@ -201,14 +198,14 @@ class MixingTable:
         )
 
     def to_json(self) -> dict:
-        from .reportio import approx_to_json, depth_to_json
+        from .reportio import approx_to_json, to_jsonable
 
         return {
             "check": "mixing_table",
             "reduct": approx_to_json(self.reduct),
             "fused": self.fused,
             "rows": [approx_to_json(a) for a in self.rows],
-            "depths": [depth_to_json(d) for d in self.depths],
+            "depths": to_jsonable(self.depths),
             "entries": [
                 {"i": i, "j": j, "verdict": v.kind, "reason": v.reason}
                 for (i, j), v in sorted(self.verdicts.items())

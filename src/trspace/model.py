@@ -566,6 +566,53 @@ def check_axioms(model: SpaceModel, axiom: str, config: Config = DEFAULT_CONFIG)
     return report
 
 
+def first_mismatch(items, same, values) -> Optional[tuple]:
+    """The first pair (items[i], items[j]), i < j, on which the relation
+    same and equality of the parallel values disagree; None when the two
+    kernels on items are equal. Every canonical claim is this test."""
+    for i, p in enumerate(items):
+        for j in range(i + 1, len(items)):
+            if same(p, items[j]) != (values[i] == values[j]):
+                return p, items[j]
+    return None
+
+
+def a4star_search(
+    model: SpaceModel,
+    s: Approx,
+    x: Approx,
+    color: Callable[[Approx], object],
+    family: tuple[str, ...],
+    config: Config,
+) -> Optional[tuple[Approx, str]]:
+    """The A.4* search: the first reduct y of [s, x], by most extensions
+    of s then least key and keeping at least mu of them, with the first
+    selector of family whose values on the last blocks of those
+    extensions have the kernel of color; None when there is none. A.4 is
+    the family ("drop",). color is asked at most once per extension."""
+    colors: dict[Approx, object] = {}
+
+    def same(p: Approx, q: Approx) -> bool:
+        if p not in colors:
+            colors[p] = color(p)
+        if q not in colors:
+            colors[q] = color(q)
+        return colors[p] == colors[q]
+
+    ranked = sorted(
+        ((y, model.extensions(s, y)) for y in model.basic(s, x)),
+        key=lambda item: (-len(item[1]), item[0].key),
+    )
+    for y, exts in ranked:
+        if len(exts) < config.mu:
+            break
+        for name in family:
+            values = [model.apply_selector(name, p.blocks[-1]) for p in exts]
+            if first_mismatch(exts, same, values) is None:
+                return y, name
+    return None
+
+
 def pigeonhole_A4(
     model: SpaceModel,
     s: Approx,
@@ -588,22 +635,12 @@ def pigeonhole_A4(
             "no extensions of the segment inside the given reduct"
         )
     colors = {p: coloring(p) for p in domain}
-    best: Optional[tuple[int, tuple, Approx]] = None
-    for y in model.basic(s, x):
-        exts = model.extensions(s, y)
-        if len(exts) < config.mu:
-            continue
-        seen = {colors[p] for p in exts}
-        if len(seen) != 1:
-            continue
-        cand = (-len(exts), y.key, y)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    if best is None:
+    found = a4star_search(model, s, x, colors.__getitem__, ("drop",), config)
+    if found is None:
         raise TruncationTooShallowError(
             "no monochromatic reduct with enough extensions in the truncation"
         )
-    return best[2]
+    return found[0]
 
 
 # ---- fusion --------------------------------------------------------------
@@ -671,7 +708,7 @@ def fuse(
                 if y != x and oracle.holds(bad, y):
                     replacement = y
                     break
-            if replacement is None or replacement == x:
+            if replacement is None:
                 raise FusionExhaustedError(stage, partial=x)
             x = replacement
         else:

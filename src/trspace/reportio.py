@@ -41,10 +41,6 @@ def approx_from_json(payload: dict) -> Approx:
     return Approx(tuple(block_from_json(b) for b in payload["blocks"]))
 
 
-def depth_to_json(d) -> object:
-    return "inf" if d == math.inf else int(d)
-
-
 def config_to_json(config: Config) -> dict:
     return {
         "mu": config.mu,

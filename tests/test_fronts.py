@@ -120,6 +120,8 @@ def test_restrict_front(e5):
     assert small.flags == ()
     with pytest.raises(DomainError):
         restrict_front(e5, front, ea(0, 7))
+    with pytest.raises(DomainError):
+        restrict_front(e5, front, EMPTY)
 
 
 def test_restrict_front_flags_loss_of_covering(e5):

@@ -1,0 +1,239 @@
+"""The one kernel test against the loops it replaces.
+
+A.4 (a monochromatic reduct), A.4* (a selector with the coloring's
+kernel), stage B (a selector with the mixing kernel), verification
+(f(s) = f(t) iff phi(s) = phi(t)) and the oracle's agreement (phi and
+phi_o with one kernel on the common members) are all one pairwise scan,
+first_mismatch. Each used to have its own loop; those loops are kept
+here as references, and every answer must agree with them: the same
+witness, the same selector, the same first violating pair.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from trspace import (
+    EMPTY,
+    GENERATORS,
+    Config,
+    DomainError,
+    FusionExhaustedError,
+    InnerMap,
+    MixingEngine,
+    NoInnerWitnessError,
+    TruncationTooShallowError,
+    color_front,
+    derive_seed,
+    eval_inner,
+    generated_coloring,
+    oracle_agreement,
+    oracle_canonize,
+    pigeonhole_A4,
+    search_inner_A4star,
+    uniform_front,
+    verify_canonical,
+)
+from trspace.canonize import _position_oracle, inner_family
+from trspace.model import first_mismatch
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: each canonical claim as its own scan, as they were
+# before the shared kernel test.
+
+def reference_pigeonhole(model, s, x, coloring, mu):
+    """The monochromatic reduct of [s, x] with the most extensions, ties
+    by least key; None when there is none."""
+    colors = {p: coloring(p) for p in model.extensions(s, x)}
+    best = None
+    for y in model.basic(s, x):
+        exts = model.extensions(s, y)
+        if len(exts) < mu or len({colors[p] for p in exts}) != 1:
+            continue
+        cand = (-len(exts), y.key, y)
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    return None if best is None else best[2]
+
+
+def reference_kernel_matches(pairs_equal, model, name, exts):
+    """A pair relation on extensions against selector equality on their
+    last blocks."""
+    for i, p in enumerate(exts):
+        vp = model.apply_selector(name, p.blocks[-1])
+        for q in exts[i + 1:]:
+            vq = model.apply_selector(name, q.blocks[-1])
+            if pairs_equal(p, q) != (vp == vq):
+                return False
+    return True
+
+
+def reference_search_inner(model, s, x, coloring, mu):
+    ranked = sorted(model.basic(s, x), key=lambda y: (-len(model.extensions(s, y)), y.key))
+    for y in ranked:
+        exts = model.extensions(s, y)
+        if len(exts) < mu:
+            continue
+        for name in inner_family(model):
+            if reference_kernel_matches(lambda p, q: coloring(p) == coloring(q), model, name, exts):
+                return y, name
+    return None
+
+
+def reference_verify(model, x, phi, coloring):
+    members = model.below(coloring.front.members, x)
+    values = [eval_inner(model, phi, m) for m in members]
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            same_f = coloring(members[i]) == coloring(members[j])
+            if same_f != (values[i] == values[j]):
+                return False, (members[i], members[j])
+    return True, None
+
+
+def reference_member_kernel(values):
+    groups = {}
+    for i, v in enumerate(values):
+        groups.setdefault(v, []).append(i)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def reference_oracle_agreement(model, coloring, witness, phi, oracle_hits):
+    ok, _ = reference_verify(model, witness, phi, coloring)
+    agree = False
+    common_best = 0
+    if ok:
+        for x_o, phi_o in oracle_hits:
+            common = model.below(model.below(coloring.front.members, witness), x_o)
+            ours = reference_member_kernel([eval_inner(model, phi, m) for m in common])
+            theirs = reference_member_kernel([eval_inner(model, phi_o, m) for m in common])
+            if ours == theirs:
+                agree = True
+                common_best = max(common_best, len(common))
+    return {
+        "agrees": bool(ok and agree and oracle_hits),
+        "reverified": ok,
+        "oracle_witnesses": len(oracle_hits),
+        "oracle_max_size": len(oracle_hits[0][0]) if oracle_hits else 0,
+        "common_members": common_best,
+    }
+
+
+# ---------------------------------------------------------------------------
+# The scan itself.
+
+def test_first_mismatch_names_the_first_disagreeing_pair():
+    items = ("a", "b", "c", "d")
+    colors = {"a": 0, "b": 0, "c": 1, "d": 1}
+    same = lambda p, q: colors[p] == colors[q]
+    assert first_mismatch(items, same, [5, 5, 6, 6]) is None
+    assert first_mismatch(items, same, [5, 5, 6, 7]) == ("c", "d")
+    assert first_mismatch(items, same, [5, 6, 6, 6]) == ("a", "b")
+    assert first_mismatch(items, same, [5, 5, 5, 6]) == ("a", "c")
+    assert first_mismatch((), same, []) is None
+
+
+# ---------------------------------------------------------------------------
+# A.4 and A.4* on every short base under seeded two-colorings.
+
+SEEDS = range(6)
+
+
+def _short_bases(model):
+    return [s for s in model.approximations() if len(s) <= 2 and model.extensions(s, model.full)]
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4", "fin4cap2", "tree22"])
+def test_a4_searches_match_the_reference_loops(request, name):
+    model = request.getfixturevalue(name)
+    for s in _short_bases(model):
+        domain = model.extensions(s, model.full)
+        for seed in SEEDS:
+            rng = random.Random(derive_seed(name, s.key, seed))
+            table = {p: rng.randrange(2) for p in domain}
+            for mu in (1, 2):
+                config = Config(mu=mu)
+                expected = reference_pigeonhole(model, s, model.full, table.__getitem__, mu)
+                if expected is None:
+                    with pytest.raises(TruncationTooShallowError, match="no monochromatic"):
+                        pigeonhole_A4(model, s, model.full, table.__getitem__, config)
+                else:
+                    got = pigeonhole_A4(model, s, model.full, table.__getitem__, config)
+                    assert got == expected, (s, seed, mu)
+                expected = reference_search_inner(model, s, model.full, table.__getitem__, mu)
+                if expected is None:
+                    with pytest.raises(NoInnerWitnessError):
+                        search_inner_A4star(model, s, model.full, table.__getitem__, config)
+                else:
+                    got = search_inner_A4star(model, s, model.full, table.__getitem__, config)
+                    assert got == expected, (s, seed, mu)
+
+
+# ---------------------------------------------------------------------------
+# Verification, the oracle's agreement and stage B on every reduct and
+# every map of the family, for three colorings of AU1 and AU2.
+
+def _colorings(model):
+    for rank in (1, 2):
+        front = uniform_front(model, rank)
+        for g in ("min", "union"):
+            yield color_front(front, GENERATORS[g], name=g)
+        yield generated_coloring(front, "random-kernel", seed=3)
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4"])
+def test_verify_and_agreement_match_the_reference_loops(request, name):
+    model = request.getfixturevalue(name)
+    family = inner_family(model)
+    for coloring in _colorings(model):
+        maps = [InnerMap(names) for names in itertools.product(family, repeat=coloring.front.arity())]
+        hits = oracle_canonize(model, coloring)
+        # every map on the full reduct is a rival too, so kernels also differ
+        rivals = hits + tuple((model.full, phi_o) for phi_o in maps)
+        for x in model.all_reducts():
+            for phi in maps:
+                ok, pair = verify_canonical(model, x, phi, coloring)
+                assert (ok, pair) == reference_verify(model, x, phi, coloring), (x, phi)
+                if not ok or len(model.below(coloring.front.members, x)) < 2:
+                    continue
+                for rival in rivals:
+                    assert oracle_agreement(model, coloring, x, phi, (rival,)) == (
+                        reference_oracle_agreement(model, coloring, x, phi, (rival,))
+                    ), (x, phi, rival)
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4"])
+def test_stage_b_matches_the_reference_loop(request, name):
+    model = request.getfixturevalue(name)
+    for coloring in _colorings(model):
+        engine = MixingEngine(model, coloring)
+        try:
+            z0 = engine.deciding_reduct()
+        except FusionExhaustedError as err:
+            z0 = err.partial
+        below = model.sub_reducts(z0)
+        for pos in range(coloring.front.arity()):
+            for sel in inner_family(model):
+                oracle = _position_oracle(engine, z0, pos, sel)
+                for a in filter(oracle.domain, engine.hat_members):
+                    for y in below:
+                        expected = not engine.live_bits(y, a) or reference_kernel_matches(
+                            lambda p, q: engine.mixes(z0, p, q), model, sel,
+                            engine.live_extensions(a, y),
+                        )
+                        assert oracle.check(a, y) == expected, (a, y, pos, sel)
+
+
+def test_a4_searches_keep_their_own_errors(e5):
+    with pytest.raises(TruncationTooShallowError, match="no extensions of the segment"):
+        pigeonhole_A4(e5, e5.full, e5.full, lambda p: 0)
+    with pytest.raises(DomainError, match="no extensions inside the reduct"):
+        search_inner_A4star(e5, e5.full, e5.full, lambda p: 0)
+    with pytest.raises(TruncationTooShallowError, match="no monochromatic"):
+        pigeonhole_A4(e5, EMPTY, e5.full, lambda p: 0, Config(mu=6))
+    with pytest.raises(NoInnerWitnessError, match="no selector in the family"):
+        search_inner_A4star(e5, EMPTY, e5.full, lambda p: 0, Config(mu=6))

@@ -27,6 +27,8 @@ from trspace import (
     fuse,
     generated_coloring,
     mixing_table,
+    pigeonhole_A4,
+    search_inner_A4star,
     uniform_front,
     witness_sort_key,
 )
@@ -242,6 +244,12 @@ BUDGET_ENTRY_POINTS = {
         model, _min_coloring(model), config=config
     ),
     "canonize": lambda model, config: canonize(model, _min_coloring(model), config),
+    "pigeonhole_A4": lambda model, config: pigeonhole_A4(
+        model, EMPTY, model.full, lambda p: 0, config
+    ),
+    "search_inner_A4star": lambda model, config: search_inner_A4star(
+        model, EMPTY, model.full, lambda p: 0, config
+    ),
 }
 
 

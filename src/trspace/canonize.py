@@ -130,17 +130,28 @@ def oracle_canonize(
         raise BudgetExceededError(
             f"oracle would enumerate {total} candidates, budget is {config.max_kernels}"
         )
+    maps = [InnerMap(names) for names in itertools.product(family, repeat=arity)]
+    # verify_canonical per (x, phi), with the members below x found once
+    # per reduct and each member's color and phi value once per run
+    color = {m: coloring(m) for m in coloring.front.members}
+    values: list[dict[Approx, tuple]] = [{} for _ in maps]
+
+    def same_color(p: Approx, q: Approx) -> bool:
+        return color[p] == color[q]
+
     hits: list[tuple[Approx, InnerMap]] = []
     best = -1
     for x in sorted(reducts, key=witness_sort_key):
         if len(x) < best:
             break
-        if not model.below(coloring.front.members, x):
+        members = model.below(coloring.front.members, x)
+        if not members:
             continue
-        for names in itertools.product(family, repeat=arity):
-            phi = InnerMap(names)
-            ok, _ = verify_canonical(model, x, phi, coloring)
-            if not ok:
+        for phi, memo in zip(maps, values):
+            for m in members:
+                if m not in memo:
+                    memo[m] = eval_inner(model, phi, m)
+            if first_mismatch(members, same_color, [memo[m] for m in members]) is not None:
                 continue
             if len(x) > best:
                 hits = [(x, phi)]

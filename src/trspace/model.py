@@ -131,7 +131,9 @@ class Config:
     depth_budget: Optional[int] = None
     retries: int = 3
     max_reducts: int = 500_000       # enumeration guard for a single instance
-    max_kernels: int = 2_000_000     # partition enumeration guard (Ramsey numbers)
+    # Ramsey numbers: partitions visited at arity one, colors tried at a
+    # tuple above it; oracle_canonize: (reduct, map) candidates
+    max_kernels: int = 2_000_000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -330,11 +332,30 @@ class SpaceModel(ABC):
             return empty if empty and self.leq_fin(EMPTY, x) else ()
         return tuple(s for s in approxes if self.up_mask(s) >> i & 1)
 
+    def _filled_bits(self, a: Approx, transposes: dict[Approx, int]):
+        """The bits of a's row or column that the filled transposes of
+        the reducts already hold (none unless a is a reduct), and the
+        (j, reduct j) left to evaluate, so that a pair asked through both
+        a row and a column is evaluated once."""
+        reds = self.all_reducts()
+        i = self._reduct_ids().get(a)
+        if i is None or not transposes:
+            return 0, enumerate(reds)
+        mask, rest = 0, []
+        for j, y in enumerate(reds):
+            line = transposes.get(y)
+            if line is None:
+                rest.append((j, y))
+            elif line >> i & 1:
+                mask |= 1 << j
+        return mask, rest
+
     def sub_mask(self, x: Approx) -> int:
         """Bitset of the reducts y <= x, the column of x."""
         hit = self._sub_masks.get(x)
         if hit is None:
-            hit = sum(1 << i for i, y in enumerate(self.all_reducts()) if self.leq_fin(y, x))
+            hit, rest = self._filled_bits(x, self._up_masks)
+            hit |= sum(1 << j for j, y in rest if self.leq_fin(y, x))
             self._sub_masks[x] = hit
         return hit
 
@@ -343,7 +364,8 @@ class SpaceModel(ABC):
         of s, the transpose of sub_mask."""
         hit = self._up_masks.get(s)
         if hit is None:
-            hit = sum(1 << i for i, y in enumerate(self.all_reducts()) if self.leq_fin(s, y))
+            hit, rest = self._filled_bits(s, self._sub_masks)
+            hit |= sum(1 << j for j, y in rest if self.leq_fin(s, y))
             self._up_masks[s] = hit
         return hit
 

@@ -1,17 +1,35 @@
-"""Canonical partition numbers by exhaustive kernel enumeration.
+"""Canonical partition numbers by a pruned search for a bad kernel.
 
 For arity n and target m, the canonical number is the least N such
 that every kernel of the increasing n-tuples from {0,...,N-1} admits
 an m-element set M and an index set I of coordinates where two tuples
 drawn from M get equal colors exactly when they agree on the
-coordinates in I. Kernels are enumerated once per partition as
-restricted-growth strings, so color renamings are never revisited.
+coordinates in I. N rises from m until no kernel is bad (admits no
+witness).
+
+Arity one depends only on the class sizes, so the kernels of [N] are
+its integer partitions, largest part first. A partition admits a
+witness iff its largest class has m points (I empty, constant) or it
+has m classes (I = {0}, injective); otherwise every m-set meets some
+class twice without lying inside it.
+
+Higher arities search depth first for a bad kernel. The tuples are
+colored in colex order with restricted-growth colors, so each kernel
+is met once per partition. An m-set is completed by its colex-last
+tuple t, the n largest points of the set, so after coloring t the
+search tests the m-sets t + S with S inside [0, t[0]). A completed set
+that is canonical for some I stays so in every completion, and the
+branch is cut. A full assignment is a bad kernel, and an exhausted
+tree decides N.
+
+`restricted_growth_strings` and `_admits_witness` enumerate and test
+whole kernels; they are the slow reference for both searches.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import BudgetExceededError, ParameterError
 from .model import Config, DEFAULT_CONFIG
@@ -41,26 +59,6 @@ def restricted_growth_strings(k: int) -> Iterator[tuple[int, ...]]:
             high[j] = high[i]
 
 
-def _witness_arity_one(
-    kernel: tuple[int, ...], m: int
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Witness for arity one: a class of size m gives a constant set,
-    otherwise one point from each of m classes gives an injective set.
-    When every class is smaller than m and there are fewer than m
-    classes, any m-set meets some class twice without being contained
-    in it, so neither index set works; the split is complete."""
-    classes: dict[int, list[int]] = {}
-    for point, color in enumerate(kernel):
-        classes.setdefault(color, []).append(point)
-    for members in classes.values():
-        if len(members) >= m:
-            return tuple(members[:m]), ()
-    if len(classes) >= m:
-        reps = sorted(members[0] for members in classes.values())[:m]
-        return tuple(reps), (0,)
-    return None
-
-
 def _admits_witness(
     tuples: list[tuple[int, ...]],
     kernel: tuple[int, ...],
@@ -86,41 +84,152 @@ def _admits_witness(
     return None
 
 
+def _partitions(total: int) -> Iterator[tuple[list[int], int]]:
+    """Yield (parts, size) for each partition of total >= 1 in reverse
+    lexicographic order, [total] first: the partition is parts[:size],
+    nonincreasing, and parts is one list reused between yields.
+    Zoghbi and Stojmenovic's ZS1: last is the index of the last part
+    above 1, and a trailing 2 splits into 1 + 1 in constant time."""
+    parts = [1] * total
+    parts[0] = total
+    size, last = 1, 0
+    yield parts, size
+    while parts[0] != 1:
+        if parts[last] == 2:
+            parts[last] = 1
+            size += 1
+            last -= 1
+        else:
+            part = parts[last] - 1
+            parts[last] = part
+            rest = size - last
+            while rest >= part:
+                last += 1
+                parts[last] = part
+                rest -= part
+            size = last + 1
+            if rest:
+                size += 1
+                if rest > 1:
+                    last += 1
+                    parts[last] = rest
+        yield parts, size
+
+
+def _colex_tuples(N: int, n: int) -> list[tuple[int, ...]]:
+    """The n-subsets of range(N), sorted by their reversed tuples."""
+    return sorted(combinations(range(N), n), key=lambda t: t[::-1])
+
+
+def _completion_tests(N: int, n: int, m: int) -> list[list[tuple[int, frozenset[int]]]]:
+    """Per tuple of _colex_tuples(N, n), one (mask, patterns) per m-set
+    it completes.
+
+    The pairs (i, j) of tuple indices, i < j, are bits j(j-1)/2 + i.
+    mask holds the pairs inside the m-set and patterns, per index set I,
+    those of them that agree on I; the m-set is canonical iff its
+    equal-color pairs are one of the patterns. Which pairs agree on I
+    depends only on the positions of the points inside the m-set, so
+    it is worked out once on the shape, the n-subsets of range(m)."""
+    shape = _colex_tuples(m, n)
+    pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
+    agreeing = [
+        [p for p, (u, v) in enumerate(pairs) if all(shape[u][c] == shape[v][c] for c in I)]
+        for r in range(n + 1) for I in combinations(range(n), r)
+    ]
+    tuples = _colex_tuples(N, n)
+    index = {t: k for k, t in enumerate(tuples)}
+    tests = []
+    for t in tuples:
+        row = []
+        for rest in combinations(range(t[0]), m - n):
+            points = rest + t
+            ks = [index[tuple(points[q] for q in s)] for s in shape]
+            bits = [1 << (ks[v] * (ks[v] - 1) // 2 + ks[u]) for u, v in pairs]
+            row.append((sum(bits), frozenset(sum(bits[p] for p in ps) for ps in agreeing)))
+        tests.append(row)
+    return tests
+
+
+def _bad_kernel(
+    n: int, m: int, N: int, spend: Callable[[], None]
+) -> Optional[tuple[int, ...]]:
+    """A kernel of _colex_tuples(N, n), as its colors in that order, with
+    no canonical m-set; None when every kernel has one. spend is called
+    once per partition visited at arity one, and once per color tried
+    at a tuple above it."""
+    if m <= n:
+        # an m-set holds at most one n-tuple, so it is vacuously canonical
+        return None
+    if n == 1:
+        for parts, size in _partitions(N):
+            spend()
+            if parts[0] < m and size < m:
+                return tuple(c for c in range(size) for _ in range(parts[c]))
+        return None
+    tests = _completion_tests(N, n, m)
+    count = len(tests)
+    colors = [-1] * count
+    classes: list[int] = []    # per color, the mask of tuples holding it
+    equal = [0] * (count + 1)  # equal[k]: equal-color pairs below tuple k
+    k = 0
+    while k >= 0:
+        if k == count:
+            return tuple(colors)
+        color = colors[k]
+        if color >= 0:
+            classes[color] ^= 1 << k
+            if not classes[color]:
+                classes.pop()
+        color += 1
+        if color > len(classes):
+            colors[k] = -1
+            k -= 1
+            continue
+        spend()
+        colors[k] = color
+        if color == len(classes):
+            classes.append(1 << k)
+            pairs = equal[k]
+        else:
+            pairs = equal[k] | classes[color] << (k * (k - 1) // 2)
+            classes[color] |= 1 << k
+        for mask, patterns in tests[k]:
+            if pairs & mask in patterns:
+                break
+        else:
+            equal[k + 1] = pairs
+            k += 1
+    return None
+
+
 def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> int:
     """Least N such that every kernel on the increasing n-tuples from
     {0,...,N-1} admits a size-m witness set with some index set.
 
-    Arity one uses the complete constant-or-injective construction;
-    higher arities fall back to the direct search, which is only
-    feasible for tiny targets. Enumeration is metered against
-    config.max_kernels; on exhaustion the error carries the largest N
-    whose verdict was fully decided.
+    config.max_kernels meters the search: partitions visited at arity
+    one, colors tried at a tuple above it. On exhaustion the error
+    carries the largest N shown to have a bad kernel.
     """
     if n < 1 or m < 1:
         raise ParameterError("arity and target must both be at least 1")
     spent = 0
     largest_decided: Optional[int] = None
     N = m
+
+    def spend() -> None:
+        nonlocal spent
+        spent += 1
+        if spent > config.max_kernels:
+            err = BudgetExceededError(
+                f"kernel budget {config.max_kernels} exhausted while "
+                f"checking N={N}; largest fully decided N: {largest_decided}"
+            )
+            err.largest_checked = largest_decided
+            raise err
+
     while True:
-        tuples = list(combinations(range(N), n))
-        all_good = True
-        for kernel in restricted_growth_strings(len(tuples)):
-            spent += 1
-            if spent > config.max_kernels:
-                err = BudgetExceededError(
-                    f"kernel budget {config.max_kernels} exhausted while "
-                    f"checking N={N}; largest fully decided N: {largest_decided}"
-                )
-                err.largest_checked = largest_decided
-                raise err
-            if n == 1:
-                hit = _witness_arity_one(kernel, m)
-            else:
-                hit = _admits_witness(tuples, kernel, n, m, N)
-            if hit is None:
-                all_good = False
-                break
-        if all_good:
+        if _bad_kernel(n, m, N, spend) is None:
             return N
         largest_decided = N
         N += 1

@@ -114,7 +114,7 @@ def test_er_number_budget_is_undecided(capsys):
     code, rep = run(capsys, ["er-number", "1", "4", "--max-kernels", "50"])
     assert code == 2
     assert rep["verdict"] == "undecided"
-    assert rep["largest_checked"] == 7
+    assert rep["largest_checked"] == 9
     assert "budget" in rep["error"]
 
 

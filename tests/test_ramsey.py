@@ -1,4 +1,5 @@
-"""Canonical partition numbers and the kernel enumerator behind them."""
+"""Canonical partition numbers, the searches behind them and their
+whole-kernel oracle."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from trspace import (
     canonical_ramsey_number,
     restricted_growth_strings,
 )
+from trspace.ramsey import _admits_witness, _bad_kernel, _colex_tuples, _partitions
 
 
 def bell_numbers(k: int) -> list[int]:
@@ -96,11 +98,12 @@ def test_pair_numbers_small():
 
 
 def test_budget_error_carries_progress():
-    # N=4..7 are each decided by an early failing kernel; the budget
-    # runs dry inside the N=8 sweep
+    # largest part first, N=4..9 each end at their first bad partition
+    # after 2+3+5+8+13+19 = 50 partitions; the budget runs dry inside
+    # the N=10 sweep (p(10) = 42)
     with pytest.raises(BudgetExceededError) as info:
         canonical_ramsey_number(1, 4, Config(max_kernels=50))
-    assert info.value.largest_checked == 7
+    assert info.value.largest_checked == 9
 
 
 def test_parameter_guards():
@@ -108,3 +111,92 @@ def test_parameter_guards():
         canonical_ramsey_number(0, 2)
     with pytest.raises(ParameterError):
         canonical_ramsey_number(2, 0)
+
+
+# ---------------------------------------------------------------------------
+# The searches against the whole-kernel oracle.
+
+def no_budget() -> None:
+    pass
+
+
+def partition_counts(limit: int) -> list[int]:
+    """p(0..limit) by adding one allowed part size at a time."""
+    counts = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for total in range(part, limit + 1):
+            counts[total] += counts[total - part]
+    return counts
+
+
+def test_partition_count_matches_recurrence():
+    counts = partition_counts(20)
+    for N in range(1, 21):
+        assert sum(1 for _ in _partitions(N)) == counts[N], N
+
+
+def test_partitions_are_distinct_largest_first():
+    for N in range(1, 13):
+        seen = [tuple(parts[:size]) for parts, size in _partitions(N)]
+        assert all(sum(p) == N and list(p) == sorted(p, reverse=True) for p in seen)
+        assert seen == sorted(set(seen), reverse=True), N
+
+
+def test_unary_numbers_match_closed_form():
+    assert [canonical_ramsey_number(1, m) for m in range(1, 9)] == [
+        (m - 1) ** 2 + 1 for m in range(1, 9)
+    ]
+
+
+def test_targets_at_most_the_arity_are_vacuous():
+    # an m-set holds no n-tuple when m < n and one when m = n, so the
+    # search must not take the empty or one-tuple assignment for bad
+    pinned = {(2, 1): 1, (3, 1): 1, (3, 2): 2, (3, 3): 3, (2, 2): 2}
+    for (n, m), value in pinned.items():
+        assert canonical_ramsey_number(n, m) == value, (n, m)
+        assert _bad_kernel(n, m, m, no_budget) is None, (n, m)
+
+
+ORACLE_CAP = 2000  # kernels the oracle may test for one (n, m, N)
+
+
+def oracle_is_bad(n: int, m: int, N: int):
+    """True or False when whole-kernel enumeration decides N within the
+    cap, None when it does not."""
+    tuples = list(combinations(range(N), n))
+    for count, kernel in enumerate(restricted_growth_strings(len(tuples))):
+        if count == ORACLE_CAP:
+            return None
+        if _admits_witness(tuples, kernel, n, m, N) is None:
+            return True
+    return False
+
+
+def test_colex_search_agrees_with_oracle():
+    decided = []
+    for n in (2, 3):
+        for m in range(1, 6):
+            for N in range(m, 8):
+                verdict = oracle_is_bad(n, m, N)
+                if verdict is None:
+                    continue
+                decided.append((n, m, N))
+                assert (_bad_kernel(n, m, N, no_budget) is not None) == verdict, (n, m, N)
+    assert (2, 3, 4) in decided and (3, 4, 5) not in decided
+    assert len(decided) == 27
+
+
+CERTIFIED = (
+    (1, 4, range(4, 10)), (1, 5, range(5, 17)),
+    (2, 3, range(3, 4)), (2, 4, range(4, 11)), (2, 5, range(5, 8)),
+    (3, 4, range(4, 7)), (3, 5, range(5, 7)),
+)
+
+
+def test_bad_kernels_are_certified_by_the_oracle():
+    for n, m, sizes in CERTIFIED:
+        for N in sizes:
+            kernel = _bad_kernel(n, m, N, no_budget)
+            assert kernel is not None, (n, m, N)
+            assert len(kernel) == len(_colex_tuples(N, n))
+            assert _admits_witness(_colex_tuples(N, n), kernel, n, m, N) is None, (n, m, N)

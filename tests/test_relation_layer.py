@@ -10,6 +10,7 @@ loop that comes back fails without any timing.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -29,6 +30,7 @@ from trspace import (
     Config,
     EllentuckModel,
     MixingEngine,
+    build_ellentuck,
     build_fin,
     build_tree,
     canonical_json,
@@ -464,6 +466,28 @@ def _assert_up_mask_is_the_transpose(model):
     for i, s in enumerate(reds):
         for j, y in enumerate(reds):
             assert (model.up_mask(s) >> j & 1) == (model.sub_mask(y) >> i & 1), (s, y)
+
+
+@pytest.mark.parametrize("rows_first", [True, False], ids=["rows-first", "columns-first"])
+@pytest.mark.parametrize("build", [lambda: build_ellentuck(5), lambda: build_fin(4)], ids=["e5", "fin4"])
+def test_rows_and_columns_evaluate_each_pair_once(build, rows_first):
+    model = build()
+    reds = model.all_reducts()
+    asked = collections.Counter()
+    hook = model._leq_fin
+
+    def counting(s, t):
+        asked[s, t] += 1
+        return hook(s, t)
+
+    model._leq_fin = counting
+    lines = (model.up_mask, model.sub_mask) if rows_first else (model.sub_mask, model.up_mask)
+    for fill in lines:
+        for a in reds:
+            fill(a)
+    assert len(asked) == len(reds) ** 2
+    assert set(asked.values()) == {1}
+    _assert_up_mask_is_the_transpose(model)
 
 
 def _assert_engine_matches_reference(model, coloring, mu, triples):

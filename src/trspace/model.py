@@ -480,7 +480,20 @@ def _check_a2(model: SpaceModel, config: Config) -> dict:
     named = (*approxes, *reds)
     universe = tuple(dict.fromkeys(itertools.chain(named, *map(model.segments, named))))
     index = {u: j for j, u in enumerate(universe)}
-    rows = [sum(1 << j for j, t in enumerate(universe) if model.leq_fin(s, t)) for s in universe]
+    # Only EMPTY and the reducts lie below anything. Their rows read the
+    # reduct columns off the model's stored up_mask rows, which later
+    # checks on the model share, and ask leq_fin for the other columns.
+    ids = model._reduct_ids()
+    at_reducts = [(j, ids[t]) for j, t in enumerate(universe) if t in ids]
+    elsewhere = [(j, t) for j, t in enumerate(universe) if t not in ids]
+    rows = []
+    for s in universe:
+        row = 0
+        if not s.blocks or s in ids:
+            up = model.up_mask(s)
+            row = sum(1 << j for j, i in at_reducts if up >> i & 1)
+            row |= sum(1 << j for j, t in elsewhere if model.leq_fin(s, t))
+        rows.append(row)
     seg_mask = {t: sum(1 << j for j in {index[u] for u in model.segments(t)}) for t in named}
     # A.2(1): predecessor sets are finite; report the largest one.
     largest = max(sum(row >> j & 1 for row in rows[:n]) for j in range(n))
@@ -578,9 +591,8 @@ def check_axioms(model: SpaceModel, axiom: str, config: Config = DEFAULT_CONFIG)
     axiom is "A1", "A2" or "A3"; the amalgamation pigeonhole has its own
     entry point (pigeonhole_A4) because it takes a coloring.
     """
-    try:
-        checker = _CHECKERS[axiom.upper()]
-    except KeyError:
+    checker = _CHECKERS.get(axiom)
+    if checker is None:
         raise DomainError(f"unknown axiom group {axiom!r}; expected A1, A2 or A3")
     model.all_reducts(config.max_reducts)
     report = checker(model, config)

@@ -22,13 +22,19 @@ that is canonical for some I stays so in every completion, and the
 branch is cut. A full assignment is a bad kernel, and an exhausted
 tree decides N.
 
+A tuple's index in colex order is its colex rank, which does not
+depend on N, so the tests of the tuples of [N] are the first rows of
+those of [N+1]. One table per call holds them and grows as N rises,
+adding only the rows of the tuples whose last point is N.
+
 `restricted_growth_strings` and `_admits_witness` enumerate and test
 whole kernels; they are the slow reference for both searches.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count, islice
+from math import comb
 from typing import Callable, Iterator, Optional
 
 from .errors import BudgetExceededError, ParameterError
@@ -121,43 +127,60 @@ def _colex_tuples(N: int, n: int) -> list[tuple[int, ...]]:
     return sorted(combinations(range(N), n), key=lambda t: t[::-1])
 
 
-def _completion_tests(N: int, n: int, m: int) -> list[list[tuple[int, frozenset[int]]]]:
-    """Per tuple of _colex_tuples(N, n), one (mask, patterns) per m-set
-    it completes.
+def _completion_rows(n: int, m: int) -> Iterator[list[tuple[int, frozenset[int]]]]:
+    """Per n-tuple of the naturals in colex order, one (mask, patterns)
+    per m-set it completes; endless.
 
-    The pairs (i, j) of tuple indices, i < j, are bits j(j-1)/2 + i.
-    mask holds the pairs inside the m-set and patterns, per index set I,
-    those of them that agree on I; the m-set is canonical iff its
-    equal-color pairs are one of the patterns. Which pairs agree on I
-    depends only on the positions of the points inside the m-set, so
-    it is worked out once on the shape, the n-subsets of range(m)."""
+    A tuple's index is its colex rank, the sum of C(t[i], i + 1), so the
+    tuples of range(N) are the first C(N, n) and their rows do not
+    depend on N. The pairs (i, j) of tuple indices, i < j, are bits
+    j(j-1)/2 + i. mask holds the pairs inside the m-set and patterns,
+    per index set I, those of them that agree on I; the m-set is
+    canonical iff its equal-color pairs are one of the patterns. Which
+    pairs agree on I depends only on the positions of the points inside
+    the m-set, so it is worked out once on the shape, the n-subsets of
+    range(m)."""
     shape = _colex_tuples(m, n)
     pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
     agreeing = [
         [p for p, (u, v) in enumerate(pairs) if all(shape[u][c] == shape[v][c] for c in I)]
         for r in range(n + 1) for I in combinations(range(n), r)
     ]
-    tuples = _colex_tuples(N, n)
-    index = {t: k for k, t in enumerate(tuples)}
-    tests = []
-    for t in tuples:
-        row = []
-        for rest in combinations(range(t[0]), m - n):
-            points = rest + t
-            ks = [index[tuple(points[q] for q in s)] for s in shape]
-            bits = [1 << (ks[v] * (ks[v] - 1) // 2 + ks[u]) for u, v in pairs]
-            row.append((sum(bits), frozenset(sum(bits[p] for p in ps) for ps in agreeing)))
-        tests.append(row)
-    return tests
+    for last in count(n - 1):
+        for head in _colex_tuples(last, n - 1):
+            t = head + (last,)
+            row = []
+            for rest in combinations(range(t[0]), m - n):
+                points = rest + t
+                ks = [sum(comb(points[q], i + 1) for i, q in enumerate(s)) for s in shape]
+                bits = [1 << (ks[v] * (ks[v] - 1) // 2 + ks[u]) for u, v in pairs]
+                row.append((sum(bits), frozenset(sum(bits[p] for p in ps) for ps in agreeing)))
+            yield row
+
+
+class _CompletionTable:
+    """The rows of _completion_rows(n, m) for the tuples of range(N),
+    grown as N rises: one table serves every N of a search."""
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.rows: list[list[tuple[int, frozenset[int]]]] = []
+        self._more = _completion_rows(n, m)
+
+    def grow(self, N: int) -> list[list[tuple[int, frozenset[int]]]]:
+        """The table, holding at least the rows of the tuples of range(N)."""
+        self.rows.extend(islice(self._more, max(0, comb(N, self.n) - len(self.rows))))
+        return self.rows
 
 
 def _bad_kernel(
-    n: int, m: int, N: int, spend: Callable[[], None]
+    table: _CompletionTable, N: int, spend: Callable[[], None]
 ) -> Optional[tuple[int, ...]]:
-    """A kernel of _colex_tuples(N, n), as its colors in that order, with
-    no canonical m-set; None when every kernel has one. spend is called
-    once per partition visited at arity one, and once per color tried
-    at a tuple above it."""
+    """A kernel of the n-tuples of range(N), as its colors in colex
+    order, with no canonical m-set; None when every kernel has one. n
+    and m are the table's. spend is called once per partition visited
+    at arity one, and once per color tried at a tuple above it."""
+    n, m = table.n, table.m
     if m <= n:
         # an m-set holds at most one n-tuple, so it is vacuously canonical
         return None
@@ -167,14 +190,14 @@ def _bad_kernel(
             if parts[0] < m and size < m:
                 return tuple(c for c in range(size) for _ in range(parts[c]))
         return None
-    tests = _completion_tests(N, n, m)
-    count = len(tests)
-    colors = [-1] * count
+    tests = table.grow(N)
+    total = comb(N, n)
+    colors = [-1] * total
     classes: list[int] = []    # per color, the mask of tuples holding it
-    equal = [0] * (count + 1)  # equal[k]: equal-color pairs below tuple k
+    equal = [0] * (total + 1)  # equal[k]: equal-color pairs below tuple k
     k = 0
     while k >= 0:
-        if k == count:
+        if k == total:
             return tuple(colors)
         color = colors[k]
         if color >= 0:
@@ -228,8 +251,9 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
             err.largest_checked = largest_decided
             raise err
 
+    table = _CompletionTable(n, m)
     while True:
-        if _bad_kernel(n, m, N, spend) is None:
+        if _bad_kernel(table, N, spend) is None:
             return N
         largest_decided = N
         N += 1

@@ -40,6 +40,12 @@ def test_unknown_axiom_label_rejected(e5):
         check_axioms(e5, "A9")
 
 
+@pytest.mark.parametrize("label", ["a1", "a2", "a3", "A4", " A1", ""])
+def test_axiom_labels_have_one_spelling(e5, label):
+    with pytest.raises(DomainError):
+        check_axioms(e5, label)
+
+
 # ---------------------------------------------------------------------------
 # Injected defects: the harness must notice broken structure maps.
 

@@ -47,6 +47,7 @@ CASES = (
     "canonize tree b=2 h=2 --front AU2 --coloring random-kernel --oracle --seed 7",
     # budget stops
     "er-number 1 4 --max-kernels 50",
+    "er-number 2 4 --max-kernels 1000",
     "verify-axioms ellentuck N=4 --max-reducts 3",
 )
 

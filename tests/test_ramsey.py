@@ -14,7 +14,13 @@ from trspace import (
     canonical_ramsey_number,
     restricted_growth_strings,
 )
-from trspace.ramsey import _admits_witness, _bad_kernel, _colex_tuples, _partitions
+from trspace.ramsey import (
+    _CompletionTable,
+    _admits_witness,
+    _bad_kernel,
+    _colex_tuples,
+    _partitions,
+)
 
 
 def bell_numbers(k: int) -> list[int]:
@@ -154,7 +160,7 @@ def test_targets_at_most_the_arity_are_vacuous():
     pinned = {(2, 1): 1, (3, 1): 1, (3, 2): 2, (3, 3): 3, (2, 2): 2}
     for (n, m), value in pinned.items():
         assert canonical_ramsey_number(n, m) == value, (n, m)
-        assert _bad_kernel(n, m, m, no_budget) is None, (n, m)
+        assert _bad_kernel(_CompletionTable(n, m), m, no_budget) is None, (n, m)
 
 
 ORACLE_CAP = 2000  # kernels the oracle may test for one (n, m, N)
@@ -181,7 +187,7 @@ def test_colex_search_agrees_with_oracle():
                 if verdict is None:
                     continue
                 decided.append((n, m, N))
-                assert (_bad_kernel(n, m, N, no_budget) is not None) == verdict, (n, m, N)
+                assert (_bad_kernel(_CompletionTable(n, m), N, no_budget) is not None) == verdict, (n, m, N)
     assert (2, 3, 4) in decided and (3, 4, 5) not in decided
     assert len(decided) == 27
 
@@ -195,8 +201,100 @@ CERTIFIED = (
 
 def test_bad_kernels_are_certified_by_the_oracle():
     for n, m, sizes in CERTIFIED:
+        table = _CompletionTable(n, m)
         for N in sizes:
-            kernel = _bad_kernel(n, m, N, no_budget)
+            kernel = _bad_kernel(table, N, no_budget)
             assert kernel is not None, (n, m, N)
             assert len(kernel) == len(_colex_tuples(N, n))
             assert _admits_witness(_colex_tuples(N, n), kernel, n, m, N) is None, (n, m, N)
+
+
+# ---------------------------------------------------------------------------
+# The completion table, grown across N, against a table built from
+# scratch for each N.
+
+def _completion_tests(N: int, n: int, m: int) -> list[list[tuple[int, frozenset[int]]]]:
+    """Per tuple of _colex_tuples(N, n), one (mask, patterns) per m-set
+    it completes, with tuple indices looked up in a per-N dict."""
+    shape = _colex_tuples(m, n)
+    pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
+    agreeing = [
+        [p for p, (u, v) in enumerate(pairs) if all(shape[u][c] == shape[v][c] for c in I)]
+        for r in range(n + 1) for I in combinations(range(n), r)
+    ]
+    tuples = _colex_tuples(N, n)
+    index = {t: k for k, t in enumerate(tuples)}
+    tests = []
+    for t in tuples:
+        row = []
+        for rest in combinations(range(t[0]), m - n):
+            points = rest + t
+            ks = [index[tuple(points[q] for q in s)] for s in shape]
+            bits = [1 << (ks[v] * (ks[v] - 1) // 2 + ks[u]) for u, v in pairs]
+            row.append((sum(bits), frozenset(sum(bits[p] for p in ps) for ps in agreeing)))
+        tests.append(row)
+    return tests
+
+
+@pytest.mark.parametrize("n, m, top", [(2, 4, 11), (2, 5, 11), (3, 4, 7), (3, 5, 7)])
+def test_grown_table_equals_the_table_built_per_n(n, m, top):
+    table = _CompletionTable(n, m)
+    for N in range(1, top + 1):
+        rows = table.grow(N)
+        reference = _completion_tests(N, n, m)
+        assert len(rows) == len(reference) == len(_colex_tuples(N, n)), N
+        assert rows == reference, N
+
+
+def test_a_smaller_n_reads_a_prefix_of_the_grown_table():
+    table = _CompletionTable(2, 4)
+    table.grow(9)
+    for N in range(4, 10):
+        kernel = _bad_kernel(table, N, no_budget)
+        assert kernel == _bad_kernel(_CompletionTable(2, 4), N, no_budget), N
+        assert len(kernel) == len(_colex_tuples(N, 2))
+
+
+# ---------------------------------------------------------------------------
+# The budget unit above arity one: nodes, one color tried at one tuple.
+
+# Nodes spent on each N until its first bad kernel, recorded before the
+# table was grown across N. (2,4) at N=11 and (3,4) at N=6 are the N the
+# budget jobs below stop in.
+NODES_PER_N = {
+    (2, 4): {4: 7, 5: 13, 6: 28, 7: 62, 8: 176, 9: 667, 10: 2817, 11: 12300},
+    (3, 4): {4: 7, 5: 107, 6: 447},
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(NODES_PER_N))
+def test_nodes_spent_per_n(n, m):
+    table = _CompletionTable(n, m)
+    spent = {}
+    for N in NODES_PER_N[n, m]:
+        nodes = 0
+
+        def spend():
+            nonlocal nodes
+            nodes += 1
+
+        assert _bad_kernel(table, N, spend) is not None, N
+        spent[N] = nodes
+    assert spent == NODES_PER_N[n, m]
+
+
+BUDGET_STOPS = (
+    (2, 4, 1_000, 10, 9), (2, 4, 5_000, 11, 10), (2, 4, 10_000, 11, 10),
+    (3, 4, 300, 6, 5), (3, 4, 5_000, 7, 6), (3, 4, 10_000, 7, 6),
+)
+
+
+@pytest.mark.parametrize("n, m, budget, checking, largest", BUDGET_STOPS)
+def test_budget_stops_above_arity_one(n, m, budget, checking, largest):
+    with pytest.raises(BudgetExceededError) as info:
+        canonical_ramsey_number(n, m, Config(max_kernels=budget))
+    assert info.value.largest_checked == largest
+    assert str(info.value) == (
+        f"kernel budget {budget} exhausted while checking N={checking}; "
+        f"largest fully decided N: {largest}"
+    )

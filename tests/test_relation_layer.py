@@ -490,6 +490,31 @@ def test_rows_and_columns_evaluate_each_pair_once(build, rows_first):
     _assert_up_mask_is_the_transpose(model)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_ellentuck(5), lambda: build_fin(4), lambda: build_tree(2, 2)],
+    ids=["e5", "fin4", "tree22"],
+)
+def test_axioms_in_turn_evaluate_each_pair_once(build):
+    # A2's rows for EMPTY and the reducts are the model's up_mask rows,
+    # so A3's columns read them instead of asking the hook again.
+    model = build()
+    asked = collections.Counter()
+    hook = model._leq_fin
+
+    def counting(s, t):
+        asked[s, t] += 1
+        return hook(s, t)
+
+    model._leq_fin = counting
+    for axiom in ("A1", "A2", "A3"):
+        assert check_axioms(model, axiom)["verdict"] == "pass", axiom
+    reds = model.all_reducts()
+    assert len(asked) >= len(reds) ** 2
+    assert set(asked.values()) == {1}
+    _assert_up_mask_is_the_transpose(model)
+
+
 def _assert_engine_matches_reference(model, coloring, mu, triples):
     engine = MixingEngine(model, coloring, Config(mu=mu))
     reference = ReferenceMixing(model, coloring, mu)

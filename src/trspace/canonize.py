@@ -52,10 +52,7 @@ class InnerMap:
 
 def inner_family(model: SpaceModel) -> tuple[str, ...]:
     """Selector catalog of the space, the drop component first."""
-    names = model.selector_names()
-    if names[0] != "drop":
-        names = ("drop",) + tuple(n for n in names if n != "drop")
-    return names
+    return model.selector_names()
 
 
 def eval_inner(model: SpaceModel, phi: InnerMap, t: Approx) -> tuple:
@@ -324,7 +321,7 @@ def canonize(
         "retries_used": 0,
         "fallback": False,
     }
-    if model.kind == "tree":
+    if model.family_limited:
         stats["family_limited"] = True
 
     try:
@@ -445,19 +442,12 @@ def lemma_suite(
             continue
         exts = engine.live_extensions(base, witness)
         for t in hat_w:
-            for i, p in enumerate(exts):
-                if depths[t] != depths[p]:
-                    continue
-                if not engine.mixes(witness, t, p):
-                    continue
-                for q in exts[i + 1:]:
-                    if depths[q] != depths[p]:
-                        continue
-                    if not engine.mixes(witness, t, q):
-                        continue
-                    vp = model.apply_selector(phi.selectors[pos], p.blocks[-1])
-                    vq = model.apply_selector(phi.selectors[pos], q.blocks[-1])
-                    if vp != vq:
+            # The extensions at t's depth mixing with t, each asked once.
+            mixed = [p for p in exts if depths[p] == depths[t] and engine.mixes(witness, t, p)]
+            vals = [model.apply_selector(phi.selectors[pos], p.blocks[-1]) for p in mixed]
+            for i, p in enumerate(mixed):
+                for q, vq in zip(mixed[i + 1:], vals[i + 1:]):
+                    if vals[i] != vq:
                         class_violations.append({"t": t, "p": p, "q": q})
 
     verdict = "pass" if not (
@@ -541,6 +531,20 @@ def property_p_check(
     engine = MixingEngine(model, coloring, config)
     z0 = engine.deciding_reduct()
     interior = engine.interior_below(z0)
+    # Per segment, the A.4* selector of its mixing classes at z0, or None
+    # when the search finds none; each segment is searched once.
+    selector: dict[Approx, Optional[str]] = {}
+
+    def selector_of(a: Approx) -> Optional[str]:
+        if a not in selector:
+            try:
+                selector[a] = search_inner_A4star(
+                    model, a, z0, lambda p: _mix_class(engine, z0, a, p), config,
+                )[1]
+            except (DomainError, NoInnerWitnessError):
+                selector[a] = None
+        return selector[a]
+
     violations = []
     skipped = 0
     checked = 0
@@ -548,16 +552,9 @@ def property_p_check(
         for t in interior[i + 1:]:
             if len(s) != len(t):
                 continue
-            try:
-                _, sel_s = search_inner_A4star(
-                    model, s, z0,
-                    lambda p: _mix_class(engine, z0, s, p), config,
-                )
-                _, sel_t = search_inner_A4star(
-                    model, t, z0,
-                    lambda p: _mix_class(engine, z0, t, p), config,
-                )
-            except (DomainError, NoInnerWitnessError):
+            sel_s = selector_of(s)
+            sel_t = selector_of(t) if sel_s is not None else None
+            if sel_t is None:
                 skipped += 1
                 continue
             for z in model.sub_reducts(z0):

@@ -163,7 +163,7 @@ class SpaceModel(ABC):
     what one-step extensions grow from EMPTY inside it; their initial
     segments are the approximations of the instance. Subclasses supply
     the finitization order _leq_fin on those approximations, the one-step
-    extensions _extension_blocks and the selector catalog. Everything
+    extensions _extension_blocks and the selectors table. Everything
     else (depth, basic sets, axiom checks, fusion) is shared and
     expressed through these two hooks. leq_fin memoizes no pairs: the
     relation is stored only as lazily filled bitsets over the reduct ids,
@@ -218,14 +218,25 @@ class SpaceModel(ABC):
         leq_fin(s, x).
         """
 
-    # Inner selector catalog; canonize builds on these.
+    # Inner selector catalog, a block's selected atoms by name, drop
+    # first; spaces add their entries and canonize tries them in order.
+    selectors: dict[str, Callable[[Block], tuple[int, ...]]] = {"drop": lambda block: ()}
+    # The catalog cannot express every canonical map of the space.
+    family_limited: bool = False
+
     def selector_names(self) -> tuple[str, ...]:
-        return ("drop",)
+        return tuple(self.selectors)
 
     def apply_selector(self, name: str, block: Block) -> tuple[int, ...]:
-        if name == "drop":
-            return ()
-        raise DomainError(f"unknown selector {name!r} for {self.kind}")
+        select = self.selectors.get(name)
+        if select is None:
+            raise DomainError(f"unknown selector {name!r} for {self.kind}")
+        return select(block)
+
+    def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
+        """block properly contains w and combines it with material past s;
+        never, unless the space builds blocks out of several pieces."""
+        return False
 
     # ---- shared operations ---------------------------------------------
 

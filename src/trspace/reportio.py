@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from typing import Optional
 
 from .errors import ParameterError
@@ -42,14 +43,7 @@ def approx_from_json(payload: dict) -> Approx:
 
 
 def config_to_json(config: Config) -> dict:
-    return {
-        "mu": config.mu,
-        "depth_budget": config.depth_budget,
-        "retries": config.retries,
-        "max_reducts": config.max_reducts,
-        "max_kernels": config.max_kernels,
-        "seed": config.seed,
-    }
+    return {f.name: getattr(config, f.name) for f in fields(Config)}
 
 
 def to_jsonable(obj):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .model import Approx, Block, SpaceModel
 from .reportio import is_int_list
 
@@ -23,6 +23,9 @@ from .reportio import is_int_list
 
 class EllentuckModel(SpaceModel):
     kind = "ellentuck"
+    selectors = {**SpaceModel.selectors, "keep": lambda block: block.atoms}
+    # Extensions carry a single atom, so no block properly contains
+    # another and proper_combination keeps its default.
 
     def __init__(self, n_atoms: int):
         if n_atoms < 1:
@@ -36,20 +39,6 @@ class EllentuckModel(SpaceModel):
         floor = s.blocks[-1].atoms[0] if s.blocks else -1
         return tuple(b for b in x.blocks if b.atoms[0] > floor)
 
-    def selector_names(self) -> tuple[str, ...]:
-        return ("drop", "keep")
-
-    def apply_selector(self, name: str, block: Block) -> tuple[int, ...]:
-        if name == "drop":
-            return ()
-        if name == "keep":
-            return block.atoms
-        raise DomainError(f"unknown selector {name!r} for {self.kind}")
-
-    def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
-        # Extensions carry a single atom; no block properly contains another.
-        return False
-
 
 # ---------------------------------------------------------------------------
 # FIN block sequences: ground levels are the unit blocks, a block is the
@@ -57,6 +46,13 @@ class EllentuckModel(SpaceModel):
 
 class FinModel(SpaceModel):
     kind = "fin"
+    selectors = {
+        **SpaceModel.selectors,
+        "min": lambda block: block.atoms[:1],
+        "max": lambda block: block.atoms[-1:],
+        "minmax": lambda block: (block.atoms[0], block.atoms[-1]),
+        "identity": lambda block: block.atoms,
+    }
 
     def __init__(self, levels: Iterable[Iterable[int]], span_cap: Optional[int] = None):
         lv = [list(l) for l in levels]
@@ -114,22 +110,6 @@ class FinModel(SpaceModel):
                     out.append(Block(source=source, atoms=atoms))
         return tuple(out)
 
-    def selector_names(self) -> tuple[str, ...]:
-        return ("drop", "min", "max", "minmax", "identity")
-
-    def apply_selector(self, name: str, block: Block) -> tuple[int, ...]:
-        if name == "drop":
-            return ()
-        if name == "min":
-            return (block.atoms[0],)
-        if name == "max":
-            return (block.atoms[-1],)
-        if name == "minmax":
-            return (block.atoms[0], block.atoms[-1])
-        if name == "identity":
-            return block.atoms
-        raise DomainError(f"unknown selector {name!r} for {self.kind}")
-
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
         bi = self.ground_indices(block)
         wi = self.ground_indices(w)
@@ -147,6 +127,10 @@ class FinModel(SpaceModel):
 
 class TreeModel(SpaceModel):
     kind = "tree"
+    # Per-node selectors are not expressible per level; the catalog
+    # stays coarse and canonization reports it as limited.
+    selectors = {**SpaceModel.selectors, "full": lambda block: block.atoms}
+    family_limited = True
 
     def __init__(self, branching: int, height: int):
         if branching < 2:
@@ -166,36 +150,6 @@ class TreeModel(SpaceModel):
             levels.append(range(start, start + branching ** d))
         super().__init__(levels, params={"b": branching, "h": height})
 
-    # node helpers -------------------------------------------------------
-
-    def node_depth(self, u: int) -> int:
-        d = 0
-        while u >= (self.b ** (d + 1) - 1) // (self.b - 1):
-            d += 1
-        return d
-
-    def _level_start(self, d: int) -> int:
-        return (self.b ** d - 1) // (self.b - 1)
-
-    def descendants(self, u: int, depth: int) -> range:
-        d = self.node_depth(u)
-        if depth < d:
-            return range(0)
-        idx = u - self._level_start(d)
-        width = self.b ** (depth - d)
-        base = self._level_start(depth) + idx * width
-        return range(base, base + width)
-
-    def child(self, u: int, direction: int) -> int:
-        d = self.node_depth(u)
-        idx = u - self._level_start(d)
-        return self._level_start(d + 1) + idx * self.b + direction
-
-    # structure ----------------------------------------------------------
-
-    def _block_depth(self, block: Block) -> int:
-        return block.source[0] - 1
-
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         # Both are strong subtrees of the instance, and ground strongness
         # plus containment is equivalent to strongness relative to t, so
@@ -211,35 +165,28 @@ class TreeModel(SpaceModel):
                 for xb in x.blocks for u in xb.atoms
             )
         last = s.blocks[-1]
-        d_last = self._block_depth(last)
+        d = last.source[0] - 1
+        first = self.levels[d][0]
         out: list[Block] = []
         for xb in x.blocks:
-            dl = self._block_depth(xb)
-            if dl <= d_last:
+            dl = xb.source[0] - 1
+            if dl <= d:
                 continue
-            pool = set(xb.atoms)
-            slots = []
-            for u in last.atoms:
-                for c in range(self.b):
-                    cands = [v for v in self.descendants(self.child(u, c), dl) if v in pool]
-                    slots.append(cands)
+            # Nodes are numbered in level order: child c of the i-th node
+            # of level d is node k = i*b + c of level d+1, and its
+            # descendants at depth dl are run k, of width b^(dl-d-1), of
+            # level dl.
+            level, width, pool = self.levels[dl], self.b ** (dl - d - 1), set(xb.atoms)
+            slots = [
+                [v for v in level[k * width:(k + 1) * width] if v in pool]
+                for u in last.atoms
+                for k in range((u - first) * self.b, (u - first + 1) * self.b)
+            ]
             if any(not cands for cands in slots):
                 continue
             for pick in itertools.product(*slots):
                 out.append(Block(source=(dl + 1, dl + 2), atoms=tuple(sorted(pick))))
         return tuple(out)
-
-    def selector_names(self) -> tuple[str, ...]:
-        # Per-node selectors are not expressible per level; the catalog
-        # stays coarse and canonization reports it as limited.
-        return ("drop", "full")
-
-    def apply_selector(self, name: str, block: Block) -> tuple[int, ...]:
-        if name == "drop":
-            return ()
-        if name == "full":
-            return block.atoms
-        raise DomainError(f"unknown selector {name!r} for {self.kind}")
 
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
         if block.source != w.source:

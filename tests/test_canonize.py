@@ -3,6 +3,8 @@ structure lemmas, maximality, recoloring and avoidance."""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from trspace import (
@@ -13,6 +15,7 @@ from trspace import (
     EMPTY,
     GENERATORS,
     InnerMap,
+    MixingEngine,
     NoInnerWitnessError,
     avoidance_check,
     build_ellentuck,
@@ -31,6 +34,9 @@ from trspace import (
     verify_canonical,
 )
 from helpers import ea, fa, atoms_of
+
+# The package exports the canonize function under the submodule's name.
+canonize_module = importlib.import_module("trspace.canonize")
 
 
 EXPECTED_ELLENTUCK_PHI = {
@@ -245,6 +251,37 @@ def test_lemma_suite_flags_a_wrong_map(e6):
     assert suite["color_respects_phi"]["violations"]
 
 
+def test_lemma_suite_asks_each_mixing_question_once(fin4, monkeypatch):
+    cmin = color_front(uniform_front(fin4, 1), GENERATORS["min"], name="min")
+    report = canonize(fin4, cmin)
+    w, phi = report.witness, report.phi
+    engine = MixingEngine(fin4, cmin)
+    hat_w = engine.hat_below(w)
+    values = [eval_inner(fin4, phi, a) for a in hat_w]
+    depth = {a: fin4.depth(w, a) for a in hat_w}
+    # equal-values-mix asks once per phi-equal pair of hat segments,
+    # class-uniqueness once per interior base, hat segment t and live
+    # extension of the base at t's depth.
+    expected = sum(
+        values[i] == values[j] for i in range(len(hat_w)) for j in range(i + 1, len(hat_w))
+    ) + sum(
+        depth[p] == depth[t]
+        for base in engine.interior_below(w) if len(base) < len(phi)
+        for p in engine.live_extensions(base, w)
+        for t in hat_w
+    )
+    calls = []
+    decide = MixingEngine.decide
+
+    def counting(self, *args):
+        calls.append(args)
+        return decide(self, *args)
+
+    monkeypatch.setattr(MixingEngine, "decide", counting)
+    assert lemma_suite(fin4, cmin, w, phi)["verdict"] == "pass"
+    assert len(calls) == expected
+
+
 # ---------------------------------------------------------------------------
 # Maximality and the recoloring probe.
 
@@ -282,6 +319,28 @@ def test_property_p_passes_on_generators(e6, fin4):
     f_front = uniform_front(fin4, 1)
     cc = color_front(f_front, GENERATORS["min"], name="min")
     assert property_p_check(fin4, cc)["verdict"] == "pass"
+
+
+def test_property_p_searches_each_segment_once(e6, monkeypatch):
+    cmin = color_front(uniform_front(e6, 2), GENERATORS["min"], name="min")
+    engine = MixingEngine(e6, cmin)
+    interior = engine.interior_below(engine.deciding_reduct())
+    failing = next(a for a in interior if len(a) == 1)
+    searched = []
+    search = canonize_module.search_inner_A4star
+
+    def counting(model, s, *args):
+        searched.append(s)
+        if s == failing:
+            raise NoInnerWitnessError("no selector for this segment")
+        return search(model, s, *args)
+
+    monkeypatch.setattr(canonize_module, "search_inner_A4star", counting)
+    report = property_p_check(e6, cmin)
+    # A failed search skips every pair of its segment, and is not retried.
+    partners = sum(1 for a in interior if len(a) == 1 and a != failing)
+    assert report["stats"]["pairs_skipped"] == partners > 0
+    assert len(searched) == len(set(searched)) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,15 @@ def test_reports_embed_full_config(capsys):
     assert rep["instance_tag"].startswith("ellentuck:")
 
 
+def test_depth_budget_reaches_fusion(capsys):
+    argv = ["mixing-table", "ellentuck", "N=6", "--front", "AU3", "--coloring", "max"]
+    _, free = run(capsys, argv)
+    _, capped = run(capsys, argv + ["--depth-budget", "1"])
+    assert capped["config"]["depth_budget"] == 1
+    # Stage A stops shrinking after its second stage, on a larger reduct.
+    assert len(capped["table"]["reduct"]["blocks"]) > len(free["table"]["reduct"]["blocks"])
+
+
 def test_instance_from_file(capsys, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance_to_json(build_ellentuck(5))))

@@ -303,6 +303,17 @@ def test_fuse_reaches_a_reduct_satisfying_the_property(e6):
     )
 
 
+def test_fuse_stops_after_the_depth_budget(e6):
+    # Only segments of length 3 see the property, so the one shrink
+    # (dropping atom 5) happens at stage 2, past a budget of 1.
+    oracle = PropertyOracle(
+        check=lambda s, y: len(s) < 3 or 5 not in y.atom_set(),
+        name="no-atom-5-above-length-3",
+    )
+    assert fuse(e6, oracle) == ea(0, 1, 2, 3, 4)
+    assert fuse(e6, oracle, config=Config(depth_budget=1)) == e6.full
+
+
 def test_fuse_respects_start(e6):
     oracle = PropertyOracle(check=lambda s, y: True, name="trivial")
     start = ea(0, 2, 4)

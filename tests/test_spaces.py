@@ -8,6 +8,7 @@ import pytest
 
 from trspace import (
     EMPTY,
+    DomainError,
     ParameterError,
     build_ellentuck,
     build_fin,
@@ -210,6 +211,16 @@ def test_selector_names(e5, fin4, tree22):
     assert set(e5.selector_names()) == {"drop", "keep"}
     assert set(fin4.selector_names()) == {"drop", "min", "max", "minmax", "identity"}
     assert set(tree22.selector_names()) == {"drop", "full"}
+
+
+def test_selector_catalogs_in_family_order(e5, fin4, tree22):
+    # canonize tries the catalog in this order, so the order is pinned.
+    assert e5.selector_names() == ("drop", "keep")
+    assert fin4.selector_names() == ("drop", "min", "max", "minmax", "identity")
+    assert tree22.selector_names() == ("drop", "full")
+    assert [m.family_limited for m in (e5, fin4, tree22)] == [False, False, True]
+    with pytest.raises(DomainError, match="unknown selector 'keep' for fin"):
+        fin4.apply_selector("keep", fblk(1))
 
 
 def test_selector_outputs(fin4):

@@ -30,6 +30,7 @@ from .model import (
     DEFAULT_CONFIG,
     PropertyOracle,
     SpaceModel,
+    _report,
     a4star_search,
     first_mismatch,
     fuse,
@@ -48,11 +49,6 @@ class InnerMap:
 
     def to_json(self) -> list[str]:
         return list(self.selectors)
-
-
-def inner_family(model: SpaceModel) -> tuple[str, ...]:
-    """Selector catalog of the space, the drop component first."""
-    return model.selector_names()
 
 
 def eval_inner(model: SpaceModel, phi: InnerMap, t: Approx) -> tuple:
@@ -86,7 +82,7 @@ def search_inner_A4star(
     model.all_reducts(config.max_reducts)
     if not model.extensions(s, x):
         raise DomainError("the segment has no extensions inside the reduct")
-    found = a4star_search(model, s, x, coloring_of_ext, inner_family(model), config)
+    found = a4star_search(model, s, x, coloring_of_ext, model.selector_names(), config)
     if found is None:
         raise NoInnerWitnessError(
             "no selector in the family matches the kernel on any admissible reduct"
@@ -119,7 +115,7 @@ def oracle_canonize(
     """Exhaust reducts and selector tuples; keep every verifying pair of
     maximal witness size. Reducts carrying no member are skipped, their
     verification would be vacuous."""
-    family = inner_family(model)
+    family = model.selector_names()
     arity = coloring.front.arity()
     reducts = model.all_reducts(config.max_reducts)
     total = len(reducts) * len(family) ** arity
@@ -244,7 +240,7 @@ def _assemble(engine: MixingEngine, z0: Approx, config: Config) -> tuple[Approx,
     cannot steal a position by fusing down to a vacuous witness.
     """
     model = engine.model
-    family = inner_family(model)
+    family = model.selector_names()
     arity = engine.front.arity()
     z = z0
     names: list[str] = []
@@ -316,7 +312,7 @@ def canonize(
     """
     engine = MixingEngine(model, coloring, config)
     stats: dict = {
-        "selector_family": list(inner_family(model)),
+        "selector_family": list(model.selector_names()),
         "arity": coloring.front.arity(),
         "retries_used": 0,
         "fallback": False,
@@ -450,23 +446,14 @@ def lemma_suite(
                     if vals[i] != vq:
                         class_violations.append({"t": t, "p": p, "q": q})
 
-    verdict = "pass" if not (
-        mix_violations or prefix_violations or color_violations or class_violations
-    ) else "fail"
-    first = (mix_violations or prefix_violations or color_violations or class_violations)
-    return {
-        "check": "lemma_suite",
-        "verdict": verdict,
-        "witness": first[0] if first else None,
-        "coverage": 1.0,
-        "equal_values_mix": {"violations": mix_violations, "undecided_pairs": mix_gaps},
-        "prefix_freeness": {
-            "violations": prefix_violations,
-            "interior_prefix_events": prefix_info,
-        },
-        "color_respects_phi": {"violations": color_violations},
-        "class_uniqueness": {"violations": class_violations},
-    }
+    first = mix_violations or prefix_violations or color_violations or class_violations
+    return _report(
+        "lemma_suite", "fail" if first else "pass", witness=first[0] if first else None,
+        equal_values_mix={"violations": mix_violations, "undecided_pairs": mix_gaps},
+        prefix_freeness={"violations": prefix_violations, "interior_prefix_events": prefix_info},
+        color_respects_phi={"violations": color_violations},
+        class_uniqueness={"violations": class_violations},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +496,8 @@ def maximality_check(
             for i in range(min(len(m), len(phi.selectors), len(phi_alt.selectors)))
         )
         if contained:
-            return {
-                "check": "maximality", "verdict": "pass", "witness": z,
-                "coverage": 1.0, "common": common,
-            }
-    return {
-        "check": "maximality", "verdict": "undecided", "witness": None,
-        "coverage": 1.0, "common": common,
-    }
+            return _report("maximality", "pass", witness=z, common=common)
+    return _report("maximality", "undecided", common=common)
 
 
 def property_p_check(
@@ -575,14 +556,12 @@ def property_p_check(
                 # Separating reducts below z: admissible, no equal pair.
                 if not engine.pool(z, s, t) & ~engine.equal_pairs(s, t):
                     violations.append({"s": s, "t": t, "z": z})
-    return {
-        "check": "property_p",
-        "verdict": "pass" if not violations else "fail",
-        "witness": violations[0] if violations else None,
-        "coverage": 1.0,
-        "stats": {"zero_recolorings_checked": checked, "pairs_skipped": skipped},
-        "violations": violations,
-    }
+    return _report(
+        "property_p", "fail" if violations else "pass",
+        witness=violations[0] if violations else None,
+        stats={"zero_recolorings_checked": checked, "pairs_skipped": skipped},
+        violations=violations,
+    )
 
 
 def _mix_class(engine: MixingEngine, z0: Approx, base: Approx, p: Approx):
@@ -599,23 +578,13 @@ def avoidance_check(model: SpaceModel, s: Approx, x: Approx) -> dict:
     """With at least two extensions, each one can be dodged by a reduct
     in [s, x]; a single extension leaves only the trivial basic set."""
     exts = model.extensions(s, x)
-    if len(exts) < 2:
-        return {
-            "check": "avoidance", "verdict": "pass", "witness": None,
-            "coverage": 1.0, "single_extension": len(exts) == 1,
-        }
-    for v in exts:
-        dodge = None
-        for y in model.basic(s, x):
-            if v not in set(model.extensions(s, y)) and model.extensions(s, y):
-                dodge = y
-                break
-        if dodge is None:
-            return {
-                "check": "avoidance", "verdict": "fail", "witness": v,
-                "coverage": 1.0, "single_extension": False,
-            }
-    return {
-        "check": "avoidance", "verdict": "pass", "witness": None,
-        "coverage": 1.0, "single_extension": False,
-    }
+    # The first extension no reduct of [s, x] with extensions dodges.
+    stuck = next((
+        v for v in exts if len(exts) > 1 and not any(
+            model.extensions(s, y) and v not in model.extensions(s, y) for y in model.basic(s, x)
+        )
+    ), None)
+    return _report(
+        "avoidance", "pass" if stuck is None else "fail", witness=stuck,
+        single_extension=len(exts) == 1,
+    )

@@ -311,10 +311,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return UNDECIDED_EXIT
-    except (ParameterError, DomainError, InstanceMismatchError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
-    except OSError as err:
+    except (ParameterError, DomainError, InstanceMismatchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except SpaceError as err:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, InstanceMismatchError, ParameterError
-from .model import Approx, EMPTY, SpaceModel, approx_sort_key, derive_seed
+from .model import Approx, EMPTY, SpaceModel, _report, approx_sort_key, derive_seed
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,8 @@ def is_front(model: SpaceModel, members: Iterable[Approx], scope: Optional[Appro
     for s in mem:
         for t in mem:
             if s != t and s.is_prefix_of(t):
-                return {
-                    "check": "is_front", "verdict": "fail",
-                    "witness": {"reason": "not an antichain", "s": s, "t": t},
-                    "coverage": 1.0,
-                }
+                witness = {"reason": "not an antichain", "s": s, "t": t}
+                return _report("is_front", "fail", witness=witness)
     boundary = []
     for y in model.sub_reducts(x):
         segs = model.segments(y)
@@ -89,18 +86,13 @@ def is_front(model: SpaceModel, members: Iterable[Approx], scope: Optional[Appro
         if any(y.is_prefix_of(s) for s in mem):
             continue  # en route to a member, its extensions answer for it
         if model.extension_blocks(y, x):
-            return {
-                "check": "is_front", "verdict": "fail",
-                "witness": {"reason": "reduct dodges the family", "y": y},
-                "coverage": 1.0,
-            }
+            witness = {"reason": "reduct dodges the family", "y": y}
+            return _report("is_front", "fail", witness=witness)
         boundary.append(y)
     flags = ("boundary_dead_ends",) if boundary else ()
-    return {
-        "check": "is_front", "verdict": "pass", "witness": None,
-        "coverage": 1.0, "flags": flags,
-        "stats": {"members": len(mem), "dead_ends": len(boundary)},
-    }
+    return _report(
+        "is_front", "pass", flags=flags, stats={"members": len(mem), "dead_ends": len(boundary)},
+    )
 
 
 def hat(model: SpaceModel, front: Front) -> tuple[Approx, ...]:

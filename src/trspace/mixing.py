@@ -25,6 +25,7 @@ from .model import (
     PropertyOracle,
     SpaceModel,
     _bits,
+    _report,
     fuse,
 )
 from .spaces import closure
@@ -261,14 +262,11 @@ def transitivity_check(table: MixingTable) -> dict:
                 }
                 same = depths[a] == depths[mid] == depths[b] != math.inf
                 (equal_depth if same else unequal_depth).append(item)
-    return {
-        "check": "transitivity",
-        "verdict": "fail" if equal_depth else "pass",
-        "witness": equal_depth[0] if equal_depth else None,
-        "coverage": 1.0,
-        "equal_depth": equal_depth,
-        "unequal_depth": unequal_depth,
-    }
+    return _report(
+        "transitivity", "fail" if equal_depth else "pass",
+        witness=equal_depth[0] if equal_depth else None,
+        equal_depth=equal_depth, unequal_depth=unequal_depth,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -137,14 +137,15 @@ def _completion_rows(n: int, m: int) -> Iterator[list[tuple[int, frozenset[int]]
     j(j-1)/2 + i. mask holds the pairs inside the m-set and patterns,
     per index set I, those of them that agree on I; the m-set is
     canonical iff its equal-color pairs are one of the patterns. Which
-    pairs agree on I depends only on the positions of the points inside
-    the m-set, so it is worked out once on the shape, the n-subsets of
-    range(m)."""
+    pairs agree on a coordinate depends only on the positions of the
+    points inside the m-set, so it is worked out once on the shape, the
+    n-subsets of range(m). A pair agrees on I iff it agrees on every
+    coordinate in I, so the patterns are the AND-closure of the n
+    per-coordinate masks, starting from all pairs."""
     shape = _colex_tuples(m, n)
     pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
     agreeing = [
-        [p for p, (u, v) in enumerate(pairs) if all(shape[u][c] == shape[v][c] for c in I)]
-        for r in range(n + 1) for I in combinations(range(n), r)
+        [p for p, (u, v) in enumerate(pairs) if shape[u][c] == shape[v][c]] for c in range(n)
     ]
     for last in count(n - 1):
         for head in _colex_tuples(last, n - 1):
@@ -154,7 +155,11 @@ def _completion_rows(n: int, m: int) -> Iterator[list[tuple[int, frozenset[int]]
                 points = rest + t
                 ks = [sum(comb(points[q], i + 1) for i, q in enumerate(s)) for s in shape]
                 bits = [1 << (ks[v] * (ks[v] - 1) // 2 + ks[u]) for u, v in pairs]
-                row.append((sum(bits), frozenset(sum(bits[p] for p in ps) for ps in agreeing)))
+                patterns = {sum(bits)}
+                for ps in agreeing:
+                    on = sum(bits[p] for p in ps)
+                    patterns |= {q & on for q in patterns}
+                row.append((sum(bits), frozenset(patterns)))
             yield row
 
 

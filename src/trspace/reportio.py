@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
-from typing import Optional
 
 from .errors import ParameterError
 from .model import Approx, Block, Config, SpaceModel, instance_to_json
@@ -52,8 +51,6 @@ def to_jsonable(obj):
         return block_to_json(obj)
     if isinstance(obj, Approx):
         return approx_to_json(obj)
-    if isinstance(obj, Config):
-        return config_to_json(obj)
     if obj is math.inf:
         return "inf"
     if isinstance(obj, dict):
@@ -71,9 +68,8 @@ def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def report_envelope(model: SpaceModel, body: dict, config: Optional[Config] = None) -> dict:
-    out = {"instance": instance_to_json(model), "instance_tag": model.instance_tag()}
-    if config is not None:
-        out["config"] = config_to_json(config)
-    out.update(body)
-    return out
+def report_envelope(model: SpaceModel, body: dict, config: Config) -> dict:
+    return {
+        "instance": instance_to_json(model), "instance_tag": model.instance_tag(),
+        "config": config_to_json(config), **body,
+    }

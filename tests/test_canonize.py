@@ -23,7 +23,6 @@ from trspace import (
     color_front,
     eval_inner,
     generated_coloring,
-    inner_family,
     lemma_suite,
     maximality_check,
     oracle_canonize,
@@ -72,9 +71,8 @@ def test_eval_inner_rejects_segments_beyond_arity(e6):
 
 def test_inner_family_starts_with_drop(e6, fin4, tree22):
     for model in (e6, fin4, tree22):
-        family = inner_family(model)
+        family = model.selector_names()
         assert family[0] == "drop"
-        assert set(family) == set(model.selector_names())
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from trspace import (
     uniform_front,
     verify_canonical,
 )
-from trspace.canonize import _position_oracle, inner_family
+from trspace.canonize import _position_oracle
 from trspace.model import first_mismatch
 
 
@@ -78,7 +78,7 @@ def reference_search_inner(model, s, x, coloring, mu):
         exts = model.extensions(s, y)
         if len(exts) < mu:
             continue
-        for name in inner_family(model):
+        for name in model.selector_names():
             if reference_kernel_matches(lambda p, q: coloring(p) == coloring(q), model, name, exts):
                 return y, name
     return None
@@ -188,7 +188,7 @@ def _colorings(model):
 @pytest.mark.parametrize("name", ["e5", "fin4"])
 def test_verify_and_agreement_match_the_reference_loops(request, name):
     model = request.getfixturevalue(name)
-    family = inner_family(model)
+    family = model.selector_names()
     for coloring in _colorings(model):
         maps = [InnerMap(names) for names in itertools.product(family, repeat=coloring.front.arity())]
         hits = oracle_canonize(model, coloring)
@@ -217,7 +217,7 @@ def test_stage_b_matches_the_reference_loop(request, name):
             z0 = err.partial
         below = model.sub_reducts(z0)
         for pos in range(coloring.front.arity()):
-            for sel in inner_family(model):
+            for sel in model.selector_names():
                 oracle = _position_oracle(engine, z0, pos, sel)
                 for a in filter(oracle.domain, engine.hat_members):
                     for y in below:

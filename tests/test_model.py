@@ -14,6 +14,8 @@ from trspace import (
     Config,
     DEFAULT_CONFIG,
     EMPTY,
+    DomainError,
+    FusionExhaustedError,
     ParameterError,
     BudgetExceededError,
     PropertyOracle,
@@ -319,3 +321,19 @@ def test_fuse_respects_start(e6):
     start = ea(0, 2, 4)
     z = fuse(e6, oracle, start=start)
     assert z == start
+
+
+def test_fuse_reports_the_stage_it_cannot_settle(e5):
+    # No reduct satisfies the property, so the first agenda entry of
+    # stage 0 has no replacement and the full reduct is never shrunk.
+    with pytest.raises(FusionExhaustedError) as info:
+        fuse(e5, PropertyOracle(check=lambda s, y: False))
+    assert info.value.stage == 0
+    assert info.value.partial == e5.full
+
+
+def test_fuse_rejects_a_start_that_is_no_reduct(e5):
+    oracle = PropertyOracle(check=lambda s, y: True)
+    for start in (ea(0, 7), fa((0, 1))):
+        with pytest.raises(DomainError):
+            fuse(e5, oracle, start=start)

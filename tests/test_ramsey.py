@@ -3,7 +3,12 @@ whole-kernel oracle."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +303,16 @@ def test_budget_stops_above_arity_one(n, m, budget, checking, largest):
         f"kernel budget {budget} exhausted while checking N={checking}; "
         f"largest fully decided N: {largest}"
     )
+
+
+def test_tiny_budget_stops_fast_at_large_arity():
+    # A one-node budget must stop before any heavy set-up: the 2^17
+    # agreement patterns of the 18-point shape are cheap only as the
+    # AND-closure of the 17 per-coordinate masks.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "trspace.cli", "er-number", "17", "18", "--max-kernels", "1"],
+        capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"].endswith("largest fully decided N: None")

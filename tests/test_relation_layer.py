@@ -17,7 +17,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trspace import (
     EMPTY,
@@ -228,6 +228,98 @@ def test_new_defects_reach_their_clauses():
     assert (a3["verdict"], a3["witness"]["clause"]) == ("fail", 2)
     a3 = check_axioms(IrreflexiveAtom(4), "A3")
     assert (a3["verdict"], a3["witness"]["clause"]) == ("fail", 1)
+
+
+# ---------------------------------------------------------------------------
+# A.2 clause 3: no defect above reaches it. Flipping leq_fin on three
+# pairs of Ellentuck N=3 does; no such flip set turned up at N=4.
+
+class FlippedLeq(EllentuckModel):
+    """Ellentuck with leq_fin negated on the pairs in flips."""
+
+    flips: frozenset = frozenset()
+
+    def leq_fin(self, s, t):
+        return ((s, t) in self.flips) != super().leq_fin(s, t)
+
+
+class SwappedEmptyFull(FlippedLeq):
+    """The full reduct lies below EMPTY, EMPTY not below the full reduct
+    and {0,1} not below itself. The segment {0} of the full reduct lies
+    below no segment of EMPTY, and EMPTY, cut off from the full reduct,
+    has no extension left: clause 3 fails."""
+
+    flips = frozenset({(EMPTY, ea(0, 1, 2)), (ea(0, 1, 2), EMPTY), (ea(0, 1), ea(0, 1))})
+
+
+class LoweredPair(FlippedLeq):
+    """{0,2} lies below EMPTY, {0} and {0,1}. Its segment {0} lies below
+    no segment of EMPTY, which can still grow: one boundary miss."""
+
+    flips = frozenset({(ea(0, 2), ea(0)), (ea(0, 2), EMPTY), (ea(0, 2), ea(0, 1))})
+
+
+CLAUSE3_DEFECTS = {"SwappedEmptyFull": SwappedEmptyFull, "LoweredPair": LoweredPair}
+
+
+@pytest.mark.parametrize(
+    "name, verdict, misses",
+    [("SwappedEmptyFull", "fail", None), ("LoweredPair", "undecided", 1)],
+)
+def test_clause3_defects_reach_clause_3(name, verdict, misses):
+    # Their agreement with reference_a2 is an example of the drawn test below.
+    report = check_axioms(CLAUSE3_DEFECTS[name](3), "A2")
+    assert (report["verdict"], report["witness"]["clause"]) == (verdict, 3)
+    assert report["stats"].get("boundary_misses") == misses
+
+
+# Segment maps for the drawn defects, given the model's restrict: its
+# own, the long head of LongHeadRestrict, the shift of ShiftedRestrict
+# and the last n blocks, which on trees are segments that are no reducts.
+SEGMENT_MAPS = {
+    "as-is": None,
+    "long-head": lambda restrict, x, n: restrict(x, len(x) if n == 1 else n),
+    "shifted": lambda restrict, x, n: restrict(x, max(0, n - 1)),
+    "suffix": lambda restrict, x, n: Approx(x.blocks[len(x) - n:]),
+}
+SMALL_SPACES = {
+    "e3": lambda: build_ellentuck(3),
+    "fin3": lambda: build_fin(3),
+    "tree21": lambda: build_tree(2, 1),
+}
+
+
+def _defective(build, flips, segment):
+    model = build()
+    leq, restrict = model.leq_fin, model.restrict
+    model.leq_fin = lambda s, t: ((s, t) in flips) != leq(s, t)
+    if segment is not None:
+        model.restrict = lambda x, n: segment(restrict, x, n)
+    return model
+
+
+@st.composite
+def flipped_defects(draw):
+    space = draw(st.sampled_from(sorted(SMALL_SPACES)))
+    approxes = (EMPTY, *SMALL_SPACES[space]().all_reducts())
+    pairs = st.tuples(st.sampled_from(approxes), st.sampled_from(approxes))
+    flips = frozenset(draw(st.lists(pairs, max_size=6)))
+    segment = draw(st.sampled_from(sorted(SEGMENT_MAPS)))
+    return space, flips, segment
+
+
+@settings(max_examples=60, deadline=None)
+@given(defect=flipped_defects())
+@example(defect=("e3", SwappedEmptyFull.flips, "as-is"))
+@example(defect=("e3", LoweredPair.flips, "as-is"))
+def test_fast_axioms_match_reference_on_flipped_pairs(defect):
+    space, flips, segment = defect
+    for axiom, reference in (("A1", reference_a1), ("A2", reference_a2), ("A3", reference_a3)):
+        fast = check_axioms(_defective(SMALL_SPACES[space], flips, SEGMENT_MAPS[segment]), axiom)
+        slow = reference(_defective(SMALL_SPACES[space], flips, SEGMENT_MAPS[segment]))
+        assert (fast["verdict"], fast["witness"]) == (slow["verdict"], slow["witness"]), axiom
+        if "stats" in slow:
+            assert fast["stats"] == slow["stats"], axiom
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Golden library reports: the axiom reports of the injected defects and
 the property-P probe, byte for byte.
 
-The A1-A3 reports of every defective model and two property-P probes
+The A1-A3 reports of every defective model (the two that reach A.2
+clause 3 on Ellentuck N=3, the rest on N=4) and two property-P probes
 are serialized with `canonical_json` and compared with the files in
 `tests/golden/reports/`. They pin the witnesses that the relation layer
 and the mixing engine name, which the CLI goldens never reach. When a
@@ -27,7 +28,7 @@ from trspace import (
     property_p_check,
     uniform_front,
 )
-from test_relation_layer import DEFECTS
+from test_relation_layer import CLAUSE3_DEFECTS, DEFECTS
 
 GOLDEN = Path(__file__).parent / "golden" / "reports"
 
@@ -40,6 +41,11 @@ CASES = {
     **{
         f"{name}-{axiom}": (lambda cls=cls, axiom=axiom: check_axioms(cls(4), axiom))
         for name, cls in DEFECTS.items()
+        for axiom in ("A1", "A2", "A3")
+    },
+    **{
+        f"{name}-{axiom}": (lambda cls=cls, axiom=axiom: check_axioms(cls(3), axiom))
+        for name, cls in CLAUSE3_DEFECTS.items()
         for axiom in ("A1", "A2", "A3")
     },
     "property-p-ellentuck-N-6-AU2-min": lambda: _property_p(build_ellentuck(6), 2, "min"),

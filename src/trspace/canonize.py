@@ -36,6 +36,7 @@ from .model import (
     fuse,
     witness_sort_key,
 )
+from .reportio import approx_to_json, to_jsonable
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,6 @@ class CanonReport:
     stats: dict
 
     def to_json(self) -> dict:
-        from .reportio import approx_to_json, to_jsonable
-
         return {
             "witness": approx_to_json(self.witness),
             "phi": self.phi.to_json(),

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, InstanceMismatchError, ParameterError
 from .model import Approx, EMPTY, SpaceModel, _report, approx_sort_key, derive_seed
+from .reportio import approx_from_json, approx_to_json, is_int_list
 
 
 @dataclass(frozen=True)
@@ -47,20 +48,19 @@ def _check_instance(model: SpaceModel, front: Front) -> None:
         )
 
 
-def uniform_front(model: SpaceModel, n: int, scope: Optional[Approx] = None) -> Front:
-    """The rank-n uniform front: every length-n segment of a reduct in
-    the scope. Empty result (n beyond the truncation) is rejected."""
+def uniform_front(model: SpaceModel, n: int) -> Front:
+    """The rank-n uniform front: every length-n segment of a reduct of
+    the space. Empty result (n beyond the truncation) is rejected."""
     if n < 0:
         raise ParameterError("front rank must be nonnegative")
-    x = scope if scope is not None else model.full
     members = {
-        model.restrict(y, n) for y in model.sub_reducts(x) if len(y) >= n
+        model.restrict(y, n) for y in model.sub_reducts(model.full) if len(y) >= n
     }
     if not members:
         raise ParameterError(
             f"rank {n} leaves no members inside the truncation"
         )
-    return Front(tuple(members), scope=x, instance=model.instance_tag())
+    return Front(tuple(members), scope=model.full, instance=model.instance_tag())
 
 
 def is_front(model: SpaceModel, members: Iterable[Approx], scope: Optional[Approx] = None) -> dict:
@@ -247,8 +247,6 @@ def generated_coloring(front: Front, name: str, seed: Optional[int] = None) -> C
 # Serialization.
 
 def front_to_json(front: Front) -> dict:
-    from .reportio import approx_to_json
-
     return {
         "instance": front.instance,
         "scope": approx_to_json(front.scope),
@@ -262,8 +260,6 @@ def front_from_json(model: SpaceModel, payload: dict) -> Front:
     """Load a front and check it against the instance: the scope is a
     reduct, the members are distinct, lie below the scope, extend the
     anchor and form a front of the scope. Raises ParameterError otherwise."""
-    from .reportio import approx_from_json
-
     flags = payload.get("flags", []) if isinstance(payload, dict) else None
     if not (
         isinstance(flags, list) and all(isinstance(f, str) for f in flags)
@@ -315,8 +311,6 @@ def coloring_from_json(model: SpaceModel, payload: dict) -> Coloring:
     """Load a coloring with its front, checked as front_from_json checks
     it. The i-th color belongs to the i-th member as listed in the file.
     Raises ParameterError on a malformed payload."""
-    from .reportio import approx_from_json, is_int_list
-
     colors = payload.get("colors") if isinstance(payload, dict) else None
     if not (is_int_list(colors) and isinstance(payload.get("name", ""), str)):
         raise ParameterError("a coloring is an object with a front and a list of integer colors")

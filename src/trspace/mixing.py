@@ -28,6 +28,7 @@ from .model import (
     _report,
     fuse,
 )
+from .reportio import approx_to_json, to_jsonable
 from .spaces import closure
 
 MIXES = "mixes"
@@ -199,8 +200,6 @@ class MixingTable:
         )
 
     def to_json(self) -> dict:
-        from .reportio import approx_to_json, to_jsonable
-
         return {
             "check": "mixing_table",
             "reduct": approx_to_json(self.reduct),
@@ -298,56 +297,45 @@ def weak_mixing_detect(
     if eng.decide(x, s, t).kind != MIXES:
         return None
     n = len(s)
-    t_extra = t.atom_set() - s.atom_set()
-    candidates = [
-        w for w in closure(model, x) if set(w.atoms) <= t_extra
-    ]
     members, colors = eng.members, eng.coloring.colors
+    # Per admissible reduct, the first new s-side block of every equally
+    # colored pair of extensions; a reduct without such a pair admits no w.
     pairs_by_y = []
     for y in model.reducts_in(eng.pool(x, s, t)):
-        eq_pairs = [
-            (members[i], members[j])
+        pairs = [
+            (members[i].blocks[n], (members[i], members[j]))
             for i in _bits(eng.live_bits(y, s)) if len(members[i]) > n
             for j in _bits(eng.live_bits(y, t)) if colors[i] == colors[j]
         ]
-        pairs_by_y.append((y, eq_pairs))
+        if not pairs:
+            return None
+        pairs_by_y.append((y, pairs))
 
-    best = None
-    for w in sorted(candidates):
-        ok = True
-        all_shaped = True
-        tail_only = True
-        evidence = []
-        for y, eq_pairs in pairs_by_y:
-            if not eq_pairs:
-                ok = False
+    t_extra = t.atom_set() - s.atom_set()
+    for w in closure(model, x):
+        inside = set(w.atoms)
+        if not inside <= t_extra:
+            continue
+        shaped_by_y = []
+        for y, pairs in pairs_by_y:
+            if not all(inside <= set(blk.atoms) for blk, _ in pairs):
                 break
-            shaped = []
-            for sbar, tbar in eq_pairs:
-                blk = sbar.blocks[n]
-                if not set(w.atoms) <= set(blk.atoms):
-                    ok = False
-                    break
-                if model.proper_combination(blk, w, s):
-                    shaped.append((sbar, tbar))
-                    extra = sorted(set(blk.atoms) - set(w.atoms))
-                    if extra and extra[0] <= max(w.atoms):
-                        tail_only = False
-                else:
-                    all_shaped = False
-            if not ok or not shaped:
-                ok = False
+            shaped = [(blk, pair) for blk, pair in pairs if model.proper_combination(blk, w, s)]
+            if not shaped:
                 break
-            evidence.append({"reduct": y, "pair": shaped[0]})
-        if ok:
-            best = {
+            shaped_by_y.append((y, shaped))
+        else:
+            blocks = [blk for _, shaped in shaped_by_y for blk, _ in shaped]
+            top = max(w.atoms)
+            return {
                 "check": "weak_mixing",
                 "w": w,
                 "s": s,
                 "t": t,
-                "all_pairs_shaped": all_shaped,
-                "extra_material_above_w": tail_only,
-                "evidence": evidence[:3],
+                "all_pairs_shaped": len(blocks) == sum(len(p) for _, p in pairs_by_y),
+                "extra_material_above_w": all(
+                    a > top for blk in blocks for a in blk.atoms if a not in inside
+                ),
+                "evidence": [{"reduct": y, "pair": sh[0][1]} for y, sh in shaped_by_y[:3]],
             }
-            break
-    return best
+    return None

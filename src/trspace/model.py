@@ -723,7 +723,7 @@ def fuse(
     """
     model.all_reducts(config.max_reducts)
     x = start if start is not None else model.full
-    if start is not None and not model.leq_fin(start, model.full):
+    if start is not None and not (start.blocks and model.leq_fin(start, model.full)):
         raise DomainError("fusion start must be a reduct of the space")
     budget = config.depth_budget
     stage = 0

@@ -3,8 +3,7 @@
 Each model fixes the finitization order on its approximations, the
 one-step extensions the reducts grow from, and its selectors. Atoms are
 plain ints; a block remembers the 1-based half-open interval of ground
-levels it draws from, which is what the solidity and level-matching
-checks look at.
+levels it draws from, which is what the level-matching checks look at.
 """
 
 from __future__ import annotations
@@ -224,71 +223,6 @@ def closure(model: SpaceModel, x: Approx) -> tuple[Block, ...]:
     for y in model.sub_reducts(x):
         seen.update(y.blocks)
     return tuple(sorted(seen))
-
-
-def combinations(model: SpaceModel, ws: Iterable[Block], s: Approx) -> tuple[Block, ...]:
-    """Blocks built out of all the given generators on top of s.
-
-    Two ways to combine: a separated chain of generators merging into one
-    block, or several generators on one ground level merging into a wider
-    block on that level. Every generator must contribute; with a single
-    generator the result is that block itself (when it sits above s).
-    """
-    gens = tuple(ws)
-    if not gens:
-        return ()
-    valid = set(closure(model, model.full))
-    floor = 0
-    for sb in s.blocks:
-        floor = max(floor, sb.source[1])
-    out: set[Block] = set()
-
-    # Chain: pairwise separated source intervals merging into one block.
-    ordered = sorted(gens)
-    if (
-        all(a.source[1] <= b.source[0] for a, b in zip(ordered, ordered[1:]))
-        and ordered[0].source[0] >= floor
-    ):
-        atoms = tuple(sorted(a for g in ordered for a in g.atoms))
-        merged = Block(
-            source=(ordered[0].source[0], ordered[-1].source[1]), atoms=atoms
-        )
-        if merged in valid:
-            out.add(merged)
-
-    # Same level: generators on one ground level merge in place. Every
-    # generator must contribute something the others do not cover.
-    if len(gens) > 1 and len({g.source for g in gens}) == 1 and gens[0].source[0] >= floor:
-        atom_sets = [set(g.atoms) for g in gens]
-        union = set().union(*atom_sets)
-        contributing = all(
-            union != set().union(*(a for j, a in enumerate(atom_sets) if j != i))
-            for i in range(len(atom_sets))
-        )
-        if contributing:
-            merged = Block(source=gens[0].source, atoms=tuple(sorted(union)))
-            if merged in valid:
-                out.add(merged)
-
-    return tuple(sorted(out))
-
-
-def solid_in(model: SpaceModel, block: Block) -> bool:
-    """True when every ground level in the block's source interval
-    contributes an atom. Single-level blocks are solid by construction;
-    wide blocks occur only in the block-sequence space, where a gap in
-    the ground indices means a skipped level."""
-    if block.source[1] - block.source[0] == 1:
-        return True
-    if isinstance(model, FinModel):
-        idx = model.ground_indices(block)
-        return idx is not None and max(idx) - min(idx) + 1 == len(idx)
-    return True
-
-
-def full_initial_segments(model: SpaceModel, s: Approx) -> bool:
-    """Every block of s touches each ground level in its source span."""
-    return all(solid_in(model, b) for b in s.blocks)
 
 
 # ---------------------------------------------------------------------------

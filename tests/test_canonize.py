@@ -249,6 +249,20 @@ def test_lemma_suite_flags_a_wrong_map(e6):
     assert suite["color_respects_phi"]["violations"]
 
 
+def test_lemma_suite_counts_color_and_class_violations(fin3):
+    constant = generated_coloring(uniform_front(fin3, 1), "constant")
+    report = canonize(fin3, constant)
+    # min separates what the constant coloring joins, and splits the
+    # extensions mixing with one segment.
+    suite = lemma_suite(fin3, constant, report.witness, InnerMap(("min",)))
+    assert suite["verdict"] == "fail"
+    assert suite["equal_values_mix"]["violations"] == []
+    assert suite["prefix_freeness"]["violations"] == []
+    assert len(suite["color_respects_phi"]["violations"]) == 14
+    assert len(suite["class_uniqueness"]["violations"]) == 22
+    assert suite["witness"] == suite["color_respects_phi"]["violations"][0]
+
+
 def test_lemma_suite_asks_each_mixing_question_once(fin4, monkeypatch):
     cmin = color_front(uniform_front(fin4, 1), GENERATORS["min"], name="min")
     report = canonize(fin4, cmin)

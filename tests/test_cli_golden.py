@@ -49,6 +49,8 @@ CASES = (
     "er-number 1 4 --max-kernels 50",
     "er-number 2 4 --max-kernels 1000",
     "verify-axioms ellentuck N=4 --max-reducts 3",
+    # the tree rule of proper_combination
+    "weak-mixing tree b=2 h=2 --coloring constant --front AU3",
 )
 
 

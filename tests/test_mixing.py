@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Optional
+
 import pytest
 
 from trspace import (
+    Approx,
+    Coloring,
+    Config,
     DEFAULT_CONFIG,
     DomainError,
     GENERATORS,
     MIXES,
     MixingEngine,
     SEPARATES,
+    SpaceModel,
     UNDECIDED,
+    build_tree,
+    closure,
     color_front,
     decide,
     generated_coloring,
@@ -20,6 +29,7 @@ from trspace import (
     uniform_front,
     weak_mixing_detect,
 )
+from trspace.model import _bits
 from helpers import ea, fa, atoms_of
 
 
@@ -189,3 +199,101 @@ def test_weak_mixing_chain_is_monotone(fin4, union2):
     w_stp = weak_mixing_detect(fin4, X, fa((0,)), fa((0, 1, 2)), union2)["w"]
     assert set(w_stp.atoms) <= {1, 2}
     assert w_st.atoms != w_stp.atoms
+
+
+def reference_weak_mixing(
+    model: SpaceModel,
+    x: Approx,
+    s: Approx,
+    t: Approx,
+    coloring: Coloring,
+    config: Config = DEFAULT_CONFIG,
+    engine: Optional[MixingEngine] = None,
+) -> Optional[dict]:
+    """The weak-mixing detector as first written: every candidate w is
+    tried against every admissible reduct in turn. Kept as the reference
+    the library's single pass must agree with."""
+    eng = engine if engine is not None else MixingEngine(model, coloring, config)
+    if not (eng.in_hat(s) and eng.in_hat(t)):
+        raise DomainError("weak mixing is defined on initial segments of members")
+    ds, dt = model.depth(x, s), model.depth(x, t)
+    if not (ds < dt):
+        raise DomainError("weak mixing needs strictly increasing depths")
+    if eng.decide(x, s, t).kind != MIXES:
+        return None
+    n = len(s)
+    t_extra = t.atom_set() - s.atom_set()
+    candidates = [
+        w for w in closure(model, x) if set(w.atoms) <= t_extra
+    ]
+    members, colors = eng.members, eng.coloring.colors
+    pairs_by_y = []
+    for y in model.reducts_in(eng.pool(x, s, t)):
+        eq_pairs = [
+            (members[i], members[j])
+            for i in _bits(eng.live_bits(y, s)) if len(members[i]) > n
+            for j in _bits(eng.live_bits(y, t)) if colors[i] == colors[j]
+        ]
+        pairs_by_y.append((y, eq_pairs))
+
+    best = None
+    for w in sorted(candidates):
+        ok = True
+        all_shaped = True
+        tail_only = True
+        evidence = []
+        for y, eq_pairs in pairs_by_y:
+            if not eq_pairs:
+                ok = False
+                break
+            shaped = []
+            for sbar, tbar in eq_pairs:
+                blk = sbar.blocks[n]
+                if not set(w.atoms) <= set(blk.atoms):
+                    ok = False
+                    break
+                if model.proper_combination(blk, w, s):
+                    shaped.append((sbar, tbar))
+                    extra = sorted(set(blk.atoms) - set(w.atoms))
+                    if extra and extra[0] <= max(w.atoms):
+                        tail_only = False
+                else:
+                    all_shaped = False
+            if not ok or not shaped:
+                ok = False
+                break
+            evidence.append({"reduct": y, "pair": shaped[0]})
+        if ok:
+            best = {
+                "check": "weak_mixing",
+                "w": w,
+                "s": s,
+                "t": t,
+                "all_pairs_shaped": all_shaped,
+                "extra_material_above_w": tail_only,
+                "evidence": evidence[:3],
+            }
+            break
+    return best
+
+
+def test_weak_mixing_agrees_with_reference(e6, fin4, fin4cap2, tree22, tree23):
+    # Every pair of interior segments at increasing depths, below the
+    # whole instance and below the deciding reduct, on the rank-2 and
+    # rank-3 fronts under every named generator.
+    witnesses = {}
+    for model in (tree22, tree23, build_tree(3, 2), fin4, fin4cap2, e6):
+        for rank, name, mu in itertools.product((2, 3), GENERATORS, (1, 2)):
+            coloring = generated_coloring(uniform_front(model, rank), name)
+            engine = MixingEngine(model, coloring, Config(mu=mu))
+            for x in dict.fromkeys((model.full, engine.deciding_reduct())):
+                segs = engine.interior_below(x)
+                depth = {a: model.depth(x, a) for a in segs}
+                for s, t in itertools.permutations(segs, 2):
+                    if depth[s] < depth[t]:
+                        args = (model, x, s, t, coloring, engine.config)
+                        got = weak_mixing_detect(*args, engine=engine)
+                        assert got == reference_weak_mixing(*args, engine=engine)
+                        witnesses[model.kind] = witnesses.get(model.kind, 0) + (got is not None)
+    # Single-level extensions never carry a transfer block.
+    assert witnesses["fin"] and witnesses["tree"] and not witnesses["ellentuck"]

@@ -337,3 +337,9 @@ def test_fuse_rejects_a_start_that_is_no_reduct(e5):
     for start in (ea(0, 7), fa((0, 1))):
         with pytest.raises(DomainError):
             fuse(e5, oracle, start=start)
+
+
+def test_fuse_rejects_the_empty_start(e5):
+    # EMPTY lies below every reduct but is none itself.
+    with pytest.raises(DomainError):
+        fuse(e5, PropertyOracle(check=lambda s, y: True), start=EMPTY)

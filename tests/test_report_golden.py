@@ -50,6 +50,7 @@ CASES = {
     },
     "property-p-ellentuck-N-6-AU2-min": lambda: _property_p(build_ellentuck(6), 2, "min"),
     "property-p-fin-blocks-4-AU1-min": lambda: _property_p(build_fin(4), 1, "min"),
+    "property-p-ellentuck-N-5-AU2-max": lambda: _property_p(build_ellentuck(5), 2, "max"),
 }
 
 

@@ -14,14 +14,11 @@ from trspace import (
     build_fin,
     build_tree,
     closure,
-    combinations,
-    full_initial_segments,
     instance_from_json,
     instance_to_json,
-    solid_in,
     uniform_front,
 )
-from helpers import ea, fa, fblk, atoms_of
+from helpers import fa, fblk, atoms_of
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +136,7 @@ def test_instance_parameter_guards():
 
 
 # ---------------------------------------------------------------------------
-# Closure, combinations, solidity.
+# Closure.
 
 def test_closure_examples(fin3, fin4):
     assert sorted(b.atoms for b in closure(fin3, fa((0,), (1,)))) == [(0,), (0, 1), (1,)]
@@ -151,46 +148,6 @@ def test_rank_one_front_blocks_sit_inside_the_catalog(fin4):
     catalog = set(closure(fin4, fin4.full))
     for member in uniform_front(fin4, 1).members:
         assert member.blocks[0] in catalog
-
-
-def test_combinations_examples(fin3):
-    got = combinations(fin3, (fblk(1), fblk(2)), fa((0,)))
-    assert [b.atoms for b in got] == [(1, 2)]
-    single = combinations(fin3, (fblk(1),), fa((0,)))
-    assert [b.atoms for b in single] == [(1,)]
-    overlapping = combinations(fin3, (fblk(1), fblk(1, 2)), fa((0,)))
-    assert overlapping == ()
-
-
-def test_combinations_land_in_the_catalog(fin4):
-    catalog = set(closure(fin4, fin4.full))
-    blocks = [fblk(1), fblk(2), fblk(3)]
-    for r in (1, 2, 3):
-        for ws in itertools.combinations(blocks, r):
-            for b in combinations(fin4, ws, fa((0,))):
-                assert b in catalog
-
-
-def test_ellentuck_combinations_of_distinct_atoms_empty(e5):
-    got = combinations(e5, (ea(1).blocks[0], ea(2).blocks[0]), ea(0))
-    assert got == ()
-
-
-def test_solidity(fin4, e5, tree22):
-    assert not solid_in(fin4, fblk(0, 2))
-    assert solid_in(fin4, fblk(1, 2))
-    assert solid_in(fin4, fblk(3))
-    for b in closure(e5, e5.full):
-        assert solid_in(e5, b)
-    for b in closure(tree22, tree22.full):
-        assert solid_in(tree22, b)
-
-
-def test_full_initial_segments(fin4, e6):
-    assert full_initial_segments(fin4, fa((0,), (1,)))
-    assert not full_initial_segments(fin4, fa((0,), (1, 3)))
-    for s in e6.approximations():
-        assert full_initial_segments(e6, s)
 
 
 def test_fin_wide_source_blocks_exist(fin3):

@@ -115,7 +115,16 @@ def oracle_canonize(
 ) -> tuple[tuple[Approx, InnerMap], ...]:
     """Exhaust reducts and selector tuples; keep every verifying pair of
     maximal witness size. Reducts carrying no member are skipped, their
-    verification would be vacuous."""
+    verification would be vacuous.
+
+    Decided on class ids: per position and selector, members share an id
+    when the selector gives equal values on their blocks there, or when
+    both are shorter than the position. Precondition: every selector but
+    drop returns a nonempty tuple on every block, so phi(p) = phi(q)
+    exactly when the ids of phi's selectors agree at every position. A
+    selector serves a position below x only if it gives each color one
+    id there, and x verifies phi exactly when the id tuples are as many
+    as the colors."""
     family = model.selector_names()
     arity = coloring.front.arity()
     reducts = model.all_reducts(config.max_reducts)
@@ -124,35 +133,43 @@ def oracle_canonize(
         raise BudgetExceededError(
             f"oracle would enumerate {total} candidates, budget is {config.max_kernels}"
         )
-    maps = [InnerMap(names) for names in itertools.product(family, repeat=arity)]
-    # verify_canonical per (x, phi), with the members below x found once
-    # per reduct and each member's color and phi value once per run
-    color = {m: coloring(m) for m in coloring.front.members}
-    values: list[dict[Approx, tuple]] = [{} for _ in maps]
-
-    def same_color(p: Approx, q: Approx) -> bool:
-        return color[p] == color[q]
+    front = coloring.front.members
+    index = {m: i for i, m in enumerate(front)}
+    ids = [[(name, _class_ids(model, name, pos, front)) for name in family] for pos in range(arity)]
 
     hits: list[tuple[Approx, InnerMap]] = []
     best = -1
     for x in sorted(reducts, key=witness_sort_key):
         if len(x) < best:
             break
-        members = model.below(coloring.front.members, x)
-        if not members:
+        below = [index[m] for m in model.below(front, x)]
+        if not below:
             continue
-        for phi, memo in zip(maps, values):
-            for m in members:
-                if m not in memo:
-                    memo[m] = eval_inner(model, phi, m)
-            if first_mismatch(members, same_color, [memo[m] for m in members]) is not None:
-                continue
-            if len(x) > best:
-                hits = [(x, phi)]
-                best = len(x)
-            elif len(x) == best:
-                hits.append((x, phi))
+        colors = [coloring.colors[i] for i in below]
+        classes = len(set(colors))
+        usable = []
+        for per_selector in ids:
+            cols = ((name, [column[i] for i in below]) for name, column in per_selector)
+            usable.append([(n, col) for n, col in cols if len(set(zip(colors, col))) == classes])
+        for choice in itertools.product(*usable):
+            # A map with no positions (a rank-0 front) sends its member to ().
+            tuples = set(zip(*(col for _, col in choice))) if choice else {()}
+            if len(tuples) == classes:
+                phi = InnerMap(tuple(name for name, _ in choice))
+                if len(x) > best:
+                    hits = [(x, phi)]
+                    best = len(x)
+                else:
+                    hits.append((x, phi))
     return tuple(sorted(hits, key=lambda h: (h[0].key, h[1].selectors)))
+
+
+def _class_ids(model: SpaceModel, name: str, pos: int, members) -> tuple[int, ...]:
+    """Per member, the id of the selector's value on its block at pos, or
+    of () when the member is shorter; equal values share an id."""
+    first: dict = {}
+    values = (model.apply_selector(name, m.blocks[pos]) if pos < len(m) else () for m in members)
+    return tuple(first.setdefault(v, len(first)) for v in values)
 
 
 def oracle_agreement(
@@ -326,12 +343,12 @@ def canonize(
         stats["stage_a_exhausted"] = True
     stats["deciding_reduct_size"] = len(z0)
 
-    starts = [z0] + [
+    starts = itertools.chain((z0,), (
         y for y in sorted(model.sub_reducts(z0), key=witness_sort_key)
         if y != z0 and engine.front_below(y)
-    ]
+    ))
     witness = phi = None
-    for attempt, start in enumerate(starts[: config.retries + 1]):
+    for attempt, start in enumerate(itertools.islice(starts, config.retries + 1)):
         stats["retries_used"] = attempt
         try:
             cand_x, cand_phi = _assemble(engine, start, config)

@@ -161,7 +161,7 @@ class MixingEngine:
         it. Raises FusionExhaustedError as fuse does."""
 
         def check(s: Approx, t: Approx, y: Approx) -> bool:
-            return self.decide(y, s, t) != _SPLIT
+            return self.decide(y, s, t) is not _SPLIT
 
         oracle = PropertyOracle(check=check, pair=True, domain=self.in_hat, name="decides")
         return fuse(self.model, oracle, start=self.front.scope, config=self.config)

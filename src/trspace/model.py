@@ -701,7 +701,8 @@ def _fusion_agenda(model: SpaceModel, oracle: PropertyOracle, bound: Approx):
     if oracle.domain is not None:
         pool = [z for z in pool if oracle.domain(z)]
     if oracle.pair:
-        return [(a, b) for a in pool for b in pool if a.key <= b.key]
+        keyed = [(z, z.key) for z in pool]
+        return [(a, b) for a, ka in keyed for b, kb in keyed if ka <= kb]
     return [(z,) for z in pool]
 
 

@@ -136,11 +136,12 @@ class TreeModel(SpaceModel):
             raise ParameterError("tree branching must be at least 2")
         if height < 1:
             raise ParameterError("tree height must be at least 1")
-        total = (branching ** (height + 1) - 1) // (branching - 1)
-        if total > 2000:
-            raise ParameterError(
-                f"tree instance with {total} nodes exceeds the desk-scale budget"
-            )
+        # Count level by level, so a huge height stops at the cap.
+        total, width = 0, 1
+        for _ in range(height + 1):
+            total, width = total + width, width * branching
+            if total > 2000:
+                raise ParameterError("tree instance exceeds the desk-scale budget of 2000 nodes")
         self.b = branching
         self.h = height
         levels = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,16 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
 def test_usage_errors(capsys, argv):
     code, _ = run(capsys, argv)
     assert code == 3
+
+
+def test_tree_height_past_the_node_cap_exits_3_at_once(capsys):
+    # The cap is met level by level; the message names the cap, not a
+    # count with thousands of digits.
+    start = time.perf_counter()
+    code = main(["verify-axioms", "tree", "b=2", "h=20000"])
+    elapsed = time.perf_counter() - start
+    assert code == 3 and elapsed < 1.0
+    assert "budget of 2000 nodes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("generator", ["constant", "injective", "union", "identity", "random-kernel"])

@@ -5,9 +5,10 @@ in `tests/golden/<slug>.json` and the exit codes in
 `tests/golden/exits.json`. When a report changes on purpose, re-record
 with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [SLUG ...]
 
-and review the diff of `tests/golden/`.
+and review the diff of `tests/golden/`. Named slugs re-record only those
+cases (an unknown slug is an error); with none, every case is rewritten.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ CASES = (
     "verify-axioms ellentuck N=4 --max-reducts 3",
     # the tree rule of proper_combination
     "weak-mixing tree b=2 h=2 --coloring constant --front AU3",
+    # canonize's retry path: three retries then the fallback, one retry
+    "canonize fin blocks=4 --front AU2 --coloring union --oracle",
+    "canonize fin blocks=4 --front AU3 --coloring union --oracle",
 )
 
 
@@ -78,13 +82,20 @@ def test_golden_report(line, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    by_slug = {slug(line): line for line in CASES}
+    unknown = [name for name in sys.argv[1:] if name not in by_slug]
+    if unknown:
+        sys.exit(f"unknown golden slug(s): {' '.join(unknown)}")
+    chosen = sys.argv[1:] or list(by_slug)
     GOLDEN.mkdir(exist_ok=True)
-    exits = {}
+    exits_path = GOLDEN / "exits.json"
+    exits = json.loads(exits_path.read_text()) if sys.argv[1:] else {}
     with tempfile.TemporaryDirectory() as tmp:
-        for line in CASES:
-            code, stdout = run_case(line, Path(tmp) / "run.json")
-            exits[slug(line)] = code
-            (GOLDEN / f"{slug(line)}.json").write_text(stdout)
-    (GOLDEN / "exits.json").write_text(json.dumps(exits, indent=2, sort_keys=True) + "\n")
+        for name in chosen:
+            code, stdout = run_case(by_slug[name], Path(tmp) / "run.json")
+            exits[name] = code
+            (GOLDEN / f"{name}.json").write_text(stdout)
+    exits_path.write_text(json.dumps(exits, indent=2, sort_keys=True) + "\n")

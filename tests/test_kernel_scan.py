@@ -6,7 +6,9 @@ kernel), stage B (a selector with the mixing kernel), verification
 phi_o with one kernel on the common members) are all one pairwise scan,
 first_mismatch. Each used to have its own loop; those loops are kept
 here as references, and every answer must agree with them: the same
-witness, the same selector, the same first violating pair.
+witness, the same selector, the same first violating pair. The oracle
+decides on class ids instead; its first_mismatch loop over every map is
+kept here as its reference.
 """
 
 from __future__ import annotations
@@ -15,20 +17,30 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trspace import (
+    DEFAULT_CONFIG,
     EMPTY,
     GENERATORS,
+    Approx,
+    BudgetExceededError,
+    Coloring,
     Config,
     DomainError,
+    Front,
     FusionExhaustedError,
     InnerMap,
     MixingEngine,
     NoInnerWitnessError,
     TruncationTooShallowError,
+    canonical_json,
+    canonize,
     color_front,
     derive_seed,
     eval_inner,
+    front_from_json,
+    front_to_json,
     generated_coloring,
     oracle_agreement,
     oracle_canonize,
@@ -36,6 +48,7 @@ from trspace import (
     search_inner_A4star,
     uniform_front,
     verify_canonical,
+    witness_sort_key,
 )
 from trspace.canonize import _position_oracle
 from trspace.model import first_mismatch
@@ -93,6 +106,53 @@ def reference_verify(model, x, phi, coloring):
             if same_f != (values[i] == values[j]):
                 return False, (members[i], members[j])
     return True, None
+
+
+def reference_oracle_canonize(
+    model,
+    coloring,
+    config: Config = DEFAULT_CONFIG,
+) -> tuple[tuple[Approx, InnerMap], ...]:
+    """The oracle as it was before class ids: every (reduct, map) by
+    first_mismatch over the members below the reduct; every verifying
+    pair of maximal witness size."""
+    family = model.selector_names()
+    arity = coloring.front.arity()
+    reducts = model.all_reducts(config.max_reducts)
+    total = len(reducts) * len(family) ** arity
+    if total > config.max_kernels:
+        raise BudgetExceededError(
+            f"oracle would enumerate {total} candidates, budget is {config.max_kernels}"
+        )
+    maps = [InnerMap(names) for names in itertools.product(family, repeat=arity)]
+    # verify_canonical per (x, phi), with the members below x found once
+    # per reduct and each member's color and phi value once per run
+    color = {m: coloring(m) for m in coloring.front.members}
+    values: list[dict[Approx, tuple]] = [{} for _ in maps]
+
+    def same_color(p: Approx, q: Approx) -> bool:
+        return color[p] == color[q]
+
+    hits: list[tuple[Approx, InnerMap]] = []
+    best = -1
+    for x in sorted(reducts, key=witness_sort_key):
+        if len(x) < best:
+            break
+        members = model.below(coloring.front.members, x)
+        if not members:
+            continue
+        for phi, memo in zip(maps, values):
+            for m in members:
+                if m not in memo:
+                    memo[m] = eval_inner(model, phi, m)
+            if first_mismatch(members, same_color, [memo[m] for m in members]) is not None:
+                continue
+            if len(x) > best:
+                hits = [(x, phi)]
+                best = len(x)
+            elif len(x) == best:
+                hits.append((x, phi))
+    return tuple(sorted(hits, key=lambda h: (h[0].key, h[1].selectors)))
 
 
 def reference_member_kernel(values):
@@ -237,3 +297,90 @@ def test_a4_searches_keep_their_own_errors(e5):
         pigeonhole_A4(e5, EMPTY, e5.full, lambda p: 0, Config(mu=6))
     with pytest.raises(NoInnerWitnessError, match="no selector in the family"):
         search_inner_A4star(e5, EMPTY, e5.full, lambda p: 0, Config(mu=6))
+
+
+# ---------------------------------------------------------------------------
+# The oracle on class ids against its first_mismatch loop, on uniform
+# fronts, on a front with members of unequal lengths and under a budget.
+
+ORACLE_FIXTURES = ["e5", "fin4", "fin4cap2", "tree22"]
+
+
+def _unequal_front(model):
+    """Members of length 1 whose block draws from the first ground level,
+    and of length 2 otherwise (on Ellentuck: {0} and every {a, b} with
+    0 < a); loaded through front_from_json, so the front laws are checked."""
+    members = [
+        m for m in model.approximations()
+        if m.blocks and len(m) == (1 if m.blocks[0].source[0] == 1 else 2)
+    ]
+    front = Front(tuple(members), scope=model.full, instance=model.instance_tag())
+    return front_from_json(model, front_to_json(front))
+
+
+def _oracle_colorings(front):
+    for name in sorted(GENERATORS):
+        yield generated_coloring(front, name)
+    for seed in range(4):
+        yield generated_coloring(front, "random-kernel", seed=seed)
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_oracle_matches_the_reference_loop(request, name):
+    model = request.getfixturevalue(name)
+    unequal = _unequal_front(model)
+    assert len({len(m) for m in unequal.members}) > 1
+    for front in (*(uniform_front(model, rank) for rank in (1, 2, 3)), unequal):
+        for coloring in _oracle_colorings(front):
+            expected = reference_oracle_canonize(model, coloring)
+            assert oracle_canonize(model, coloring) == expected, (front.arity(), coloring.name)
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_oracle_matches_the_reference_loop_on_the_rank_0_front(request, name):
+    # The one member is EMPTY and the one map has no position.
+    model = request.getfixturevalue(name)
+    coloring = generated_coloring(uniform_front(model, 0), "constant")
+    hits = oracle_canonize(model, coloring)
+    assert hits == reference_oracle_canonize(model, coloring)
+    assert len(hits) == 1 and hits[0][1].selectors == ()
+
+
+def test_oracle_keeps_the_reference_budget_stop(fin4):
+    coloring = generated_coloring(uniform_front(fin4, 2), "union")
+    config = Config(max_kernels=100)
+    with pytest.raises(BudgetExceededError) as expected:
+        reference_oracle_canonize(fin4, coloring, config)
+    with pytest.raises(BudgetExceededError) as got:
+        oracle_canonize(fin4, coloring, config)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_non_drop_selectors_never_return_empty(request, name):
+    # The oracle's precondition: only drop can make a position vanish.
+    model = request.getfixturevalue(name)
+    blocks = {b for y in model.all_reducts() for b in y.blocks}
+    for selector in model.selector_names():
+        if selector != "drop":
+            assert all(model.apply_selector(selector, b) for b in blocks), selector
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_canonize_and_oracle_on_drawn_colorings(e5, fin4, fin4cap2, tree22, data):
+    models = {"e5": e5, "fin4": fin4, "fin4cap2": fin4cap2, "tree22": tree22}
+    model = models[data.draw(st.sampled_from(ORACLE_FIXTURES), label="instance")]
+    front = uniform_front(model, data.draw(st.integers(1, 2), label="rank"))
+    classes = data.draw(st.integers(1, 6), label="classes")
+    colors = data.draw(
+        st.lists(st.integers(0, classes - 1), min_size=len(front), max_size=len(front)),
+        label="colors",
+    )
+    coloring = Coloring(front, tuple(colors), name="drawn")
+    assert oracle_canonize(model, coloring) == reference_oracle_canonize(model, coloring)
+    report = canonize(model, coloring, oracle=True)
+    again = canonize(model, coloring, oracle=True)
+    assert canonical_json(report.to_json()) == canonical_json(again.to_json())
+    if report.verdict == "pass":
+        assert verify_canonical(model, report.witness, report.phi, coloring)[0]

@@ -8,9 +8,11 @@ are serialized with `canonical_json` and compared with the files in
 and the mixing engine name, which the CLI goldens never reach. When a
 report changes on purpose, re-record with
 
-    PYTHONPATH=src python tests/test_report_golden.py
+    PYTHONPATH=src python tests/test_report_golden.py [CASE ...]
 
-and review the diff of `tests/golden/reports/`.
+and review the diff of `tests/golden/reports/`. Named cases re-record
+only those (an unknown case is an error); with none, every case is
+rewritten.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def test_golden_library_report(case):
 
 
 if __name__ == "__main__":
+    import sys
+
+    unknown = [case for case in sys.argv[1:] if case not in CASES]
+    if unknown:
+        sys.exit(f"unknown report case(s): {' '.join(unknown)}")
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for case, build in sorted(CASES.items()):
-        (GOLDEN / f"{case}.json").write_text(canonical_json(build()))
+    for case in sys.argv[1:] or sorted(CASES):
+        (GOLDEN / f"{case}.json").write_text(canonical_json(CASES[case]()))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -133,6 +134,16 @@ def test_instance_parameter_guards():
         build_tree(2, 0)
     with pytest.raises(ParameterError):
         build_tree(2, 11)  # over the node guard
+
+
+def test_tree_node_cap_stops_before_the_last_level():
+    assert build_tree(2, 9).levels[-1][-1] == 1022  # 1,023 nodes
+    with pytest.raises(ParameterError, match="budget of 2000 nodes"):
+        build_tree(2, 10)  # 2,047 nodes
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="budget of 2000 nodes"):
+        instance_from_json({"instance": "tree", "params": {"b": 2, "h": 10**6}})
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -134,15 +134,17 @@ def oracle_canonize(
             f"oracle would enumerate {total} candidates, budget is {config.max_kernels}"
         )
     front = coloring.front.members
-    index = {m: i for i, m in enumerate(front)}
+    rows = [model.up_mask(m) for m in front]
     ids = [[(name, _class_ids(model, name, pos, front)) for name in family] for pos in range(arity)]
 
+    # The reducts arrive by witness_sort_key, so the hits of the largest
+    # size come in key order; each reduct's maps are sorted as found.
     hits: list[tuple[Approx, InnerMap]] = []
     best = -1
-    for x in sorted(reducts, key=witness_sort_key):
+    for j, x in sorted(enumerate(reducts), key=lambda item: witness_sort_key(item[1])):
         if len(x) < best:
             break
-        below = [index[m] for m in model.below(front, x)]
+        below = [i for i, row in enumerate(rows) if row >> j & 1]
         if not below:
             continue
         colors = [coloring.colors[i] for i in below]
@@ -151,17 +153,17 @@ def oracle_canonize(
         for per_selector in ids:
             cols = ((name, [column[i] for i in below]) for name, column in per_selector)
             usable.append([(n, col) for n, col in cols if len(set(zip(colors, col))) == classes])
+        found = []
         for choice in itertools.product(*usable):
             # A map with no positions (a rank-0 front) sends its member to ().
             tuples = set(zip(*(col for _, col in choice))) if choice else {()}
             if len(tuples) == classes:
-                phi = InnerMap(tuple(name for name, _ in choice))
-                if len(x) > best:
-                    hits = [(x, phi)]
-                    best = len(x)
-                else:
-                    hits.append((x, phi))
-    return tuple(sorted(hits, key=lambda h: (h[0].key, h[1].selectors)))
+                found.append(tuple(name for name, _ in choice))
+        if found:
+            if len(x) > best:
+                hits, best = [], len(x)
+            hits.extend((x, InnerMap(selectors)) for selectors in sorted(found))
+    return tuple(hits)
 
 
 def _class_ids(model: SpaceModel, name: str, pos: int, members) -> tuple[int, ...]:
@@ -188,8 +190,11 @@ def oracle_agreement(
     if ok:
         mine = model.below(coloring.front.members, witness)
         ours = {m: eval_inner(model, phi, m) for m in mine}
+        rows = [(m, model.up_mask(m)) for m in mine]
+        ids = model.reduct_ids()
         for x_o, phi_o in oracle_hits:
-            common = model.below(mine, x_o)
+            j = ids[x_o]
+            common = [m for m, row in rows if row >> j & 1]
             theirs = [eval_inner(model, phi_o, m) for m in common]
             if first_mismatch(common, lambda p, q: ours[p] == ours[q], theirs) is None:
                 agree = True

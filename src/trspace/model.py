@@ -162,12 +162,15 @@ class SpaceModel(ABC):
     The full reduct has one block per ground level, and the reducts are
     what one-step extensions grow from EMPTY inside it; their initial
     segments are the approximations of the instance. Subclasses supply
-    the finitization order _leq_fin on those approximations, the one-step
-    extensions _extension_blocks and the selectors table. Everything
-    else (depth, basic sets, axiom checks, fusion) is shared and
-    expressed through these two hooks. leq_fin memoizes no pairs: the
-    relation is stored only as lazily filled bitsets over the reduct ids,
-    rows (up_mask) and columns (sub_mask).
+    the one-step extensions _extension_blocks, the selectors table and
+    the finitization order twice: as bitsets over the reduct ids, the
+    reducts above and below an approximation (_reducts_above,
+    _reducts_below), built from per-piece reduct masks (_pieces), and as
+    the pairwise _leq_fin, the independent reference the engine never
+    calls. Everything else (depth, basic sets, axiom checks, fusion) is
+    shared and expressed through these hooks. The relation is stored
+    only as lazily filled lines, rows (up_mask) and columns (sub_mask),
+    and leq_fin reads one bit of a row.
     """
 
     kind: str = "abstract"
@@ -189,12 +192,13 @@ class SpaceModel(ABC):
         # Dense reduct ids: reduct i is all_reducts()[i], bit i of every mask.
         self._ids: Optional[dict[Approx, int]] = None
         self._approxes: Optional[tuple[Approx, ...]] = None
-        # The relation's only stores, bitsets over the reduct ids, each
-        # filled on first use: reducts below x (columns), reducts above s
-        # (rows), and per segment length n the reducts grouped by their
-        # length-n segment.
-        self._sub_masks: dict[Approx, int] = {}
-        self._up_masks: dict[Approx, int] = {}
+        # The relation's only stores, each filled on first use: per piece
+        # the reducts having it; the lines of _line, approximations above
+        # s (rows) and below x (columns); and per segment length n the
+        # reducts grouped by their length-n segment.
+        self._masks_by_piece: Optional[dict] = None
+        self._rows: dict[Approx, int] = {}
+        self._columns: dict[Approx, int] = {}
         self._prefix_masks: dict[int, dict[Approx, int]] = {}
         self._segments: dict[Approx, tuple[Approx, ...]] = {}
         self._ext_cache: dict[tuple, tuple[Block, ...]] = {}
@@ -208,7 +212,21 @@ class SpaceModel(ABC):
     @abstractmethod
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         """s is a finite reduction of t (both are approximations of the
-        instance: EMPTY or reducts)."""
+        instance: EMPTY or reducts). The pairwise definition, kept as the
+        reference that the masks of _reducts_above and _reducts_below
+        are tested against; the engine reads only those."""
+
+    @abstractmethod
+    def _pieces(self, y: Approx):
+        """The pieces of reduct y that _piece_masks indexes the reducts by."""
+
+    @abstractmethod
+    def _reducts_above(self, s: Approx) -> int:
+        """Bitset of the reducts y with s <= y; s is EMPTY or a reduct."""
+
+    @abstractmethod
+    def _reducts_below(self, x: Approx) -> int:
+        """Bitset of the reducts y <= x; x is EMPTY or a reduct."""
 
     @abstractmethod
     def _extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
@@ -247,17 +265,70 @@ class SpaceModel(ABC):
             return x
         return Approx(x.blocks[:n])
 
-    def _reduct_ids(self) -> dict[Approx, int]:
+    def reduct_ids(self) -> dict[Approx, int]:
+        """Dense reduct ids: reduct i is all_reducts()[i], bit i of every
+        mask."""
         if self._ids is None:
             self._ids = {y: i for i, y in enumerate(self.all_reducts())}
         return self._ids
 
+    def _bit(self, a: Approx) -> Optional[int]:
+        """a's bit in the lines: 0 for EMPTY, i + 1 for reduct i; None
+        when a is no approximation of the instance."""
+        if not a.blocks:
+            return 0
+        i = self.reduct_ids().get(a)
+        return None if i is None else i + 1
+
+    def _every_reduct(self) -> int:
+        """Bitset of all reducts."""
+        return (1 << len(self.all_reducts())) - 1
+
+    def _piece_masks(self) -> dict:
+        """Per piece of some reduct, the bitset of the reducts having it,
+        filled in one pass over the reducts on first use."""
+        if self._masks_by_piece is None:
+            masks: dict = {}
+            for i, y in enumerate(self.all_reducts()):
+                bit = 1 << i
+                for piece in self._pieces(y):
+                    masks[piece] = masks.get(piece, 0) | bit
+            self._masks_by_piece = masks
+        return self._masks_by_piece
+
+    def _line(self, a: Approx, up: bool) -> int:
+        """The approximations above a (up) or below it, a being EMPTY or
+        a reduct, as a bitset: bit 0 for EMPTY, bit i + 1 for reduct i.
+        EMPTY lies below every approximation and nothing else lies below
+        EMPTY, in every space. Every read of the relation goes through
+        here, so a subclass that flips bits of the lines changes leq_fin,
+        up_mask, sub_mask and the axiom checks alike."""
+        if up:
+            return self._reducts_above(a) << 1 | (not a.blocks)
+        return self._reducts_below(a) << 1 | 1
+
+    def _row(self, s: Approx) -> int:
+        """The line above s, filled on first use; 0 when s is no
+        approximation."""
+        hit = self._rows.get(s)
+        if hit is None:
+            hit = self._rows[s] = 0 if self._bit(s) is None else self._line(s, True)
+        return hit
+
+    def _column(self, x: Approx) -> int:
+        """The line below x, filled on first use; 0 when x is no
+        approximation."""
+        hit = self._columns.get(x)
+        if hit is None:
+            hit = self._columns[x] = 0 if self._bit(x) is None else self._line(x, False)
+        return hit
+
     def leq_fin(self, s: Approx, t: Approx) -> bool:
-        """s is a finite reduction of t. False unless both are
-        approximations of the instance (EMPTY or a reduct); nothing is
-        memoized, the rows and columns are the relation's stores."""
-        ids = self._reduct_ids()
-        return (not s.blocks or s in ids) and (not t.blocks or t in ids) and self._leq_fin(s, t)
+        """s is a finite reduction of t: t's bit in the row of s. False
+        unless both are approximations of the instance (EMPTY or a
+        reduct)."""
+        j = self._bit(t)
+        return j is not None and bool(self._row(s) >> j & 1)
 
     def segments(self, x: Approx) -> tuple[Approx, ...]:
         """restrict(x, n) for n = 0..len(x), through the model's own restrict.
@@ -267,7 +338,7 @@ class SpaceModel(ABC):
         """
         hit = self._segments.get(x)
         if hit is None:
-            reds, ids = self.all_reducts(), self._reduct_ids()
+            reds, ids = self.all_reducts(), self.reduct_ids()
             hit = tuple(
                 reds[ids[seg]] if seg in ids else (seg if seg.blocks else EMPTY)
                 for seg in (self.restrict(x, n) for n in range(len(x) + 1))
@@ -335,50 +406,21 @@ class SpaceModel(ABC):
 
     def below(self, approxes: Iterable[Approx], x: Approx) -> tuple[Approx, ...]:
         """The given approximations s <= x, in their order, read off x's
-        bit in each up_mask(s). Below EMPTY, or below anything that is no
-        approximation, only EMPTY can lie."""
-        i = self._reduct_ids().get(x)
-        if i is None:
-            empty = tuple(s for s in approxes if not s.blocks)
-            return empty if empty and self.leq_fin(EMPTY, x) else ()
-        return tuple(s for s in approxes if self.up_mask(s) >> i & 1)
-
-    def _filled_bits(self, a: Approx, transposes: dict[Approx, int]):
-        """The bits of a's row or column that the filled transposes of
-        the reducts already hold (none unless a is a reduct), and the
-        (j, reduct j) left to evaluate, so that a pair asked through both
-        a row and a column is evaluated once."""
-        reds = self.all_reducts()
-        i = self._reduct_ids().get(a)
-        if i is None or not transposes:
-            return 0, enumerate(reds)
-        mask, rest = 0, []
-        for j, y in enumerate(reds):
-            line = transposes.get(y)
-            if line is None:
-                rest.append((j, y))
-            elif line >> i & 1:
-                mask |= 1 << j
-        return mask, rest
+        bit in the row of each s. Nothing lies below what is no
+        approximation."""
+        j = self._bit(x)
+        if j is None:
+            return ()
+        return tuple(s for s in approxes if self._row(s) >> j & 1)
 
     def sub_mask(self, x: Approx) -> int:
         """Bitset of the reducts y <= x, the column of x."""
-        hit = self._sub_masks.get(x)
-        if hit is None:
-            hit, rest = self._filled_bits(x, self._up_masks)
-            hit |= sum(1 << j for j, y in rest if self.leq_fin(y, x))
-            self._sub_masks[x] = hit
-        return hit
+        return self._column(x) >> 1
 
     def up_mask(self, s: Approx) -> int:
         """Bitset of the reducts y >= s, the reducts realizing s: the row
         of s, the transpose of sub_mask."""
-        hit = self._up_masks.get(s)
-        if hit is None:
-            hit, rest = self._filled_bits(s, self._sub_masks)
-            hit |= sum(1 << j for j, y in rest if self.leq_fin(s, y))
-            self._up_masks[s] = hit
-        return hit
+        return self._row(s) >> 1
 
     def prefix_mask(self, s: Approx) -> int:
         """Bitset of the reducts y with restrict(y, len(s)) == s.
@@ -482,18 +524,18 @@ def _check_a1(model: SpaceModel, config: Config) -> dict:
 def _check_a2(model: SpaceModel, config: Config) -> dict:
     approxes = model.approximations()
     reds = model.all_reducts()
-    ids = model._reduct_ids()
+    ids = model.reduct_ids()
     # Only EMPTY and the reducts lie below anything. EMPTY takes bit 0 and
     # reduct i bit i + 1, so the bits run in approximation order; a
     # segment that is neither (an overridden restrict can name one) takes
-    # the spare bit len(reds) + 1, whose row stays empty. The rows read
-    # the model's up_mask rows, which later checks on the model share.
+    # the spare bit len(reds) + 1, whose row stays empty. These are the
+    # bits of the model's own rows, which later checks on the model share.
     tops = (EMPTY, *reds)
 
     def bit(a: Approx) -> int:
         return ids.get(a, len(reds)) + 1 if a.blocks else 0
 
-    rows = [model.up_mask(s) << 1 | model.leq_fin(s, EMPTY) for s in tops] + [0]
+    rows = [model._row(s) for s in tops] + [0]
     # occurs[b] holds the y with b among their segments, so reach[a], the
     # OR of occurs over a's row, holds the y with a below a segment of y.
     occurs = [0] * len(rows)

@@ -58,12 +58,16 @@ class ShiftedRestrict(EllentuckModel):
 
 
 class InflatedLeq(EllentuckModel):
-    """Claims every single atom sits below every pair of atoms."""
+    """Claims every single atom sits below every pair of atoms: the rows
+    of the one-atom reducts gain the bits of the two-atom ones, and the
+    columns of the two-atom reducts the transpose bits."""
 
-    def leq_fin(self, s, t):
-        if len(s) == 1 and len(t) == 2:
-            return True
-        return super().leq_fin(s, t)
+    def _line(self, a, up):
+        line = super()._line(a, up)
+        if len(a) == (1 if up else 2):
+            size = 2 if up else 1
+            line |= sum(1 << self._bit(y) for y in self.all_reducts() if len(y) == size)
+        return line
 
 
 def test_defective_restrict_fails_segment_distinctness():

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import refuse_pairwise_hook
 from trspace.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,6 +80,18 @@ def test_golden_report(line, tmp_path):
     assert stdout == (GOLDEN / f"{slug(line)}.json").read_text()
     if "{out}" in line:
         assert out_path.read_text() == stdout
+
+
+def test_golden_reports_without_the_pairwise_hook(monkeypatch, tmp_path):
+    # Every command reads the order off the rows and columns only: with
+    # each space's pairwise _leq_fin raising, every case still gives its
+    # golden exit code and report.
+    refuse_pairwise_hook(monkeypatch)
+    exits = json.loads((GOLDEN / "exits.json").read_text())
+    for line in CASES:
+        code, stdout = run_case(line, tmp_path / "run.json")
+        assert code == exits[slug(line)], line
+        assert stdout == (GOLDEN / f"{slug(line)}.json").read_text(), line
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """The relation layer's fast paths against the plain scans they replace.
 
-The bitset masks behind sub_reducts/basic/up_mask/below/depth, the
-linear A.1 pass, the row-based A.2 and mask-based A.3 searches and the
-mixing engine's mask verdicts must give the same answers, and the same
+The rows and columns every space builds from its per-piece reduct
+masks must hold exactly the pairs of its pairwise _leq_fin. The bitset
+masks behind sub_reducts/basic/up_mask/below/depth, the linear A.1
+pass, the row-based A.2 and mask-based A.3 searches and the mixing
+engine's mask verdicts must give the same answers, and the same
 witness, as the direct loops kept here as references. Counting wrappers
 pin the amount of relation work, so a quadratic pass or a per-reduct
 loop that comes back fails without any timing.
@@ -37,11 +39,13 @@ from trspace import (
     check_axioms,
     color_front,
     generated_coloring,
+    canonize,
     mixing_table,
+    pigeonhole_A4,
     uniform_front,
     witness_sort_key,
 )
-from helpers import ea
+from helpers import ea, flip_bits, refuse_pairwise_hook
 from test_axioms import InflatedLeq, ShiftedRestrict
 
 
@@ -174,24 +178,30 @@ class LongHeadRestrict(EllentuckModel):
         return super().restrict(x, len(x) if n == 1 else n)
 
 
-class DroppedAtom(EllentuckModel):
+class FlippedLeq(EllentuckModel):
+    """Ellentuck with the relation negated on the pairs in flips, as
+    flipped bits of its rows and columns."""
+
+    flips: frozenset = frozenset()
+
+    def _line(self, a, up):
+        return flip_bits(self, self.flips, a, up, super()._line(a, up))
+
+
+class DroppedAtom(FlippedLeq):
     """Forgets that the atom 1 lies in the full reduct, so the order is
     no longer transitive."""
 
-    def leq_fin(self, s, t):
-        if s == ea(1) and t == self.full:
-            return False
-        return super().leq_fin(s, t)
+    @property
+    def flips(self):
+        return frozenset({(ea(1), self.full)})
 
 
-class IrreflexiveAtom(EllentuckModel):
+class IrreflexiveAtom(FlippedLeq):
     """Denies that the atom 0 lies below itself, so [EMPTY, {0}] is
     empty although {0} sits in nonempty basic sets."""
 
-    def leq_fin(self, s, t):
-        if s == t == ea(0):
-            return False
-        return super().leq_fin(s, t)
+    flips = frozenset({(ea(0), ea(0))})
 
 
 DEFECTS = {
@@ -231,17 +241,8 @@ def test_new_defects_reach_their_clauses():
 
 
 # ---------------------------------------------------------------------------
-# A.2 clause 3: no defect above reaches it. Flipping leq_fin on three
-# pairs of Ellentuck N=3 does; no such flip set turned up at N=4.
-
-class FlippedLeq(EllentuckModel):
-    """Ellentuck with leq_fin negated on the pairs in flips."""
-
-    flips: frozenset = frozenset()
-
-    def leq_fin(self, s, t):
-        return ((s, t) in self.flips) != super().leq_fin(s, t)
-
+# A.2 clause 3: no defect above reaches it. Flipping the relation on
+# three pairs of Ellentuck N=3 does; no such flip set turned up at N=4.
 
 class SwappedEmptyFull(FlippedLeq):
     """The full reduct lies below EMPTY, EMPTY not below the full reduct
@@ -291,8 +292,8 @@ SMALL_SPACES = {
 
 def _defective(build, flips, segment):
     model = build()
-    leq, restrict = model.leq_fin, model.restrict
-    model.leq_fin = lambda s, t: ((s, t) in flips) != leq(s, t)
+    line, restrict = model._line, model.restrict
+    model._line = lambda a, up: flip_bits(model, flips, a, up, line(a, up))
     if segment is not None:
         model.restrict = lambda x, n: segment(restrict, x, n)
     return model
@@ -323,6 +324,39 @@ def test_fast_axioms_match_reference_on_flipped_pairs(defect):
 
 
 # ---------------------------------------------------------------------------
+# One relation: leq_fin, up_mask, sub_mask, below and the rows A.2 reads
+# see every injected defect the same way, EMPTY's pairs included.
+
+def _assert_one_relation(model):
+    tops = (EMPTY, *model.all_reducts())
+    for i, s in enumerate(tops):
+        row = model._row(s)
+        for j, t in enumerate(tops):
+            leq = model.leq_fin(s, t)
+            assert ((row >> j) & 1, (model._column(t) >> i) & 1) == (leq, leq), (s, t)
+            assert model.below((s,), t) == ((s,) if leq else ()), (s, t)
+            if i and j:
+                assert ((model.up_mask(s) >> j - 1) & 1, (model.sub_mask(t) >> i - 1) & 1) == (leq, leq)
+    _assert_up_mask_is_the_transpose(model)
+
+
+@pytest.mark.parametrize("name", [*DEFECTS, *CLAUSE3_DEFECTS])
+def test_defects_read_as_one_relation(name):
+    cls = DEFECTS.get(name) or CLAUSE3_DEFECTS[name]
+    _assert_one_relation(cls(4 if name in DEFECTS else 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(defect=flipped_defects())
+def test_flipped_pairs_read_as_one_relation(defect):
+    space, flips, segment = defect
+    model = _defective(SMALL_SPACES[space], flips, SEGMENT_MAPS[segment])
+    _assert_one_relation(model)
+    for s, t in itertools.product((EMPTY, *model.all_reducts()), repeat=2):
+        assert model.leq_fin(s, t) == (((s, t) in flips) != model._leq_fin(s, t)), (s, t)
+
+
+# ---------------------------------------------------------------------------
 # basic(s, x) and sub_reducts(x) against the scans, on drawn instances.
 
 def _assert_basic_matches_scan(model):
@@ -350,9 +384,81 @@ def test_basic_matches_scan_on_fin_partitions(model):
     _assert_basic_matches_scan(model)
 
 
+# Trees with b in {2, 3}, as high as TREE_NODES nodes allow: heights
+# 1-3 at b=2 and 1-2 at b=3, at most 74 reducts.
+TREE_NODES = 15
+
+
+@st.composite
+def tree_instances(draw):
+    b = draw(st.sampled_from((2, 3)))
+    heights = [h for h in range(1, TREE_NODES) if (b ** (h + 1) - 1) // (b - 1) <= TREE_NODES]
+    return build_tree(b, draw(st.sampled_from(heights)))
+
+
 @pytest.mark.parametrize("b, h", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_basic_matches_scan_on_trees(b, h):
     _assert_basic_matches_scan(build_tree(b, h))
+
+
+@settings(max_examples=8, deadline=None)
+@given(model=tree_instances())
+def test_basic_matches_scan_on_drawn_trees(model):
+    _assert_basic_matches_scan(model)
+
+
+# ---------------------------------------------------------------------------
+# The rows and columns against the pairwise _leq_fin, the hook's
+# independent slow path, on every pair of (EMPTY, *reducts).
+
+def _assert_lines_match_hook(model):
+    tops = (EMPTY, *model.all_reducts())
+    for i, s in enumerate(tops):
+        row, column = model._row(s), model._column(s)
+        for j, t in enumerate(tops):
+            assert (row >> j) & 1 == model._leq_fin(s, t), (s, t)
+            assert (column >> j) & 1 == model._leq_fin(t, s), (t, s)
+
+
+LINE_INSTANCES = {
+    **{f"e{n}": (lambda n=n: build_ellentuck(n)) for n in range(1, 8)},
+    **{
+        f"fin{n}cap{cap}": (lambda n=n, cap=cap: build_fin(n, span_cap=cap))
+        for n in range(1, 6) for cap in (None, 1, 2)
+    },
+    **{f"tree{b}{h}": (lambda b=b, h=h: build_tree(b, h)) for b, h in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_INSTANCES))
+def test_rows_and_columns_are_the_pairwise_hook(name):
+    _assert_lines_match_hook(LINE_INSTANCES[name]())
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=fin_instances())
+def test_rows_and_columns_are_the_pairwise_hook_on_fin_partitions(model):
+    _assert_lines_match_hook(model)
+
+
+@settings(max_examples=8, deadline=None)
+@given(model=tree_instances())
+def test_rows_and_columns_are_the_pairwise_hook_on_drawn_trees(model):
+    _assert_lines_match_hook(model)
+
+
+def test_engine_never_asks_the_pairwise_hook(monkeypatch):
+    refuse_pairwise_hook(monkeypatch)
+    for model in (build_ellentuck(5), build_fin(4), build_fin(4, span_cap=2), build_tree(2, 2)):
+        for axiom in ("A1", "A2", "A3"):
+            assert check_axioms(model, axiom)["verdict"] == "pass"
+        for s in (EMPTY, *model.all_reducts()[:3]):
+            exts = model.extensions(s, model.full)
+            if exts:
+                pigeonhole_A4(model, s, model.full, lambda p: len(p.blocks[-1].atoms) % 2)
+        front = uniform_front(model, 1)
+        coloring = color_front(front, GENERATORS["min"], name="min")
+        assert canonize(model, coloring, oracle=True).verdict == "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +666,7 @@ def _assert_up_mask_is_the_transpose(model):
             assert (model.up_mask(s) >> j & 1) == (model.sub_mask(y) >> i & 1), (s, y)
 
 
-@pytest.mark.parametrize("rows_first", [True, False], ids=["rows-first", "columns-first"])
-@pytest.mark.parametrize("build", [lambda: build_ellentuck(5), lambda: build_fin(4)], ids=["e5", "fin4"])
-def test_rows_and_columns_evaluate_each_pair_once(build, rows_first):
-    model = build()
-    reds = model.all_reducts()
+def _count_hook_calls(model):
     asked = collections.Counter()
     hook = model._leq_fin
 
@@ -573,12 +675,23 @@ def test_rows_and_columns_evaluate_each_pair_once(build, rows_first):
         return hook(s, t)
 
     model._leq_fin = counting
+    return asked
+
+
+# The rows and columns are read off the piece masks, so no pair is
+# evaluated by _leq_fin at all: stricter than once per pair.
+
+@pytest.mark.parametrize("rows_first", [True, False], ids=["rows-first", "columns-first"])
+@pytest.mark.parametrize("build", [lambda: build_ellentuck(5), lambda: build_fin(4)], ids=["e5", "fin4"])
+def test_rows_and_columns_evaluate_each_pair_once(build, rows_first):
+    model = build()
+    reds = model.all_reducts()
+    asked = _count_hook_calls(model)
     lines = (model.up_mask, model.sub_mask) if rows_first else (model.sub_mask, model.up_mask)
     for fill in lines:
         for a in reds:
             fill(a)
-    assert len(asked) == len(reds) ** 2
-    assert set(asked.values()) == {1}
+    assert not asked
     _assert_up_mask_is_the_transpose(model)
 
 
@@ -588,22 +701,11 @@ def test_rows_and_columns_evaluate_each_pair_once(build, rows_first):
     ids=["e5", "fin4", "tree22"],
 )
 def test_axioms_in_turn_evaluate_each_pair_once(build):
-    # A2's rows for EMPTY and the reducts are the model's up_mask rows,
-    # so A3's columns read them instead of asking the hook again.
     model = build()
-    asked = collections.Counter()
-    hook = model._leq_fin
-
-    def counting(s, t):
-        asked[s, t] += 1
-        return hook(s, t)
-
-    model._leq_fin = counting
+    asked = _count_hook_calls(model)
     for axiom in ("A1", "A2", "A3"):
         assert check_axioms(model, axiom)["verdict"] == "pass", axiom
-    reds = model.all_reducts()
-    assert len(asked) >= len(reds) ** 2
-    assert set(asked.values()) == {1}
+    assert not asked
     _assert_up_mask_is_the_transpose(model)
 
 

@@ -163,14 +163,14 @@ class SpaceModel(ABC):
     what one-step extensions grow from EMPTY inside it; their initial
     segments are the approximations of the instance. Subclasses supply
     the one-step extensions _extension_blocks, the selectors table and
-    the finitization order twice: as bitsets over the reduct ids, the
-    reducts above and below an approximation (_reducts_above,
-    _reducts_below), built from per-piece reduct masks (_pieces), and as
-    the pairwise _leq_fin, the independent reference the engine never
-    calls. Everything else (depth, basic sets, axiom checks, fusion) is
-    shared and expressed through these hooks. The relation is stored
-    only as lazily filled lines, rows (up_mask) and columns (sub_mask),
-    and leq_fin reads one bit of a row.
+    the pairwise finitization order _leq_fin, the reference the engine
+    never calls. The engine reads the order as bitsets over the reduct
+    ids, the reducts above and below an approximation (_reducts_above,
+    _reducts_below), built from per-piece reduct masks; by default s <= y
+    iff y holds every piece of s, with atoms for pieces (_pieces,
+    _holders), and a space with another order overrides these. The
+    relation is stored only as lazily filled lines, rows (up_mask) and
+    columns (sub_mask), and leq_fin reads one bit of a row.
     """
 
     kind: str = "abstract"
@@ -213,28 +213,38 @@ class SpaceModel(ABC):
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         """s is a finite reduction of t (both are approximations of the
         instance: EMPTY or reducts). The pairwise definition, kept as the
-        reference that the masks of _reducts_above and _reducts_below
-        are tested against; the engine reads only those."""
+        reference that the rows and columns are tested against; the
+        engine reads only those."""
 
     @abstractmethod
-    def _pieces(self, y: Approx):
-        """The pieces of reduct y that _piece_masks indexes the reducts by."""
-
-    @abstractmethod
-    def _reducts_above(self, s: Approx) -> int:
-        """Bitset of the reducts y with s <= y; s is EMPTY or a reduct."""
-
-    @abstractmethod
-    def _reducts_below(self, x: Approx) -> int:
-        """Bitset of the reducts y <= x; x is EMPTY or a reduct."""
-
-    @abstractmethod
-    def _extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
-        """Blocks b with s.extend(b) an approximation inside x.
+    def _extension_blocks(self, s: Approx, x: Approx) -> Iterable[Block]:
+        """Blocks b with s.extend(b) an approximation inside x, in any
+        order; a lazy iterable lets a budget stop the enumeration early.
 
         Preconditions (ensured by the caller): x is a reduct and
         leq_fin(s, x).
         """
+
+    def _pieces(self, y: Approx):
+        """The pieces of reduct y that _piece_masks indexes the reducts by."""
+        return (a for b in y.blocks for a in b.atoms)
+
+    def _holders(self, piece) -> int:
+        """Bitset of the reducts holding piece in the sense of the order."""
+        return self._piece_masks()[piece]
+
+    def _reducts_above(self, s: Approx) -> int:
+        """Bitset of the reducts y with s <= y; s is EMPTY or a reduct."""
+        row = self._every_reduct()
+        for piece in self._pieces(s):
+            row &= self._holders(piece)
+        return row
+
+    def _reducts_below(self, x: Approx) -> int:
+        """Bitset of the reducts y <= x; x is EMPTY or a reduct."""
+        inside = set(self._pieces(x))
+        outside = [mask for piece, mask in self._piece_masks().items() if piece not in inside]
+        return self._every_reduct() & ~reduce(or_, outside, 0)
 
     # Inner selector catalog, a block's selected atoms by name, drop
     # first; spaces add their entries and canonize tries them in order.

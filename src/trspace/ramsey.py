@@ -24,8 +24,8 @@ tree decides N.
 
 A tuple's index in colex order is its colex rank, which does not
 depend on N, so the tests of the tuples of [N] are the first rows of
-those of [N+1]. One table per call holds them and grows as N rises,
-adding only the rows of the tuples whose last point is N.
+those of [N+1]. One table per call holds them for every N, and the
+search builds a tuple's row only when it first reaches the tuple.
 
 `restricted_growth_strings` and `_admits_witness` enumerate and test
 whole kernels; they are the slow reference for both searches.
@@ -141,15 +141,19 @@ def _completion_rows(n: int, m: int) -> Iterator[list[tuple[int, frozenset[int]]
     points inside the m-set, so it is worked out once on the shape, the
     n-subsets of range(m). A pair agrees on I iff it agrees on every
     coordinate in I, so the patterns are the AND-closure of the n
-    per-coordinate masks, starting from all pairs."""
-    shape = _colex_tuples(m, n)
-    pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
-    agreeing = [
-        [p for p, (u, v) in enumerate(pairs) if shape[u][c] == shape[v][c]] for c in range(n)
-    ]
+    per-coordinate masks, starting from all pairs. The shape tables
+    are built at the first tuple that completes an m-set."""
+    shape = None
     for last in count(n - 1):
         for head in _colex_tuples(last, n - 1):
             t = head + (last,)
+            if shape is None and t[0] >= m - n:
+                shape = _colex_tuples(m, n)
+                pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
+                agreeing = [
+                    [p for p, (u, v) in enumerate(pairs) if shape[u][c] == shape[v][c]]
+                    for c in range(n)
+                ]
             row = []
             for rest in combinations(range(t[0]), m - n):
                 points = rest + t
@@ -164,17 +168,17 @@ def _completion_rows(n: int, m: int) -> Iterator[list[tuple[int, frozenset[int]]
 
 
 class _CompletionTable:
-    """The rows of _completion_rows(n, m) for the tuples of range(N),
-    grown as N rises: one table serves every N of a search."""
+    """The rows of _completion_rows(n, m) built so far: one table serves
+    every N of a search, which adds a row when it first reaches its tuple."""
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
         self.rows: list[list[tuple[int, frozenset[int]]]] = []
-        self._more = _completion_rows(n, m)
+        self.more = _completion_rows(n, m)
 
     def grow(self, N: int) -> list[list[tuple[int, frozenset[int]]]]:
         """The table, holding at least the rows of the tuples of range(N)."""
-        self.rows.extend(islice(self._more, max(0, comb(N, self.n) - len(self.rows))))
+        self.rows.extend(islice(self.more, max(0, comb(N, self.n) - len(self.rows))))
         return self.rows
 
 
@@ -195,7 +199,7 @@ def _bad_kernel(
             if parts[0] < m and size < m:
                 return tuple(c for c in range(size) for _ in range(parts[c]))
         return None
-    tests = table.grow(N)
+    tests, more = table.grow(n), table.more  # at least the row of tuple 0
     total = comb(N, n)
     colors = [-1] * total
     classes: list[int] = []    # per color, the mask of tuples holding it
@@ -228,6 +232,8 @@ def _bad_kernel(
         else:
             equal[k + 1] = pairs
             k += 1
+            if k == len(tests) and k < total:
+                tests.append(next(more))
     return None
 
 

@@ -1,12 +1,12 @@
 """Concrete space instances: Ellentuck, block sequences (FIN), strong trees.
 
-Each model fixes the finitization order on its approximations, the
-one-step extensions the reducts grow from, and its selectors. The order
-comes twice: as rows and columns over the reduct ids, read off per-piece
-reduct masks (per atom for Ellentuck and trees, per block for FIN), and
-as the pairwise _leq_fin that the masks are tested against. Atoms are
-plain ints; a block remembers the 1-based half-open interval of ground
-levels it draws from, which is what the level-matching checks look at.
+Each model gives the one-step extensions the reducts grow from, the
+pairwise finitization order _leq_fin and its selectors. The engine reads
+the order as rows and columns over the reduct ids, built from per-piece
+reduct masks: Ellentuck and trees keep SpaceModel's atom containment,
+and FIN overrides it with block splitting. Atoms are plain ints; a block
+remembers the 1-based half-open interval of ground levels it draws from,
+which is what the level-matching checks look at.
 """
 
 from __future__ import annotations
@@ -22,37 +22,10 @@ from .reportio import is_int_list
 
 
 # ---------------------------------------------------------------------------
-# Order by atom containment: s <= t iff every atom of s lies in t.
-
-class _AtomOrder(SpaceModel):
-    """Rows and columns from the per-atom reduct masks: the reducts
-    above s have every atom of s, those below x have none outside x."""
-
-    def _pieces(self, y: Approx):
-        return (a for b in y.blocks for a in b.atoms)
-
-    def _reducts_above(self, s: Approx) -> int:
-        masks = self._piece_masks()
-        row = self._every_reduct()
-        for b in s.blocks:
-            for a in b.atoms:
-                row &= masks[a]
-        return row
-
-    def _reducts_below(self, x: Approx) -> int:
-        inside = x.atom_set()
-        outside = 0
-        for a, mask in self._piece_masks().items():
-            if a not in inside:
-                outside |= mask
-        return self._every_reduct() & ~outside
-
-
-# ---------------------------------------------------------------------------
 # Ellentuck: atoms are naturals, level n holds the single atom n-1,
 # approximations are finite increasing sets read as singleton blocks.
 
-class EllentuckModel(_AtomOrder):
+class EllentuckModel(SpaceModel):
     kind = "ellentuck"
     selectors = {**SpaceModel.selectors, "keep": lambda block: block.atoms}
     # Extensions carry a single atom, so no block properly contains
@@ -66,9 +39,9 @@ class EllentuckModel(_AtomOrder):
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         return s.atom_set() <= t.atom_set()
 
-    def _extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
+    def _extension_blocks(self, s: Approx, x: Approx) -> Iterable[Block]:
         floor = s.blocks[-1].atoms[0] if s.blocks else -1
-        return tuple(b for b in x.blocks if b.atoms[0] > floor)
+        return (b for b in x.blocks if b.atoms[0] > floor)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +69,7 @@ class FinModel(SpaceModel):
         super().__init__(lv, params=params)
         self._level_sets = [frozenset(l) for l in self.levels]
         self._ground: dict[Block, Optional[frozenset[int]]] = {}
-        self._splits: dict[Block, int] = {}
-        self._meet_masks: dict[Block, tuple[int, int]] = {}
+        self._block_masks: dict[Block, tuple[int, int, int]] = {}
 
     def ground_indices(self, block: Block) -> Optional[frozenset[int]]:
         """0-based ground levels whose union is exactly this block; None
@@ -125,63 +97,51 @@ class FinModel(SpaceModel):
                 return False
         return True
 
-    # s <= t iff every block of s is a union of blocks of t.
+    # s <= t iff every block of s is a union of blocks of t: the pieces
+    # are blocks, and a reduct holds a block that it splits.
 
     def _pieces(self, y: Approx):
         return y.blocks
 
-    def _split(self, block: Block) -> int:
-        """Bitset of the reducts in which block is a union of their
-        blocks: the AND, over the ground levels of block, of the OR of
-        the masks of the blocks that hold the level and lie inside block."""
-        hit = self._splits.get(block)
+    def _masks(self, block: Block) -> tuple[int, int, int]:
+        """(split, inside, touch): bitsets of the reducts in which block
+        is a union of their blocks (the AND over its ground levels of the
+        OR of the masks of the blocks inside it that hold the level), that
+        have a block containing block, and that have one meeting it."""
+        hit = self._block_masks.get(block)
         if hit is None:
             want = self.ground_indices(block)
             held = dict.fromkeys(want, 0)
+            inside = touch = 0
             for b, mask in self._piece_masks().items():
                 got = self.ground_indices(b)
                 if got <= want:
                     for g in got:
                         held[g] |= mask
-            hit = self._splits[block] = reduce(and_, held.values())
-        return hit
-
-    def _reducts_above(self, s: Approx) -> int:
-        row = self._every_reduct()
-        for block in s.blocks:
-            row &= self._split(block)
-        return row
-
-    def _meets(self, block: Block) -> tuple[int, int]:
-        """Bitsets of the reducts with a block containing block, and of
-        those with a block meeting it."""
-        hit = self._meet_masks.get(block)
-        if hit is None:
-            want = self.ground_indices(block)
-            inside = touch = 0
-            for b, mask in self._piece_masks().items():
-                got = self.ground_indices(b)
                 if not want.isdisjoint(got):
                     touch |= mask
                     if want <= got:
                         inside |= mask
-            hit = self._meet_masks[block] = (inside, touch)
+            hit = self._block_masks[block] = (reduce(and_, held.values()), inside, touch)
         return hit
+
+    def _holders(self, block: Block) -> int:
+        return self._masks(block)[0]
 
     def _reducts_below(self, x: Approx) -> int:
         # y <= x iff y holds no ground level outside x, and each block of
         # x lies inside one block of y or meets none.
         column = self._every_reduct()
         for block in x.blocks:
-            inside, touch = self._meets(block)
+            _, inside, touch = self._masks(block)
             column &= inside | ~touch
         used = set().union(*(self.ground_indices(b) for b in x.blocks))
         for g, ground in enumerate(self.full.blocks):
             if g not in used:
-                column &= ~self._meets(ground)[1]
+                column &= ~self._masks(ground)[2]
         return column
 
-    def _extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
+    def _extension_blocks(self, s: Approx, x: Approx) -> Iterable[Block]:
         # Blocks of the instance are separated and increasing, so the
         # pieces of x past s start where the last block of s ends.
         start = s.blocks[-1].source[1] if s.blocks else 1
@@ -190,14 +150,15 @@ class FinModel(SpaceModel):
         # Every piece holds at least one ground level, so more pieces
         # than the span cap always merge past it.
         widest = len(pieces) if cap is None else min(len(pieces), cap)
-        out = []
-        for k in range(1, widest + 1):
-            for combo in itertools.combinations(pieces, k):
-                if cap is None or sum(len(self.ground_indices(b)) for b in combo) <= cap:
-                    atoms = tuple(sorted(a for b in combo for a in b.atoms))
-                    source = (combo[0].source[0], combo[-1].source[1])
-                    out.append(Block(source=source, atoms=atoms))
-        return tuple(out)
+        return (
+            Block(
+                source=(combo[0].source[0], combo[-1].source[1]),
+                atoms=tuple(sorted(a for b in combo for a in b.atoms)),
+            )
+            for k in range(1, widest + 1)
+            for combo in itertools.combinations(pieces, k)
+            if cap is None or sum(len(self.ground_indices(b)) for b in combo) <= cap
+        )
 
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
         bi = self.ground_indices(block)
@@ -214,9 +175,9 @@ class FinModel(SpaceModel):
 # Strong subtrees of a complete b-ary tree. Nodes are numbered in level
 # order; a block is the node set of one level of the subtree. A block's
 # atoms fix its level, so atom containment implies the level test of
-# _leq_fin and the order is the atom order.
+# _leq_fin and the order is SpaceModel's atom containment.
 
-class TreeModel(_AtomOrder):
+class TreeModel(SpaceModel):
     kind = "tree"
     # Per-node selectors are not expressible per level; the catalog
     # stays coarse and canonization reports it as limited.

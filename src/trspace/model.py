@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Callable, Iterable, Optional
+from typing import Callable, ClassVar, Iterable, Optional
 
 from .errors import (
     BudgetExceededError,
@@ -44,6 +44,8 @@ class Block:
 
     source: tuple[int, int]
     atoms: tuple[int, ...]
+    # Frozen, so the hash is kept on first use; a ClassVar is no field.
+    _hash: ClassVar[Optional[int]] = None
 
     def __post_init__(self) -> None:
         if not self.atoms:
@@ -59,14 +61,11 @@ class Block:
         return (self.source, self.atoms)
 
     def __hash__(self) -> int:
-        # Frozen, so the structural hash is computed once and kept outside
-        # the dataclass fields (it never reaches repr, eq or JSON).
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash((self.source, self.atoms))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,7 @@ class Approx:
     """A finite approximation: a (possibly empty) sequence of blocks."""
 
     blocks: tuple[Block, ...] = ()
+    _hash: ClassVar[Optional[int]] = None  # like Block's; the dataclass value
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -85,13 +85,11 @@ class Approx:
         return self.blocks[i]
 
     def __hash__(self) -> int:
-        # Cached like Block.__hash__; the value is the dataclass default.
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash((self.blocks,))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     @property
     def key(self) -> tuple:
@@ -592,10 +590,15 @@ def _check_a2(model: SpaceModel, config: Config) -> dict:
     return _report("A2", "pass", stats={**stats, "approximations": len(approxes)})
 
 
+def _is_preorder(sub: list[int]) -> bool:
+    """The reduct columns sub hold a reflexive and transitive order."""
+    return all(sx >> i & 1 and not any(sub[z] & ~sx for z in _bits(sx)) for i, sx in enumerate(sub))
+
+
 def _squeezes(sub: list[int], ps: int, bx: int, by: int) -> bool:
     """Some z in [s, y] has a nonempty [s, z] inside [s, x], where ps is
     the prefix mask of s and bx, by the masks of [s, x], [s, y]."""
-    # Members of [s, x] go first: under a transitive order any one works.
+    # Only an order that is no preorder gets here; members of [s, x] go first.
     for cands in (by & bx, by & ~bx):
         for i in _bits(cands):
             bz = sub[i] & ps
@@ -605,9 +608,13 @@ def _squeezes(sub: list[int], ps: int, bx: int, by: int) -> bool:
 
 
 def _check_a3(model: SpaceModel, config: Config) -> dict:
-    approxes = model.approximations()
     reds = model.all_reducts()
     sub = [model.sub_mask(x) for x in reds]
+    # A preorder passes, whatever restrict does: y lies in [s, y], and any z
+    # of [s, x] lies in [s, y] with [s, z] inside [s, x]. Others are searched.
+    if _is_preorder(sub):
+        return _report("A3", "pass", stats={"reducts": len(reds)})
+    approxes = model.approximations()
     pre = [model.prefix_mask(s) for s in approxes]
     # A.3(1): nonemptiness of [s, x] passes down to every member.
     for s, ps in zip(approxes, pre):
@@ -675,25 +682,26 @@ def a4star_search(
     selector of family whose values on the last blocks of those
     extensions have the kernel of color; None when there is none. A.4 is
     the family ("drop",). color is asked at most once per extension."""
-    colors: dict[Approx, object] = {}
+    # Every extension is s plus one block, so the search runs on the
+    # blocks and builds an extension only when color is asked about it.
+    colors: dict[Block, object] = {}
 
-    def same(p: Approx, q: Approx) -> bool:
-        if p not in colors:
-            colors[p] = color(p)
-        if q not in colors:
-            colors[q] = color(q)
-        return colors[p] == colors[q]
+    def same(a: Block, b: Block) -> bool:
+        for c in (a, b):
+            if c not in colors:
+                colors[c] = color(s.extend(c))
+        return colors[a] == colors[b]
 
     ranked = sorted(
-        ((y, model.extensions(s, y)) for y in model.basic(s, x)),
+        ((y, model.extension_blocks(s, y)) for y in model.basic(s, x)),
         key=lambda item: (-len(item[1]), item[0].key),
     )
-    for y, exts in ranked:
-        if len(exts) < config.mu:
+    for y, blocks in ranked:
+        if len(blocks) < config.mu:
             break
         for name in family:
-            values = [model.apply_selector(name, p.blocks[-1]) for p in exts]
-            if first_mismatch(exts, same, values) is None:
+            values = [model.apply_selector(name, b) for b in blocks]
+            if first_mismatch(blocks, same, values) is None:
                 return y, name
     return None
 

@@ -13,6 +13,7 @@ kept here as its reference.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -286,6 +287,21 @@ def test_stage_b_matches_the_reference_loop(request, name):
                             engine.live_extensions(a, y),
                         )
                         assert oracle.check(a, y) == expected, (a, y, pos, sel)
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4", "tree22"])
+def test_a4star_asks_each_extension_at_most_once(request, name):
+    model = request.getfixturevalue(name)
+    for s in _short_bases(model):
+        domain = set(model.extensions(s, model.full))
+        asked = collections.Counter()
+
+        def color(p):
+            asked[p] += 1
+            return len(p.blocks[-1].atoms) % 2
+
+        search_inner_A4star(model, s, model.full, color)
+        assert set(asked) <= domain and set(asked.values()) <= {1}, s
 
 
 def test_a4_searches_keep_their_own_errors(e5):

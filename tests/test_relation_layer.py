@@ -45,6 +45,8 @@ from trspace import (
     uniform_front,
     witness_sort_key,
 )
+from trspace.model import _is_preorder
+from trspace.reportio import to_jsonable
 from helpers import ea, flip_bits, refuse_pairwise_hook
 from test_axioms import InflatedLeq, ShiftedRestrict
 
@@ -165,6 +167,34 @@ def reference_a3(model):
                 ):
                     return {"verdict": "fail", "witness": {"clause": 2, "s": s, "x": x, "y": y}}
     return {"verdict": "pass", "witness": None}
+
+
+# ---------------------------------------------------------------------------
+# A.3 searches only an order that is no preorder. Dropping {0} <= {0,1,2}
+# on Ellentuck N=3 breaks transitivity and still passes the search, so the
+# search's pass report is an example of the drawn test below.
+
+TRANSITIVE_GAP = frozenset({(ea(0), ea(0, 1, 2))})
+
+
+def _columns(model):
+    return [model.sub_mask(x) for x in model.all_reducts()]
+
+
+@pytest.mark.parametrize("name", ["e5", "fin3", "fin4cap2", "tree22"])
+def test_shipped_orders_are_preorders(request, name):
+    assert _is_preorder(_columns(request.getfixturevalue(name)))
+
+
+def test_a3_searches_every_relation_that_is_no_preorder():
+    # their witnesses come from the search, as before the order check
+    assert not _is_preorder(_columns(DroppedAtom(4)))
+    assert not _is_preorder(_columns(IrreflexiveAtom(4)))
+    transitive_gap = _defective(SMALL_SPACES["e3"], TRANSITIVE_GAP, None)
+    assert not _is_preorder(_columns(transitive_gap))
+    report = check_axioms(transitive_gap, "A3")
+    assert (report["verdict"], report["stats"]) == ("pass", {"reducts": 7})
+    assert transitive_gap._prefix_masks  # the search ran
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +343,7 @@ def flipped_defects(draw):
 @given(defect=flipped_defects())
 @example(defect=("e3", SwappedEmptyFull.flips, "as-is"))
 @example(defect=("e3", LoweredPair.flips, "as-is"))
+@example(defect=("e3", TRANSITIVE_GAP, "as-is"))
 def test_fast_axioms_match_reference_on_flipped_pairs(defect):
     space, flips, segment = defect
     for axiom, reference in (("A1", reference_a1), ("A2", reference_a2), ("A3", reference_a3)):
@@ -573,6 +604,24 @@ def test_cached_hash_is_no_field():
     assert dataclasses.asdict(s) == {"blocks": ({"source": (1, 2), "atoms": (0,)},)}
 
 
+def test_first_hash_is_the_dataclass_hash_and_no_field():
+    block = Block((2, 4), (1, 3))
+    s = Approx((block, Block((4, 5), (4,))))
+    twin = Approx((Block((2, 4), (1, 3)), Block((4, 5), (4,))))
+    assert "_hash" not in vars(block) and "_hash" not in vars(s)
+    assert hash(block) == hash(((2, 4), (1, 3)))
+    assert hash(s) == hash((s.blocks,))
+    assert vars(s)["_hash"] == hash(s) and Block._hash is None and Approx._hash is None
+    # a filled cache is no part of the value
+    assert s == twin and "_hash" not in vars(twin) and block == twin.blocks[0]
+    assert not block < twin.blocks[0] and not twin.blocks[0] < block
+    assert [f.name for f in dataclasses.fields(s)] == ["blocks"]
+    assert repr(s) == repr(twin) and "_hash" not in repr(block)
+    assert to_jsonable(s) == to_jsonable(twin) == {
+        "blocks": [{"atoms": [1, 3], "source": [2, 4]}, {"atoms": [4], "source": [4, 5]}]
+    }
+
+
 # ---------------------------------------------------------------------------
 # Work counts: relation calls made by the checks, no timing.
 
@@ -597,6 +646,12 @@ def test_a1_makes_linearly_many_restrict_calls():
     bound = len(reds) * (max(len(x) for x in reds) + 1)
     assert check_axioms(model, "A1")["verdict"] == "pass"
     assert model.restrict_calls <= bound
+
+
+def test_a3_on_a_preorder_reads_no_prefix_mask():
+    model = CountingEllentuck(6)
+    assert check_axioms(model, "A3")["verdict"] == "pass"
+    assert model.restrict_calls == 0 and not model._prefix_masks
 
 
 # _leq_fin evaluations on a fresh Ellentuck N=5, before the masks.

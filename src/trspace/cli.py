@@ -9,6 +9,7 @@ undecided verdict or exhausted budget, 3 a usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -288,7 +289,12 @@ def _add_arguments(parser, inputs: tuple[str, ...]) -> None:
     parser.add_argument("--out", default=None, help="also write the report here")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and shared by every later one:
+    parse_args leaves it unchanged and returns a fresh namespace, its
+    defaults are immutable, and errors and --help look up sys.stdout and
+    sys.stderr when they print."""
     parser = _Parser(prog="trspace")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, text, inputs, run in COMMANDS:
@@ -299,6 +305,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one trspace command and return its exit code; callable any
+    number of times in one process."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -378,16 +378,19 @@ class SpaceModel(ABC):
 
     def all_reducts(self, budget: Optional[int] = None) -> tuple[Approx, ...]:
         """Every reduct in documented order. BudgetExceededError when there
-        are more than budget, enumerated now or before; with no budget, a
-        first enumeration is held to the default and a stored tuple is
-        returned as is. Entry points taking a Config pass its max_reducts."""
+        are more than budget, by a closed-form count or by an enumeration
+        now or before; with no budget, a first enumeration is held to the
+        default and a stored tuple is returned as is. Entry points taking a
+        Config pass its max_reducts."""
         limit = DEFAULT_CONFIG.max_reducts if budget is None else budget
         reds = self._reducts
         if reds is None:
-            reds = tuple(itertools.islice(self._enumerate_reducts(), limit + 1))
+            known = self._reduct_count()  # refuses before enumerating
+            if known is None or known <= limit:
+                reds = tuple(itertools.islice(self._enumerate_reducts(), limit + 1))
         elif budget is None:
             return reds
-        if len(reds) > limit:
+        if reds is None or len(reds) > limit:
             raise BudgetExceededError(
                 f"reduct enumeration of the {self.kind} instance passed"
                 f" the max_reducts budget of {limit}"
@@ -395,6 +398,12 @@ class SpaceModel(ABC):
         if self._reducts is None:
             self._reducts = tuple(sorted(reds, key=approx_sort_key))
         return self._reducts
+
+    def _reduct_count(self) -> Optional[int]:
+        """The number of reducts in closed form, so that all_reducts can
+        refuse an instance over budget before enumerating it; None when
+        the space gives no closed form."""
+        return None
 
     def _enumerate_reducts(self) -> Iterable[Approx]:
         """Every nonempty reduct: the closure of EMPTY under the one-step

@@ -43,6 +43,10 @@ class EllentuckModel(SpaceModel):
         floor = s.blocks[-1].atoms[0] if s.blocks else -1
         return (b for b in x.blocks if b.atoms[0] > floor)
 
+    def _reduct_count(self) -> int:
+        # a reduct is a nonempty subset of the N atoms
+        return 2 ** len(self.levels) - 1
+
 
 # ---------------------------------------------------------------------------
 # FIN block sequences: ground levels are the unit blocks, a block is the

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from trspace import (
+    DEFAULT_CONFIG,
     build_ellentuck,
     coloring_to_json,
     front_to_json,
@@ -15,7 +20,12 @@ from trspace import (
     instance_to_json,
     uniform_front,
 )
+from trspace import cli
 from trspace.cli import main
+from trspace.reportio import config_to_json
+from trspace.spaces import EllentuckModel
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -295,6 +305,22 @@ def test_max_reducts_budget_is_honoured(capsys):
     assert rep["reports"][0]["stats"]["reducts"] == 15
 
 
+@pytest.mark.parametrize("n", [30, 100_000])
+def test_ellentuck_over_budget_is_refused_before_enumerating(capsys, monkeypatch, n):
+    # 2^N - 1 reducts: the count alone refuses the instance
+    def enumerate_blocks(self, s, x):
+        raise AssertionError("the reducts were enumerated")
+
+    monkeypatch.setattr(EllentuckModel, "_extension_blocks", enumerate_blocks)
+    code = main(["verify-axioms", "ellentuck", f"N={n}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "budget exceeded: reduct enumeration of the ellentuck instance passed"
+        " the max_reducts budget of 500000\n"
+    )
+
+
 def test_front_json_is_checked_against_the_instance(capsys, tmp_path):
     _, rep = run(capsys, ["enumerate-front", "ellentuck", "N=4", "--front", "AU1"])
     front = rep["front"]
@@ -386,3 +412,74 @@ def test_json_coloring_carries_its_own_front(capsys, tmp_path):
     assert code == 3
     assert captured.out == ""
     assert "carries its own front" in captured.err and "--front AU1" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# main builds its parser once per process and shares it between calls.
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    per_call = []
+    for argv in (
+        ["verify-axioms", "ellentuck", "N=3"],
+        ["enumerate-front", "ellentuck", "N=4", "--front", "AU1"],
+        ["er-number", "1", "3"],
+    ):
+        before = len(built)
+        assert main(argv) == 0
+        capsys.readouterr()
+        per_call.append(len(built) - before)
+    # the root parser and one per command, all on the first call
+    assert per_call == [1 + len(cli.COMMANDS), 0, 0]
+
+
+# (argv, exit code), run in this order in one process. The first three
+# leave the parser by exit 2, --help and an argparse error; the oracle
+# run sets a seed, --oracle and --out, which no later call may inherit.
+SHARED_PARSER_SEQUENCE = (
+    (["verify-axioms", "ellentuck", "N=4", "--max-reducts", "3"], 2),
+    (["--help"], 0),
+    (["no-such-command"], 3),
+    (["canonize", "ellentuck", "N=5", "--front", "AU1", "--coloring", "random-kernel",
+      "--seed", "7", "--oracle", "--out", "report.json"], 0),
+    (["canonize", "ellentuck", "N=5", "--front", "AU1", "--coloring", "min"], 0),
+    (["verify-axioms", "ellentuck", "N=4"], 0),
+)
+
+
+def test_no_state_crosses_calls_on_the_shared_parser(capsys, monkeypatch, tmp_path):
+    here, there = tmp_path / "in-process", tmp_path / "one-shot"
+    here.mkdir()
+    there.mkdir()
+    monkeypatch.chdir(here)
+    # help and usage wrap at the terminal width; pin it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = []
+    for argv, code in SHARED_PARSER_SEQUENCE:
+        assert main(argv) == code
+        runs.append(capsys.readouterr())
+    assert os.listdir(here) == ["report.json"]
+    assert (here / "report.json").read_text() == runs[3].out
+    assert json.loads(runs[3].out)["result"]["oracle_agreement"]["agrees"] is True
+    for captured in runs[4:]:
+        rep = json.loads(captured.out)
+        assert rep["config"] == config_to_json(DEFAULT_CONFIG)
+    assert json.loads(runs[4].out)["result"]["oracle_agreement"] is None
+
+    # each command alone in a fresh interpreter says the same, byte for byte
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    for (argv, code), captured in zip(SHARED_PARSER_SEQUENCE, runs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "trspace.cli", *argv],
+            cwd=there, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert (there / "report.json").read_bytes() == (here / "report.json").read_bytes()

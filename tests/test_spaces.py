@@ -9,6 +9,7 @@ import pytest
 
 from trspace import (
     EMPTY,
+    BudgetExceededError,
     DomainError,
     ParameterError,
     build_ellentuck,
@@ -89,6 +90,21 @@ def test_ellentuck_reduct_count_matches_subset_formula():
         model = build_ellentuck(n)
         assert len(model.all_reducts()) == 2 ** n - 1
         assert len(model.approximations()) == 2 ** n
+
+
+def test_closed_form_reduct_count_matches_enumeration():
+    # Ellentuck is admitted or refused by its count 2^N - 1 alone; the
+    # enumeration agrees with it, and a budget of exactly that admits it
+    for n in range(1, 10):
+        count = build_ellentuck(n)._reduct_count()
+        assert count == sum(1 for _ in build_ellentuck(n)._enumerate_reducts())
+        assert len(build_ellentuck(n).all_reducts(count)) == count
+        with pytest.raises(BudgetExceededError, match=f"max_reducts budget of {count - 1}$"):
+            build_ellentuck(n).all_reducts(count - 1)
+    # the other spaces give no closed form and are held to the budget
+    # while they enumerate
+    assert build_fin(3)._reduct_count() is None
+    assert build_tree(2, 2)._reduct_count() is None
 
 
 def test_fin_reducts_match_independent_enumeration():

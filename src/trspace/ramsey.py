@@ -24,8 +24,14 @@ tree decides N.
 
 A tuple's index in colex order is its colex rank, which does not
 depend on N, so the tests of the tuples of [N] are the first rows of
-those of [N+1]. One table per call holds them for every N, and the
-search builds a tuple's row only when it first reaches the tuple.
+those of [N+1], and a search of N+1 first visits again, node for node,
+the search of N up to its bad kernel. One search per call serves every
+N: N+1 resumes where N found its bad kernel and charges the budget for
+the nodes it skips, so each N costs what a search of N alone costs.
+The rows depend only on (n, m): one table per (n, m) holds them for
+every call in the process, and a search builds a tuple's row when it
+is the first to reach the tuple. Only the rows are shared; each call
+keeps its own search state.
 
 `restricted_growth_strings` and `_admits_witness` enumerate and test
 whole kernels; they are the slow reference for both searches.
@@ -33,6 +39,8 @@ whole kernels; they are the slow reference for both searches.
 
 from __future__ import annotations
 
+import functools
+import threading
 from itertools import combinations, count, islice
 from math import comb
 from typing import Callable, Iterator, Optional
@@ -127,9 +135,11 @@ def _colex_tuples(N: int, n: int) -> list[tuple[int, ...]]:
     return sorted(combinations(range(N), n), key=lambda t: t[::-1])
 
 
-def _completion_rows(n: int, m: int) -> Iterator[list[tuple[int, frozenset[int]]]]:
-    """Per n-tuple of the naturals in colex order, one (mask, patterns)
-    per m-set it completes; endless.
+def _completion_rows(
+    n: int, m: int, start: int = 0
+) -> Iterator[list[tuple[int, frozenset[int]]]]:
+    """Per n-tuple of the naturals in colex order, from colex rank start
+    on, one (mask, patterns) per m-set it completes; endless.
 
     A tuple's index is its colex rank, the sum of C(t[i], i + 1), so the
     tuples of range(N) are the first C(N, n) and their rows do not
@@ -144,97 +154,145 @@ def _completion_rows(n: int, m: int) -> Iterator[list[tuple[int, frozenset[int]]
     per-coordinate masks, starting from all pairs. The shape tables
     are built at the first tuple that completes an m-set."""
     shape = None
-    for last in count(n - 1):
-        for head in _colex_tuples(last, n - 1):
-            t = head + (last,)
-            if shape is None and t[0] >= m - n:
-                shape = _colex_tuples(m, n)
-                pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
-                agreeing = [
-                    [p for p, (u, v) in enumerate(pairs) if shape[u][c] == shape[v][c]]
-                    for c in range(n)
-                ]
-            row = []
-            for rest in combinations(range(t[0]), m - n):
-                points = rest + t
-                ks = [sum(comb(points[q], i + 1) for i, q in enumerate(s)) for s in shape]
-                bits = [1 << (ks[v] * (ks[v] - 1) // 2 + ks[u]) for u, v in pairs]
-                patterns = {sum(bits)}
-                for ps in agreeing:
-                    on = sum(bits[p] for p in ps)
-                    patterns |= {q & on for q in patterns}
-                row.append((sum(bits), frozenset(patterns)))
-            yield row
+    tuples = (head + (last,) for last in count(n - 1) for head in _colex_tuples(last, n - 1))
+    for t in islice(tuples, start, None):
+        if shape is None and t[0] >= m - n:
+            shape = _colex_tuples(m, n)
+            pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
+            agreeing = [
+                [p for p, (u, v) in enumerate(pairs) if shape[u][c] == shape[v][c]]
+                for c in range(n)
+            ]
+        row = []
+        for rest in combinations(range(t[0]), m - n):
+            points = rest + t
+            ks = [sum(comb(points[q], i + 1) for i, q in enumerate(s)) for s in shape]
+            bits = [1 << (ks[v] * (ks[v] - 1) // 2 + ks[u]) for u, v in pairs]
+            patterns = {sum(bits)}
+            for ps in agreeing:
+                on = sum(bits[p] for p in ps)
+                patterns |= {q & on for q in patterns}
+            row.append((sum(bits), frozenset(patterns)))
+        yield row
 
 
 class _CompletionTable:
     """The rows of _completion_rows(n, m) built so far: one table serves
-    every N of a search, which adds a row when it first reaches its tuple."""
+    every N of a search, which adds a row when it first reaches its
+    tuple, and _shared_table keeps one per (n, m) for every search of
+    the process."""
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
         self.rows: list[list[tuple[int, frozenset[int]]]] = []
         self.more = _completion_rows(n, m)
+        self.lock = threading.Lock()
+
+    def fill(self, size: int) -> list[list[tuple[int, frozenset[int]]]]:
+        """The table, holding at least size rows. A row cut off by an
+        exception is not kept, and the next fill builds it anew."""
+        rows = self.rows
+        if len(rows) < size:
+            with self.lock:  # another thread may have filled it meanwhile
+                try:
+                    rows.extend(islice(self.more, max(0, size - len(rows))))
+                except BaseException:
+                    # a generator that raised is finished
+                    self.more = _completion_rows(self.n, self.m, len(rows))
+                    raise
+        return rows
 
     def grow(self, N: int) -> list[list[tuple[int, frozenset[int]]]]:
         """The table, holding at least the rows of the tuples of range(N)."""
-        self.rows.extend(islice(self.more, max(0, comb(N, self.n) - len(self.rows))))
-        return self.rows
+        return self.fill(comb(N, self.n))
 
 
-def _bad_kernel(
-    table: _CompletionTable, N: int, spend: Callable[[], None]
-) -> Optional[tuple[int, ...]]:
-    """A kernel of the n-tuples of range(N), as its colors in colex
-    order, with no canonical m-set; None when every kernel has one. n
-    and m are the table's. spend is called once per partition visited
-    at arity one, and once per color tried at a tuple above it."""
+@functools.cache
+def _shared_table(n: int, m: int) -> _CompletionTable:
+    """The completion table of (n, m) for every call in this process:
+    its rows are a function of (n, m) alone, so each is built once."""
+    return _CompletionTable(n, m)
+
+
+def _bad_kernels(
+    table: _CompletionTable, N: int, spend: Callable[..., None]
+) -> Iterator[Optional[tuple[int, ...]]]:
+    """For N, N+1, ... in turn, a kernel of the n-tuples of range(N), as
+    its colors in colex order, with no canonical m-set; then None at the
+    first N where every kernel has one, and stop. n and m are the
+    table's. spend(nodes=1) charges the budget: once per partition
+    visited at arity one, once per color tried at a tuple above it.
+
+    Above arity one this is one depth-first search: N+1 resumes from
+    the state in which N colored its last tuple, and charges with one
+    spend the nodes a search of N+1 alone would visit again first."""
     n, m = table.n, table.m
     if m <= n:
         # an m-set holds at most one n-tuple, so it is vacuously canonical
-        return None
+        yield None
+        return
     if n == 1:
-        for parts, size in _partitions(N):
+        # the partitions of N+1 do not extend those of N: each N is walked afresh
+        for N in count(N):
+            for parts, size in _partitions(N):
+                spend()
+                if parts[0] < m and size < m:
+                    yield tuple(c for c in range(size) for _ in range(parts[c]))
+                    break
+            else:
+                yield None
+                return
+    tests = table.rows
+    colors: list[int] = []
+    classes: list[int] = []  # per color, the mask of tuples holding it
+    equal = [0]              # equal[k]: equal-color pairs below tuple k
+    k = visited = 0
+    while True:
+        total = comb(N, n)
+        colors += [-1] * (total - len(colors))
+        equal += [0] * (total + 1 - len(equal))
+        table.fill(k + 1)
+        while 0 <= k < total:
+            color = colors[k]
+            if color >= 0:
+                classes[color] ^= 1 << k
+                if not classes[color]:
+                    classes.pop()
+            color += 1
+            if color > len(classes):
+                colors[k] = -1
+                k -= 1
+                continue
             spend()
-            if parts[0] < m and size < m:
-                return tuple(c for c in range(size) for _ in range(parts[c]))
-        return None
-    tests, more = table.grow(n), table.more  # at least the row of tuple 0
-    total = comb(N, n)
-    colors = [-1] * total
-    classes: list[int] = []    # per color, the mask of tuples holding it
-    equal = [0] * (total + 1)  # equal[k]: equal-color pairs below tuple k
-    k = 0
-    while k >= 0:
-        if k == total:
-            return tuple(colors)
-        color = colors[k]
-        if color >= 0:
-            classes[color] ^= 1 << k
-            if not classes[color]:
-                classes.pop()
-        color += 1
-        if color > len(classes):
-            colors[k] = -1
-            k -= 1
-            continue
-        spend()
-        colors[k] = color
-        if color == len(classes):
-            classes.append(1 << k)
-            pairs = equal[k]
-        else:
-            pairs = equal[k] | classes[color] << (k * (k - 1) // 2)
-            classes[color] |= 1 << k
-        for mask, patterns in tests[k]:
-            if pairs & mask in patterns:
-                break
-        else:
-            equal[k + 1] = pairs
-            k += 1
-            if k == len(tests) and k < total:
-                tests.append(next(more))
-    return None
+            visited += 1
+            colors[k] = color
+            if color == len(classes):
+                classes.append(1 << k)
+                pairs = equal[k]
+            else:
+                pairs = equal[k] | classes[color] << (k * (k - 1) // 2)
+                classes[color] |= 1 << k
+            for mask, patterns in tests[k]:
+                if pairs & mask in patterns:
+                    break
+            else:
+                equal[k + 1] = pairs
+                k += 1
+                if k == len(tests) and k < total:
+                    table.fill(k + 1)
+        if k < 0:
+            yield None
+            return
+        yield tuple(colors)
+        N += 1
+        spend(visited)
+
+
+def _bad_kernel(
+    table: _CompletionTable, N: int, spend: Callable[..., None]
+) -> Optional[tuple[int, ...]]:
+    """The answer of _bad_kernels for N alone."""
+    return next(_bad_kernels(table, N, spend))
 
 
 def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> int:
@@ -242,8 +300,9 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
     {0,...,N-1} admits a size-m witness set with some index set.
 
     config.max_kernels meters the search: partitions visited at arity
-    one, colors tried at a tuple above it. On exhaustion the error
-    carries the largest N shown to have a bad kernel.
+    one, colors tried at a tuple above it, where N+1 is charged again
+    for the nodes N visited. On exhaustion the error carries the
+    largest N shown to have a bad kernel.
     """
     if n < 1 or m < 1:
         raise ParameterError("arity and target must both be at least 1")
@@ -251,9 +310,9 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
     largest_decided: Optional[int] = None
     N = m
 
-    def spend() -> None:
+    def spend(nodes: int = 1) -> None:
         nonlocal spent
-        spent += 1
+        spent += nodes
         if spent > config.max_kernels:
             err = BudgetExceededError(
                 f"kernel budget {config.max_kernels} exhausted while "
@@ -262,9 +321,8 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
             err.largest_checked = largest_decided
             raise err
 
-    table = _CompletionTable(n, m)
-    while True:
-        if _bad_kernel(table, N, spend) is None:
-            return N
+    searches = _bad_kernels(_shared_table(n, m), N, spend)
+    while next(searches) is not None:
         largest_decided = N
         N += 1
+    return N

@@ -483,3 +483,30 @@ def test_no_state_crosses_calls_on_the_shared_parser(capsys, monkeypatch, tmp_pa
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
     assert (there / "report.json").read_bytes() == (here / "report.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# er-number shares its completion rows between calls, not its search.
+
+ER_SEQUENCE = (
+    ["er-number", "2", "4", "--max-kernels", "1000"],
+    ["er-number", "2", "4", "--max-kernels", "1000"],
+    ["er-number", "2", "3"],
+    ["er-number", "2", "4", "--max-kernels", "1000"],
+)
+
+
+def test_no_state_crosses_er_number_calls(capsys):
+    golden = Path(__file__).resolve().parent / "golden"
+    exits = json.loads((golden / "exits.json").read_text())
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in ER_SEQUENCE:
+        code = main(argv)
+        captured = capsys.readouterr()
+        slug = "-".join(a.lstrip("-") for a in argv)
+        assert (code, captured.out) == (exits[slug], (golden / f"{slug}.json").read_text())
+        proc = subprocess.run(
+            [sys.executable, "-m", "trspace.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)

@@ -3,6 +3,7 @@ whole-kernel oracle."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -19,10 +20,12 @@ from trspace import (
     canonical_ramsey_number,
     restricted_growth_strings,
 )
+from trspace import ramsey
 from trspace.ramsey import (
     _CompletionTable,
     _admits_witness,
     _bad_kernel,
+    _bad_kernels,
     _colex_tuples,
     _partitions,
 )
@@ -316,3 +319,104 @@ def test_tiny_budget_stops_fast_at_large_arity():
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"].endswith("largest fully decided N: None")
+
+
+# ---------------------------------------------------------------------------
+# One search per call resumes across N, and one table per (n, m) serves
+# every call of the process.
+
+LADDERS = {(2, 4): range(4, 12), (3, 4): range(4, 7), (2, 5): range(5, 9), (3, 5): range(5, 7)}
+
+
+@pytest.mark.parametrize("n, m", sorted(LADDERS))
+def test_resuming_equals_a_fresh_search_of_each_n(n, m):
+    sizes = LADDERS[n, m]
+    charged = 0
+
+    def spend(nodes=1):
+        nonlocal charged
+        charged += nodes
+
+    searches = _bad_kernels(_CompletionTable(n, m), sizes[0], spend)
+    for N in sizes:
+        charged = 0
+        resumed, resumed_cost = next(searches), charged
+        charged = 0
+        fresh = _bad_kernel(_CompletionTable(n, m), N, spend)
+        assert fresh is not None, N
+        assert (resumed, resumed_cost) == (fresh, charged), N
+
+
+def test_calls_share_no_search_state(monkeypatch):
+    # the nodes each call's search charges to the budget
+    costs: list[int] = []
+    search = ramsey._bad_kernels
+
+    def counting(table, N, spend):
+        costs.append(0)
+
+        def counted(nodes=1):
+            costs[-1] += nodes
+            spend(nodes)
+
+        return search(table, N, counted)
+
+    monkeypatch.setattr(ramsey, "_bad_kernels", counting)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError) as info:
+            canonical_ramsey_number(2, 4, Config(max_kernels=5000))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert len(costs) == 2 and costs[0] == costs[1] > 5000
+
+
+def test_a_second_call_draws_no_new_rows(monkeypatch):
+    # 10,000 nodes reach past the tuples of range(10) while checking N=11
+    with pytest.raises(BudgetExceededError) as first:
+        canonical_ramsey_number(2, 4, Config(max_kernels=10_000))
+    table = ramsey._shared_table(2, 4)
+    rows = list(table.rows)
+    assert len(rows) > len(_colex_tuples(10, 2))
+
+    def no_more_rows():
+        raise AssertionError("a row was drawn again")
+        yield
+
+    monkeypatch.setattr(table, "more", no_more_rows())
+    with pytest.raises(BudgetExceededError) as second:
+        canonical_ramsey_number(2, 4, Config(max_kernels=10_000))
+    assert str(second.value) == str(first.value)
+    assert ramsey._shared_table(2, 4) is table and table.rows == rows
+
+
+def test_an_exception_inside_a_row_leaves_the_shared_table_usable(monkeypatch):
+    monkeypatch.setattr(ramsey, "_shared_table", functools.cache(_CompletionTable))
+    ramsey_comb, calls = ramsey.comb, 0
+
+    def comb_failing_once(a, b):
+        # the 40th binomial asked for by a row raises, once: a (2, 4) row
+        # asks 12 per m-set, so it falls inside tuple 9's second m-set
+        nonlocal calls
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "_completion_rows":
+            frame = frame.f_back
+        if frame is not None:
+            calls += 1
+            if calls == 40:
+                raise KeyboardInterrupt
+        return ramsey_comb(a, b)
+
+    monkeypatch.setattr(ramsey, "comb", comb_failing_once)
+    with pytest.raises(KeyboardInterrupt):
+        canonical_ramsey_number(2, 4, Config(max_kernels=1000))
+    table = ramsey._shared_table(2, 4)
+    assert len(table.rows) == 9
+    with pytest.raises(BudgetExceededError) as info:
+        canonical_ramsey_number(2, 4, Config(max_kernels=1000))
+    assert info.value.largest_checked == 9
+    assert str(info.value) == (
+        "kernel budget 1000 exhausted while checking N=10; largest fully decided N: 9"
+    )
+    assert table.rows == _CompletionTable(2, 4).fill(len(table.rows))
+    assert calls > 40

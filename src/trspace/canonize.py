@@ -104,6 +104,11 @@ def verify_canonical(
     realizable in x; returns the first violating pair in member order."""
     members = model.below(coloring.front.members, x)
     values = [eval_inner(model, phi, m) for m in members]
+    colors = [coloring(m) for m in members]
+    # The kernels agree exactly when colors and values pair off one to one;
+    # only a disagreement needs the pair scan, to name the first violator.
+    if len(set(zip(colors, values))) == len(set(colors)) == len(set(values)):
+        return True, None
     pair = first_mismatch(members, lambda p, q: coloring(p) == coloring(q), values)
     return pair is None, pair
 
@@ -457,10 +462,12 @@ def lemma_suite(
         pos = len(base)
         if pos >= len(phi.selectors):
             continue
-        exts = engine.live_extensions(base, witness)
+        at_depth: dict[object, list[Approx]] = {}
+        for p in engine.live_extensions(base, witness):
+            at_depth.setdefault(depths[p], []).append(p)
         for t in hat_w:
             # The extensions at t's depth mixing with t, each asked once.
-            mixed = [p for p in exts if depths[p] == depths[t] and engine.mixes(witness, t, p)]
+            mixed = [p for p in at_depth.get(depths[t], ()) if engine.mixes(witness, t, p)]
             vals = [model.apply_selector(phi.selectors[pos], p.blocks[-1]) for p in mixed]
             for i, p in enumerate(mixed):
                 for q, vq in zip(mixed[i + 1:], vals[i + 1:]):

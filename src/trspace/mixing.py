@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from typing import Optional
 
 from .errors import DomainError
@@ -52,8 +54,10 @@ class MixingEngine:
     """Realizability rows of one colored front, as bitsets over the
     model's reducts: per hat segment a, the reducts realizing at least mu
     members extending a, and per color those realizing one of that color.
-    Realizability is up-closed under leq_fin, so a nonempty pool below x
-    contains x, and decide is three mask tests on it."""
+    A segment's rows are one pair (admissible row, per-color rows), the
+    tuple indexed by the kernel-normalized color. Realizability is
+    up-closed under leq_fin, so a nonempty pool below x contains x, and
+    decide is three mask tests on it."""
 
     def __init__(self, model: SpaceModel, coloring: Coloring, config: Config = DEFAULT_CONFIG):
         model.all_reducts(config.max_reducts)
@@ -69,7 +73,7 @@ class MixingEngine:
             for a in model.segments(m):
                 self._ext_bits[a] |= 1 << i
         self._real_bits: dict[Approx, int] = {}
-        self._rows: dict[Approx, tuple[int, dict[int, int]]] = {}
+        self._rows: dict[Approx, tuple[int, tuple[int, ...]]] = {}
 
     # -- masks -------------------------------------------------------------
 
@@ -83,22 +87,24 @@ class MixingEngine:
     def live_bits(self, y: Approx, a: Approx) -> int:
         return self._ext_bits[a] & self.real_bits(y)
 
-    def _row(self, a: Approx) -> tuple[int, dict[int, int]]:
+    def _row(self, a: Approx) -> tuple[int, tuple[int, ...]]:
         """The rows of hat segment a, from the up masks of its members."""
         row = self._rows.get(a)
         if row is None:
+            ext = self._ext_bits.get(a)
+            if ext is None:
+                raise DomainError("mixing is defined on initial segments of members")
             # Bit-sliced counters: slice k holds the reducts realizing
             # more than k of the members seen so far.
             more_than = [0] * self.config.mu
-            by_color: dict[int, int] = {}
-            for i in _bits(self._ext_bits[a]):
+            by_color = [0] * self.coloring.classes()
+            for i in _bits(ext):
                 up = self.model.up_mask(self.members[i])
                 for k in range(len(more_than) - 1, 0, -1):
                     more_than[k] |= more_than[k - 1] & up
                 more_than[0] |= up
-                c = self.coloring.colors[i]
-                by_color[c] = by_color.get(c, 0) | up
-            row = self._rows[a] = (more_than[-1], by_color)
+                by_color[self.coloring.colors[i]] |= up
+            row = self._rows[a] = (more_than[-1], tuple(by_color))
         return row
 
     def pool(self, x: Approx, s: Approx, t: Approx) -> int:
@@ -109,11 +115,7 @@ class MixingEngine:
     def equal_pairs(self, s: Approx, t: Approx) -> int:
         """Bitset of the reducts keeping an equally colored pair of front
         extensions of s and t."""
-        by_s, by_t = self._row(s)[1], self._row(t)[1]
-        equal = 0
-        for c in by_s.keys() & by_t.keys():
-            equal |= by_s[c] & by_t[c]
-        return equal
+        return reduce(or_, map(and_, self._row(s)[1], self._row(t)[1]), 0)
 
     def in_hat(self, a: Approx) -> bool:
         return a in self._ext_bits
@@ -142,12 +144,14 @@ class MixingEngine:
     # -- verdicts ------------------------------------------------------------
 
     def decide(self, x: Approx, s: Approx, t: Approx) -> Verdict:
-        if not (self.in_hat(s) and self.in_hat(t)):
-            raise DomainError("mixing is defined on initial segments of members")
-        pool = self.pool(x, s, t)
+        # pool and equal_pairs inlined: each segment's row is read once.
+        rows = self._rows
+        admissible_s, by_color_s = rows.get(s) or self._row(s)
+        admissible_t, by_color_t = rows.get(t) or self._row(t)
+        pool = self.model.sub_mask(x) & admissible_s & admissible_t
         if not pool:
             return _LEFT_HAT
-        equal = pool & self.equal_pairs(s, t)
+        equal = pool & reduce(or_, map(and_, by_color_s, by_color_t), 0)
         if equal == pool:
             return _MIXED
         return _SPLIT if equal else _SEPARATED
@@ -286,9 +290,15 @@ def weak_mixing_detect(
     that on every admissible reduct, every equally colored extension pair
     puts w inside the first new block on the s side, and the block
     properly combines w with further material. None when plain mixing
-    needs no such block (or the pair is not mixed at all).
+    needs no such block (or the pair is not mixed at all). A given
+    engine must have been built for this model and coloring.
     """
-    eng = engine if engine is not None else MixingEngine(model, coloring, config)
+    if engine is None:
+        eng = MixingEngine(model, coloring, config)
+    elif engine.model is model and engine.coloring == coloring:
+        eng = engine
+    else:
+        raise DomainError("the engine belongs to another model or coloring")
     if not (eng.in_hat(s) and eng.in_hat(t)):
         raise DomainError("weak mixing is defined on initial segments of members")
     ds, dt = model.depth(x, s), model.depth(x, t)
@@ -302,10 +312,11 @@ def weak_mixing_detect(
     # colored pair of extensions; a reduct without such a pair admits no w.
     pairs_by_y = []
     for y in model.reducts_in(eng.pool(x, s, t)):
+        t_side = list(_bits(eng.live_bits(y, t)))
         pairs = [
             (members[i].blocks[n], (members[i], members[j]))
             for i in _bits(eng.live_bits(y, s)) if len(members[i]) > n
-            for j in _bits(eng.live_bits(y, t)) if colors[i] == colors[j]
+            for j in t_side if colors[i] == colors[j]
         ]
         if not pairs:
             return None

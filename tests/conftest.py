@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from trspace import (
     GENERATORS,
@@ -18,6 +19,12 @@ from trspace import (
 ELLENTUCK_GENERATORS = ("constant", "injective", "min", "max")
 FIN_SELECTOR_COLORINGS = ("constant", "min", "max", "minmax", "identity")
 RANDOM_SEEDS = tuple(range(100))
+
+# A failing draw prints its @reproduce_failure line. Example counts,
+# deadlines and randomization stay at Hypothesis' defaults or at each
+# test's own settings.
+settings.register_profile("trspace", print_blob=True)
+settings.load_profile("trspace")
 
 
 @pytest.fixture(scope="session")

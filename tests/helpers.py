@@ -1,8 +1,11 @@
-"""Hand construction of blocks and approximations for the tests."""
+"""Hand construction of blocks and approximations for the tests, and
+the Hypothesis strategies that draw small instances."""
 
 from __future__ import annotations
 
-from trspace import Approx, Block, EllentuckModel, FinModel, TreeModel
+from hypothesis import strategies as st
+
+from trspace import Approx, Block, EllentuckModel, FinModel, TreeModel, build_ellentuck, build_fin, build_tree
 
 
 def atom_block(a: int) -> Block:
@@ -49,3 +52,35 @@ def refuse_pairwise_hook(monkeypatch):
 
     for cls in (EllentuckModel, FinModel, TreeModel):
         monkeypatch.setattr(cls, "_leq_fin", refuse)
+
+
+# ---------------------------------------------------------------------------
+# Drawn instances.
+
+@st.composite
+def fin_instances(draw):
+    atoms = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=min(4, atoms)))
+    order = draw(st.permutations(range(atoms)))
+    cuts = sorted(draw(st.sets(st.integers(1, atoms - 1), min_size=k - 1, max_size=k - 1))) if k > 1 else []
+    bounds = [0, *cuts, atoms]
+    levels = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    cap = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=k)))
+    return build_fin(levels=levels, span_cap=cap)
+
+
+# Trees with b in {2, 3}, as high as TREE_NODES nodes allow: heights
+# 1-3 at b=2 and 1-2 at b=3, at most 74 reducts.
+TREE_NODES = 15
+
+
+@st.composite
+def tree_instances(draw):
+    b = draw(st.sampled_from((2, 3)))
+    heights = [h for h in range(1, TREE_NODES) if (b ** (h + 1) - 1) // (b - 1) <= TREE_NODES]
+    return build_tree(b, draw(st.sampled_from(heights)))
+
+
+def ellentuck_instances(max_atoms: int = 6):
+    """Ellentuck with N = 1..max_atoms; N = 6 has 63 reducts."""
+    return st.integers(min_value=1, max_value=max_atoms).map(build_ellentuck)

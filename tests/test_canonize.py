@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trspace import (
     Coloring,
@@ -19,12 +20,14 @@ from trspace import (
     NoInnerWitnessError,
     avoidance_check,
     build_ellentuck,
+    canonical_json,
     canonize,
     color_front,
     eval_inner,
     generated_coloring,
     lemma_suite,
     maximality_check,
+    mixing_table,
     oracle_canonize,
     pigeonhole_A4,
     property_p_check,
@@ -32,7 +35,8 @@ from trspace import (
     uniform_front,
     verify_canonical,
 )
-from helpers import ea, fa, atoms_of
+from trspace.model import first_mismatch
+from helpers import atoms_of, ea, ellentuck_instances, fa, fin_instances, tree_instances
 
 # The package exports the canonize function under the submodule's name.
 canonize_module = importlib.import_module("trspace.canonize")
@@ -148,6 +152,41 @@ def test_canon_report_json_shape(fin_runs):
     assert set(payload) >= {"witness", "phi", "verdict", "oracle_agreement", "stats"}
 
 
+# Drawn colorings on drawn instances: a named generator or a seeded
+# random kernel on a front of rank 1 or 2. Maximal size is not asserted;
+# some runs end one block short of the oracle's largest witness.
+
+@st.composite
+def drawn_colorings(draw, instances):
+    model = draw(instances)
+    rank = draw(st.integers(1, min(2, max(len(y) for y in model.all_reducts()))))
+    name = draw(st.sampled_from((*sorted(GENERATORS), "random-kernel")))
+    seed = draw(st.integers(0, 2**16)) if name == "random-kernel" else None
+    return model, generated_coloring(uniform_front(model, rank), name, seed=seed)
+
+
+def _assert_canonizes(model, coloring):
+    report = canonize(model, coloring, oracle=True)
+    assert report.verdict == "pass"
+    assert report.oracle_agreement["agrees"]
+    assert report.oracle_agreement["reverified"]
+    assert not mixing_table(model, coloring).undecided_pairs()
+    again = canonize(model, coloring, oracle=True)
+    assert canonical_json(again.to_json()) == canonical_json(report.to_json())
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=drawn_colorings(st.one_of(fin_instances(), tree_instances())))
+def test_drawn_colorings_canonize_on_fin_and_trees(drawn):
+    _assert_canonizes(*drawn)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=drawn_colorings(ellentuck_instances()))
+def test_drawn_colorings_canonize_on_ellentuck(drawn):
+    _assert_canonizes(*drawn)
+
+
 # ---------------------------------------------------------------------------
 # Verification.
 
@@ -163,6 +202,20 @@ def test_verify_canonical_flags_the_first_violator(e6):
     assert eval_inner(e6, InnerMap(("keep", "keep")), s) != eval_inner(
         e6, InnerMap(("keep", "keep")), t
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=drawn_colorings(st.one_of(fin_instances(), tree_instances(), ellentuck_instances())), data=st.data())
+def test_verify_canonical_matches_the_pair_scan(drawn, data):
+    # The one-pass kernel check against the pair scan it short-cuts.
+    model, coloring = drawn
+    family = st.sampled_from(model.selector_names())
+    phi = InnerMap(tuple(data.draw(family) for _ in range(coloring.front.arity())))
+    x = data.draw(st.sampled_from(model.all_reducts()))
+    members = model.below(coloring.front.members, x)
+    values = [eval_inner(model, phi, m) for m in members]
+    pair = first_mismatch(members, lambda p, q: coloring(p) == coloring(q), values)
+    assert verify_canonical(model, x, phi, coloring) == (pair is None, pair)
 
 
 # ---------------------------------------------------------------------------

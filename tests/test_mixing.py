@@ -19,6 +19,7 @@ from trspace import (
     SEPARATES,
     SpaceModel,
     UNDECIDED,
+    build_fin,
     build_tree,
     closure,
     color_front,
@@ -170,6 +171,42 @@ def test_weak_mixing_none_for_separated_pairs(fin4, union2):
     engine = MixingEngine(fin4, union2, DEFAULT_CONFIG)
     assert engine.decide(fin4.full, fa((0,)), fa((1,))).kind == SEPARATES
     assert weak_mixing_detect(fin4, fin4.full, fa((0,)), fa((1,)), union2) is None
+
+
+def _unequal_depth_mixed_pairs(table):
+    for (i, j), verdict in sorted(table.verdicts.items()):
+        if verdict.kind == MIXES and table.depths[i] != table.depths[j]:
+            s, t = table.rows[i], table.rows[j]
+            yield (t, s) if table.depths[j] < table.depths[i] else (s, t)
+
+
+def test_weak_mixing_refuses_the_engine_of_another_coloring(fin4, union2):
+    # Read through the union table's engine, the constant coloring
+    # would get witnesses it has none of.
+    table = mixing_table(fin4, union2)
+    constant = color_front(union2.front, GENERATORS["constant"], name="constant")
+    pairs = list(_unequal_depth_mixed_pairs(table))
+    assert pairs
+    for s, t in pairs:
+        assert weak_mixing_detect(fin4, table.reduct, s, t, constant) is None
+        with pytest.raises(DomainError):
+            weak_mixing_detect(fin4, table.reduct, s, t, constant, engine=table.engine)
+        # an equal coloring built anew is the same coloring
+        again = color_front(union2.front, GENERATORS["union"], name="union")
+        assert weak_mixing_detect(fin4, table.reduct, s, t, again, engine=table.engine) == (
+            weak_mixing_detect(fin4, table.reduct, s, t, union2)
+        )
+
+
+def test_weak_mixing_refuses_the_engine_of_another_model(fin4, e5, union2):
+    table = mixing_table(fin4, union2)
+    e5_min = color_front(uniform_front(e5, 2), GENERATORS["min"], name="min")
+    s, t = next(_unequal_depth_mixed_pairs(table))
+    with pytest.raises(DomainError):
+        weak_mixing_detect(e5, table.reduct, s, t, e5_min, engine=table.engine)
+    # the same model under an equal but separately built instance is another model
+    with pytest.raises(DomainError):
+        weak_mixing_detect(build_fin(4), table.reduct, s, t, union2, engine=table.engine)
 
 
 def test_no_weak_mixing_on_single_level_extensions(e6):

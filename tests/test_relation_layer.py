@@ -30,6 +30,7 @@ from trspace import (
     Approx,
     Block,
     Config,
+    DomainError,
     EllentuckModel,
     MixingEngine,
     build_ellentuck,
@@ -47,7 +48,7 @@ from trspace import (
 )
 from trspace.model import _is_preorder
 from trspace.reportio import to_jsonable
-from helpers import ea, flip_bits, refuse_pairwise_hook
+from helpers import ea, ellentuck_instances, fa, fin_instances, flip_bits, refuse_pairwise_hook, tree_instances
 from test_axioms import InflatedLeq, ShiftedRestrict
 
 
@@ -397,34 +398,10 @@ def _assert_basic_matches_scan(model):
             assert model.basic(s, x) == reference_basic(model, s, x)
 
 
-@st.composite
-def fin_instances(draw):
-    atoms = draw(st.integers(min_value=1, max_value=6))
-    k = draw(st.integers(min_value=1, max_value=min(4, atoms)))
-    order = draw(st.permutations(range(atoms)))
-    cuts = sorted(draw(st.sets(st.integers(1, atoms - 1), min_size=k - 1, max_size=k - 1))) if k > 1 else []
-    bounds = [0, *cuts, atoms]
-    levels = [order[a:b] for a, b in zip(bounds, bounds[1:])]
-    cap = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=k)))
-    return build_fin(levels=levels, span_cap=cap)
-
-
 @settings(max_examples=25, deadline=None)
 @given(model=fin_instances())
 def test_basic_matches_scan_on_fin_partitions(model):
     _assert_basic_matches_scan(model)
-
-
-# Trees with b in {2, 3}, as high as TREE_NODES nodes allow: heights
-# 1-3 at b=2 and 1-2 at b=3, at most 74 reducts.
-TREE_NODES = 15
-
-
-@st.composite
-def tree_instances(draw):
-    b = draw(st.sampled_from((2, 3)))
-    heights = [h for h in range(1, TREE_NODES) if (b ** (h + 1) - 1) // (b - 1) <= TREE_NODES]
-    return build_tree(b, draw(st.sampled_from(heights)))
 
 
 @pytest.mark.parametrize("b, h", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -785,13 +762,13 @@ def test_mixing_engine_matches_reference_on_every_triple(request, name):
         for i, s in enumerate(segs) for t in segs[i:]
     ]
     for coloring in colorings:
-        for mu in (1, 2):
+        for mu in (1, 2, 3):
             _assert_engine_matches_reference(model, coloring, mu, triples)
 
 
-@settings(max_examples=25, deadline=None)
-@given(model=fin_instances(), data=st.data())
-def test_mixing_engine_matches_reference_on_fin_partitions(model, data):
+def _assert_engine_matches_reference_on_draws(model, data):
+    # mu = 3 is the first threshold with a middle slice in the engine's
+    # bit-sliced counter.
     _assert_up_mask_is_the_transpose(model)
     reds = model.all_reducts()
     rank = data.draw(st.integers(1, min(2, max(len(y) for y in reds))))
@@ -800,7 +777,25 @@ def test_mixing_engine_matches_reference_on_fin_partitions(model, data):
     segs = MixingEngine(model, coloring).hat_members
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     triples = [(rng.choice(reds), rng.choice(segs), rng.choice(segs)) for _ in range(60)]
-    _assert_engine_matches_reference(model, coloring, data.draw(st.sampled_from((1, 2))), triples)
+    _assert_engine_matches_reference(model, coloring, data.draw(st.sampled_from((1, 2, 3))), triples)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=fin_instances(), data=st.data())
+def test_mixing_engine_matches_reference_on_fin_partitions(model, data):
+    _assert_engine_matches_reference_on_draws(model, data)
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=tree_instances(), data=st.data())
+def test_mixing_engine_matches_reference_on_drawn_trees(model, data):
+    _assert_engine_matches_reference_on_draws(model, data)
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=ellentuck_instances(5), data=st.data())
+def test_mixing_engine_matches_reference_on_drawn_ellentuck(model, data):
+    _assert_engine_matches_reference_on_draws(model, data)
 
 
 def _counting(calls, key, fn):
@@ -824,3 +819,31 @@ def test_deciding_a_warm_table_makes_no_relation_calls():
             verdict = engine.decide(table.reduct, table.rows[i], table.rows[j])
             assert verdict == table.verdicts[(i, j)]
     assert calls == {"leq_fin": 0, "real_bits": 0}
+
+
+def test_decide_checks_the_second_segment_when_the_first_row_is_warm():
+    model = build_fin(4)
+    coloring = color_front(uniform_front(model, 2), GENERATORS["union"], name="union")
+    engine = MixingEngine(model, coloring)
+    s, off = fa((0,)), fa((0,), (1,), (2,))
+    assert engine.decide(model.full, s, s).kind == MIXES
+    assert not engine.in_hat(off)
+    for pair in ((s, off), (off, s)):
+        with pytest.raises(DomainError):
+            engine.decide(model.full, *pair)
+
+
+def test_deciding_on_a_warm_engine_reads_only_its_rows(monkeypatch):
+    model = build_fin(4)
+    coloring = color_front(uniform_front(model, 2), GENERATORS["union"], name="union")
+    table = mixing_table(model, coloring)
+    engine = table.engine
+
+    def refuse(*args):
+        raise AssertionError("decide on a warm engine left its rows")
+
+    for name in ("pool", "equal_pairs", "in_hat", "real_bits"):
+        monkeypatch.setattr(engine, name, refuse)
+    monkeypatch.setattr(model, "up_mask", refuse)
+    for (i, j), verdict in sorted(table.verdicts.items()):
+        assert engine.decide(table.reduct, table.rows[i], table.rows[j]) == verdict

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 
 from trspace import Approx, SpaceModel, approx_sort_key
 
-from test_relation_layer import LINE_INSTANCES, _assert_lines_match_hook, fin_instances, tree_instances
+from helpers import fin_instances, tree_instances
+from test_relation_layer import LINE_INSTANCES, _assert_lines_match_hook
 
 
 class AtomSpace(SpaceModel):

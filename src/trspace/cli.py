@@ -13,7 +13,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from typing import Optional
 
 from .canonize import canonize, lemma_suite
@@ -99,13 +99,13 @@ def _build_front(model: SpaceModel, label: Optional[str]) -> Front:
     return uniform_front(model, int(hit.group(1)))
 
 
-def _build_coloring(model: SpaceModel, args) -> Coloring:
+def _build_coloring(model: SpaceModel, args, seed: int) -> Coloring:
     """A generated coloring of --front, or a JSON coloring with its own front."""
     name = args.coloring
     if name is None:
         raise ParameterError("this command needs --coloring")
     if not name.endswith(".json"):
-        return generated_coloring(_build_front(model, args.front), name, seed=args.seed)
+        return generated_coloring(_build_front(model, args.front), name, seed=seed)
     if args.front is not None:
         raise ParameterError(
             f"--coloring {name} carries its own front; drop --front {args.front}"
@@ -114,7 +114,8 @@ def _build_coloring(model: SpaceModel, args) -> Coloring:
 
 
 def _config(args) -> Config:
-    return Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
+    """The command's Config flags; DEFAULT_CONFIG fills the fields it does not read."""
+    return replace(DEFAULT_CONFIG, **{name: getattr(args, name) for name in args.flags})
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -216,22 +217,30 @@ def _er_number(args, config, model, front, coloring):
 
 
 _COLORED = ("instance", "front", "coloring")
+# The Config fields a mixing run reads; seed only under random-kernel.
+_MIXING_FLAGS = ("mu", "depth_budget", "max_reducts", "seed")
 
-# (name, help, inputs needed, run). The inputs name the arguments a
-# command takes beyond the Config flags and --out: "instance", "front",
-# "coloring", "oracle", or "arity" (the n and m of er-number).
+# (name, help, inputs needed, Config flags, run). The inputs name the
+# arguments a command takes beyond the Config flags and --out:
+# "instance", "front", "coloring", "oracle", or "arity" (the n and m of
+# er-number). The flags are the Config fields the run reads; the others
+# come from DEFAULT_CONFIG and are not options of the command.
 COMMANDS = (
-    ("verify-axioms", "check A1, A2, A3 on an instance", ("instance",), _verify_axioms),
+    ("verify-axioms", "check A1, A2, A3 on an instance", ("instance",), ("max_reducts",),
+     _verify_axioms),
     ("enumerate-front", "list the members of a front", ("instance", "front"),
-     _enumerate_front),
-    ("mixing-table", "pairwise mixing verdicts plus transitivity scan", _COLORED, _mixing),
-    ("transitivity", "hunt mixing-transitivity failures", _COLORED, _mixing),
+     ("max_reducts",), _enumerate_front),
+    ("mixing-table", "pairwise mixing verdicts plus transitivity scan", _COLORED,
+     _MIXING_FLAGS, _mixing),
+    ("transitivity", "hunt mixing-transitivity failures", _COLORED, _MIXING_FLAGS, _mixing),
     ("weak-mixing", "scan mixed unequal-depth pairs for transfer blocks", _COLORED,
-     _weak_mixing),
-    ("canonize", "search a canonical inner map", _COLORED + ("oracle",), _canonize),
-    ("lemma-suite", "canonize, then check the structure lemmas", _COLORED, _lemma_suite),
+     _MIXING_FLAGS, _weak_mixing),
+    ("canonize", "search a canonical inner map", _COLORED + ("oracle",),
+     ("mu", "depth_budget", "retries", "max_reducts", "max_kernels", "seed"), _canonize),
+    ("lemma-suite", "canonize, then check the structure lemmas", _COLORED,
+     ("mu", "depth_budget", "retries", "max_reducts", "seed"), _lemma_suite),
     ("er-number", "canonical partition number by exhaustive search", ("arity",),
-     _er_number),
+     ("max_kernels",), _er_number),
 )
 
 
@@ -244,7 +253,7 @@ def _run(args) -> int:
         model = _parse_instance(args.instance, args.instance_path)
         model.all_reducts(config.max_reducts)
     if "coloring" in args.inputs:
-        coloring = _build_coloring(model, args)
+        coloring = _build_coloring(model, args, config.seed)
         front = coloring.front
     elif "front" in args.inputs:
         front = _build_front(model, args.front)
@@ -256,7 +265,7 @@ def _run(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly.
 
-def _add_arguments(parser, inputs: tuple[str, ...]) -> None:
+def _add_arguments(parser, inputs: tuple[str, ...], flags: tuple[str, ...]) -> None:
     if "arity" in inputs:
         parser.add_argument("n", type=int, help="tuple arity")
         parser.add_argument("m", type=int, help="target set size")
@@ -283,9 +292,9 @@ def _add_arguments(parser, inputs: tuple[str, ...]) -> None:
     if "oracle" in inputs:
         parser.add_argument("--oracle", action="store_true",
                             help="cross-validate against the exhaustive oracle")
-    for f in fields(Config):  # --mu, --depth-budget, ..., --seed
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=int,
-                            default=getattr(DEFAULT_CONFIG, f.name))
+    for name in flags:  # --mu, --depth-budget, ..., --seed
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
+                            default=getattr(DEFAULT_CONFIG, name))
     parser.add_argument("--out", default=None, help="also write the report here")
 
 
@@ -295,12 +304,12 @@ def _build_parser() -> _Parser:
     parse_args leaves it unchanged and returns a fresh namespace, its
     defaults are immutable, and errors and --help look up sys.stdout and
     sys.stderr when they print."""
-    parser = _Parser(prog="trspace")
+    parser = _Parser(prog="trspace", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, text, inputs, run in COMMANDS:
-        p = sub.add_parser(name, help=text)
-        _add_arguments(p, inputs)
-        p.set_defaults(inputs=inputs, run=run)
+    for name, text, inputs, flags, run in COMMANDS:
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        _add_arguments(p, inputs, flags)
+        p.set_defaults(inputs=inputs, flags=flags, run=run)
     return parser
 
 

@@ -34,9 +34,6 @@ class Front:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
     def arity(self) -> int:
         return max((len(m) for m in self.members), default=0)
 

@@ -78,12 +78,6 @@ class Approx:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, i: int) -> Block:
-        return self.blocks[i]
-
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
@@ -800,7 +794,7 @@ def fuse(
     while True:
         frozen = model.restrict(x, min(stage + 1, len(x)))
         agenda = _fusion_agenda(model, oracle, frozen)
-        for _ in range(len(model.sub_reducts(x)) + 1):
+        for _ in range(model.sub_mask(x).bit_count() + 1):
             bad = next(
                 (args for args in agenda if not oracle.holds(args, x)), None
             )

@@ -46,7 +46,8 @@ def config_to_json(config: Config) -> dict:
 
 
 def to_jsonable(obj):
-    """Recursively rewrite engine objects into JSON-safe structures."""
+    """Recursively rewrite engine objects into JSON-safe structures; any
+    other type is a TypeError rather than text of unstable order."""
     if isinstance(obj, Block):
         return block_to_json(obj)
     if isinstance(obj, Approx):
@@ -59,9 +60,7 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    if hasattr(obj, "to_json"):
-        return to_jsonable(obj.to_json())
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} has no canonical JSON form")
 
 
 def canonical_json(obj) -> str:

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from trspace import (
     DEFAULT_CONFIG,
+    Config,
     build_ellentuck,
     coloring_to_json,
     front_to_json,
@@ -135,7 +139,8 @@ def test_er_number_budget_is_undecided(capsys):
 def test_reports_embed_full_config(capsys):
     code, rep = run(
         capsys,
-        ["verify-axioms", "ellentuck", "N=5", "--mu", "2", "--seed", "9", "--retries", "4"],
+        ["canonize", "ellentuck", "N=5", "--front", "AU2", "--coloring", "min",
+         "--mu", "2", "--seed", "9", "--retries", "4"],
     )
     assert code == 0
     cfg = rep["config"]
@@ -208,11 +213,69 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
         ["mixing-table", "fin", "blocks=3", "--front", "AU0", "--coloring", "min"],
         ["lemma-suite", "ellentuck", "N=4", "--front", "AU0", "--coloring", "max"],
         ["weak-mixing", "tree", "b=2", "h=1", "--front", "AU0", "--coloring", "minmax"],
+        # every flag is written out in full
+        ["canonize", "ellentuck", "N=4", "--fr", "AU1", "--col", "min", "--orac"],
+        ["verify-axioms", "ellentuck", "N=4", "--max-r", "20"],
+        ["--hel"],
     ),
 )
 def test_usage_errors(capsys, argv):
-    code, _ = run(capsys, argv)
-    assert code == 3
+    assert run(capsys, argv) == (3, None)
+
+
+# ---------------------------------------------------------------------------
+# Each command takes the Config flags its run reads, spelled out in full.
+
+INPUT_DESTS = {
+    "instance": {"instance", "instance_path"},
+    "front": {"front"},
+    "coloring": {"coloring"},
+    "oracle": {"oracle"},
+    "arity": {"n", "m"},
+}
+CONFIG_FIELDS = tuple(f.name for f in fields(Config))
+
+
+def _valid_argv(name, inputs):
+    """An invocation of the command that parses."""
+    if "arity" in inputs:
+        return [name, "1", "3"]
+    argv = [name, "ellentuck", "N=4"]
+    if "front" in inputs:
+        argv += ["--front", "AU1"]
+    if "coloring" in inputs:
+        argv += ["--coloring", "min"]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "name, inputs, flags", [pytest.param(c[0], c[2], c[3], id=c[0]) for c in cli.COMMANDS]
+)
+def test_each_command_takes_only_the_config_flags_it_reads(capsys, name, inputs, flags):
+    sub = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[name]
+    expected = {"help", "out"}.union(*(INPUT_DESTS[i] for i in inputs), flags)
+    assert {a.dest for a in sub._actions} == expected
+    assert set(flags) <= set(CONFIG_FIELDS)
+    for unread in sorted(set(CONFIG_FIELDS) - set(flags)):
+        flag = "--" + unread.replace("_", "-")
+        code = main(_valid_argv(name, inputs) + [flag, "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert f"unrecognized arguments: {flag} 5" in captured.err
+
+
+def test_readme_lists_the_config_flags_of_each_command():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for row in readme.splitlines():
+        cells = row.split("|")
+        if row.startswith("| `") and cells[2].strip().startswith("`--"):
+            flags = tuple(f.replace("-", "_") for f in re.findall(r"`--([a-z-]+)`", cells[2]))
+            documented.update((name, flags) for name in re.findall(r"`([a-z-]+)`", cells[1]))
+    assert documented == {c[0]: c[3] for c in cli.COMMANDS}
+    assert sum(map(len, documented.values())) == 26
 
 
 def test_tree_height_past_the_node_cap_exits_3_at_once(capsys):

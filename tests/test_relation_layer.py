@@ -599,6 +599,14 @@ def test_first_hash_is_the_dataclass_hash_and_no_field():
     }
 
 
+@pytest.mark.parametrize("value", [{1, 2}, object(), [frozenset()]])
+def test_to_jsonable_refuses_values_without_a_canonical_form(value):
+    # str() of a set or of a default repr would put unordered or
+    # address-bearing text into a byte-identical report
+    with pytest.raises(TypeError, match="has no canonical JSON form"):
+        to_jsonable(value)
+
+
 # ---------------------------------------------------------------------------
 # Work counts: relation calls made by the checks, no timing.
 

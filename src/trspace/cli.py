@@ -56,7 +56,7 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as err:  # ValueError: bad JSON or bad UTF-8
+    except (OSError, ValueError, RecursionError) as err:  # bad JSON or UTF-8, too deep
         raise ParameterError(f"cannot read {path}: {err}") from err
 
 

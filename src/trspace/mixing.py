@@ -167,7 +167,7 @@ class MixingEngine:
         def check(s: Approx, t: Approx, y: Approx) -> bool:
             return self.decide(y, s, t) is not _SPLIT
 
-        oracle = PropertyOracle(check=check, pair=True, domain=self.in_hat, name="decides")
+        oracle = PropertyOracle(check=check, pair=True, domain=self.in_hat)
         return fuse(self.model, oracle, start=self.front.scope, config=self.config)
 
 

@@ -725,13 +725,11 @@ def pigeonhole_A4(
     has fewer than mu extensions.
     """
     model.all_reducts(config.max_reducts)
-    domain = model.extensions(s, x)
-    if not domain:
+    if not model.extension_blocks(s, x):
         raise TruncationTooShallowError(
             "no extensions of the segment inside the given reduct"
         )
-    colors = {p: coloring(p) for p in domain}
-    found = a4star_search(model, s, x, colors.__getitem__, ("drop",), config)
+    found = a4star_search(model, s, x, coloring, ("drop",), config)
     if found is None:
         raise TruncationTooShallowError(
             "no monochromatic reduct with enough extensions in the truncation"
@@ -753,7 +751,6 @@ class PropertyOracle:
     check: Callable[..., bool]
     pair: bool = False
     domain: Optional[Callable[[Approx], bool]] = None
-    name: str = "P"
 
     def holds(self, args: tuple[Approx, ...], y: Approx) -> bool:
         return bool(self.check(*args, y))

@@ -8,10 +8,12 @@ coordinates in I. N rises from m until no kernel is bad (admits no
 witness).
 
 Arity one depends only on the class sizes, so the kernels of [N] are
-its integer partitions, largest part first. A partition admits a
-witness iff its largest class has m points (I empty, constant) or it
-has m classes (I = {0}, injective); otherwise every m-set meets some
-class twice without lying inside it.
+its integer partitions. A partition admits a witness iff its largest
+class has m points (I empty, constant) or it has m classes (I = {0},
+injective); otherwise every m-set meets some class twice without lying
+inside it. So the number is (m-1)^2 + 1 (Erdos-Rado). The budget
+counts the partitions a largest-part-first walk would visit, and
+_unary_walk counts them without walking.
 
 Higher arities search depth first for a bad kernel. The tuples are
 colored in colex order with restricted-growth colors, so each kernel
@@ -98,36 +100,27 @@ def _admits_witness(
     return None
 
 
-def _partitions(total: int) -> Iterator[tuple[list[int], int]]:
-    """Yield (parts, size) for each partition of total >= 1 in reverse
-    lexicographic order, [total] first: the partition is parts[:size],
-    nonincreasing, and parts is one list reused between yields.
-    Zoghbi and Stojmenovic's ZS1: last is the index of the last part
-    above 1, and a trailing 2 splits into 1 + 1 in constant time."""
-    parts = [1] * total
-    parts[0] = total
-    size, last = 1, 0
-    yield parts, size
-    while parts[0] != 1:
-        if parts[last] == 2:
-            parts[last] = 1
-            size += 1
-            last -= 1
-        else:
-            part = parts[last] - 1
-            parts[last] = part
-            rest = size - last
-            while rest >= part:
-                last += 1
-                parts[last] = part
-                rest -= part
-            size = last + 1
-            if rest:
-                size += 1
-                if rest > 1:
-                    last += 1
-                    parts[last] = rest
-        yield parts, size
+def _unary_walk(N: int, m: int) -> tuple[int, Optional[tuple[int, ...]]]:
+    """(nodes, kernel) at arity one, 2 <= m <= N: the partitions of N a
+    largest-part-first walk visits up to its first bad one, and that
+    partition's colors class by class; p(N) and None when none is bad.
+
+    The walk first visits the partitions with a part of m or more, all
+    good. Next comes the greedy one into parts of m-1, remainder last:
+    of the rest it has the fewest classes, so it is bad iff any is,
+    iff N <= (m-1)^2. A partition with largest part L is L followed by
+    a partition of t = N-L into parts at most L, counted by q[t][k],
+    the partitions of t into parts at most k."""
+    low = m if N <= (m - 1) ** 2 else 1
+    top = N - low
+    q = [[1] * (top + 1)] + [[0] * (top + 1) for _ in range(top)]
+    for t in range(1, top + 1):
+        for k in range(1, top + 1):
+            q[t][k] = q[t][k - 1] + (q[t - k][k] if k <= t else 0)
+    nodes = sum(q[t][min(t, N - t)] for t in range(top + 1))
+    if low == 1:
+        return nodes, None
+    return nodes + 1, tuple(i // (m - 1) for i in range(N))
 
 
 def _colex_tuples(N: int, n: int) -> list[tuple[int, ...]]:
@@ -220,8 +213,9 @@ def _bad_kernels(
     """For N, N+1, ... in turn, a kernel of the n-tuples of range(N), as
     its colors in colex order, with no canonical m-set; then None at the
     first N where every kernel has one, and stop. n and m are the
-    table's. spend(nodes=1) charges the budget: once per partition
-    visited at arity one, once per color tried at a tuple above it.
+    table's. spend(nodes=1) charges the budget: at arity one once per N,
+    for the partitions a largest-part-first walk visits (_unary_walk),
+    above it once per color tried at a tuple.
 
     Above arity one this is one depth-first search: N+1 resumes from
     the state in which N colored its last tuple, and charges with one
@@ -232,15 +226,11 @@ def _bad_kernels(
         yield None
         return
     if n == 1:
-        # the partitions of N+1 do not extend those of N: each N is walked afresh
         for N in count(N):
-            for parts, size in _partitions(N):
-                spend()
-                if parts[0] < m and size < m:
-                    yield tuple(c for c in range(size) for _ in range(parts[c]))
-                    break
-            else:
-                yield None
+            nodes, kernel = _unary_walk(N, m)
+            spend(nodes)
+            yield kernel
+            if kernel is None:
                 return
     tests = table.rows
     colors: list[int] = []
@@ -299,9 +289,9 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
     """Least N such that every kernel on the increasing n-tuples from
     {0,...,N-1} admits a size-m witness set with some index set.
 
-    config.max_kernels meters the search: partitions visited at arity
-    one, colors tried at a tuple above it, where N+1 is charged again
-    for the nodes N visited. On exhaustion the error carries the
+    config.max_kernels meters the search: at arity one the partitions
+    a largest-part-first walk visits, above it colors tried at a tuple,
+    where N+1 is charged again for the nodes N visited. On exhaustion the error carries the
     largest N shown to have a bad kernel.
     """
     if n < 1 or m < 1:

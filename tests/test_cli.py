@@ -350,6 +350,18 @@ def test_malformed_json_inputs_exit_3(capsys, tmp_path, name):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("option", sorted(MALFORMED_ARGV))
+def test_deeply_nested_json_inputs_exit_3(capsys, tmp_path, option):
+    # the JSON decoder recurses per level and gives up long before 10^5
+    path = tmp_path / "input.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(MALFORMED_ARGV[option] + [str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

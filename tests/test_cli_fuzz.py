@@ -153,3 +153,39 @@ def test_mutated_json_inputs_keep_the_exit_code_contract(tmp_path, seed):
         codes.add(code)
     # the mutations reach past input validation as well as into it
     assert 3 in codes and codes & {0, 1, 2}
+
+
+NESTING = 100_000  # lists around one node, far past the decoder's recursion limit
+
+
+def _nested_text(doc, rng: random.Random) -> str:
+    """doc as file text with one node, not the root, wrapped in NESTING
+    lists; written as text, since json.dumps recurses per level too."""
+    doc = copy.deepcopy(doc)
+    path = rng.choice(list(_paths(doc))[1:])
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    marker = "\0nested\0"
+    value, parent[path[-1]] = parent[path[-1]], marker
+    nested = "[" * NESTING + json.dumps(value) + "]" * NESTING
+    return json.dumps(doc).replace(json.dumps(marker), nested)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nested_json_inputs_keep_the_exit_code_contract(tmp_path, seed):
+    # a pass of its own, so that the mutation stream above is unchanged
+    rng = random.Random(seed)
+    path = tmp_path / "input.json"
+    for kind, tokens, doc in _documents():
+        text = _nested_text(doc, rng)
+        path.write_text(text)
+        for argv in _commands(kind, tokens, str(path)):
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except (Exception, SystemExit) as exc:  # any escape is the finding
+                pytest.fail(f"{argv[0]} on a nested {kind} raised {exc!r}")
+            assert (code, out.getvalue()) == (3, ""), (argv, text[:200])
+            assert "Traceback" not in err.getvalue(), (argv, text[:200])

@@ -304,6 +304,23 @@ def test_a4star_asks_each_extension_at_most_once(request, name):
         assert set(asked) <= domain and set(asked.values()) <= {1}, s
 
 
+@pytest.mark.parametrize("name", ["e5", "fin4", "tree22"])
+def test_pigeonhole_asks_each_extension_at_most_once(request, name):
+    model = request.getfixturevalue(name)
+    for s in _short_bases(model):
+        domain = set(model.extensions(s, model.full))
+        asked = collections.Counter()
+
+        def color(p):
+            asked[p] += 1
+            return len(p.blocks[-1].atoms) % 2
+
+        pigeonhole_A4(model, s, model.full, color)
+        assert set(asked) <= domain and set(asked.values()) <= {1}, s
+        # a lone extension is compared with nothing, so it is not asked
+        assert bool(asked) == (len(domain) > 1), s
+
+
 def test_a4_searches_keep_their_own_errors(e5):
     with pytest.raises(TruncationTooShallowError, match="no extensions of the segment"):
         pigeonhole_A4(e5, e5.full, e5.full, lambda p: 0)

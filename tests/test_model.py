@@ -295,10 +295,7 @@ def test_derive_seed_is_stable_and_sensitive():
 
 def test_fuse_reaches_a_reduct_satisfying_the_property(e6):
     # property: y keeps at most four atoms available above each segment
-    oracle = PropertyOracle(
-        check=lambda s, y: len(e6.extensions(s, y)) <= 4,
-        name="few-extensions",
-    )
+    oracle = PropertyOracle(check=lambda s, y: len(e6.extensions(s, y)) <= 4)
     z = fuse(e6, oracle)
     assert len(z) <= 4 or all(
         len(e6.extensions(s, z)) <= 4 for s in e6.approximations() if e6.leq_fin(s, z)
@@ -308,16 +305,13 @@ def test_fuse_reaches_a_reduct_satisfying_the_property(e6):
 def test_fuse_stops_after_the_depth_budget(e6):
     # Only segments of length 3 see the property, so the one shrink
     # (dropping atom 5) happens at stage 2, past a budget of 1.
-    oracle = PropertyOracle(
-        check=lambda s, y: len(s) < 3 or 5 not in y.atom_set(),
-        name="no-atom-5-above-length-3",
-    )
+    oracle = PropertyOracle(check=lambda s, y: len(s) < 3 or 5 not in y.atom_set())
     assert fuse(e6, oracle) == ea(0, 1, 2, 3, 4)
     assert fuse(e6, oracle, config=Config(depth_budget=1)) == e6.full
 
 
 def test_fuse_respects_start(e6):
-    oracle = PropertyOracle(check=lambda s, y: True, name="trivial")
+    oracle = PropertyOracle(check=lambda s, y: True)
     start = ea(0, 2, 4)
     z = fuse(e6, oracle, start=start)
     assert z == start

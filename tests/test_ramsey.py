@@ -27,7 +27,7 @@ from trspace.ramsey import (
     _bad_kernel,
     _bad_kernels,
     _colex_tuples,
-    _partitions,
+    _unary_walk,
 )
 
 
@@ -130,7 +130,7 @@ def test_parameter_guards():
 # ---------------------------------------------------------------------------
 # The searches against the whole-kernel oracle.
 
-def no_budget() -> None:
+def no_budget(nodes: int = 1) -> None:
     pass
 
 
@@ -143,17 +143,52 @@ def partition_counts(limit: int) -> list[int]:
     return counts
 
 
-def test_partition_count_matches_recurrence():
-    counts = partition_counts(20)
-    for N in range(1, 21):
-        assert sum(1 for _ in _partitions(N)) == counts[N], N
+def largest_first(N: int):
+    """Each partition of N >= 1 in reverse lexicographic order, [N]
+    first, as its parts above 1 (one list, reused) and its number of 1s.
+    The successor lowers the last part above 1 by one and refills what
+    follows it greedily with parts no larger."""
+    big, ones = ([N], 0) if N > 1 else ([], 1)
+    while True:
+        yield big, ones
+        if not big:
+            return
+        k = big.pop() - 1
+        rest = ones + 1 + k
+        if k == 1:
+            ones = rest
+            continue
+        full, ones = divmod(rest, k)
+        big += [k] * full
+        if ones > 1:
+            big.append(ones)
+            ones = 0
 
 
-def test_partitions_are_distinct_largest_first():
-    for N in range(1, 13):
-        seen = [tuple(parts[:size]) for parts, size in _partitions(N)]
+def walk_to_first_bad(N: int, m: int):
+    """(partitions visited, kernel) of a largest-part-first walk that
+    stops at the first partition with fewer than m points per class and
+    fewer than m classes; (p(N), None) when it finds none."""
+    for nodes, (big, ones) in enumerate(largest_first(N), 1):
+        if (big[0] if big else 1) < m and len(big) + ones < m:
+            parts = big + [1] * ones
+            return nodes, tuple(c for c, size in enumerate(parts) for _ in range(size))
+    return nodes, None
+
+
+def test_reference_walk_lists_each_partition_once_largest_first():
+    counts = partition_counts(16)
+    for N in range(1, 17):
+        seen = [tuple(big) + (1,) * ones for big, ones in largest_first(N)]
+        assert len(seen) == counts[N], N
         assert all(sum(p) == N and list(p) == sorted(p, reverse=True) for p in seen)
         assert seen == sorted(set(seen), reverse=True), N
+
+
+def test_unary_walk_matches_a_largest_part_first_walk():
+    for m in range(2, 9):
+        for N in range(m, (m - 1) ** 2 + 2):
+            assert _unary_walk(N, m) == walk_to_first_bad(N, m), (N, m)
 
 
 def test_unary_numbers_match_closed_form():

@@ -176,11 +176,15 @@ def walk_to_first_bad(N: int, m: int):
     return nodes, None
 
 
-def test_reference_walk_lists_each_partition_once_largest_first():
-    counts = partition_counts(16)
-    for N in range(1, 17):
+def test_partition_count_matches_recurrence():
+    counts = partition_counts(20)
+    for N in range(1, 21):
+        assert sum(1 for _ in largest_first(N)) == counts[N], N
+
+
+def test_partitions_are_distinct_largest_first():
+    for N in range(1, 13):
         seen = [tuple(big) + (1,) * ones for big, ones in largest_first(N)]
-        assert len(seen) == counts[N], N
         assert all(sum(p) == N and list(p) == sorted(p, reverse=True) for p in seen)
         assert seen == sorted(set(seen), reverse=True), N
 

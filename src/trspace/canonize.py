@@ -349,7 +349,7 @@ def canonize(
     try:
         z0 = engine.deciding_reduct()
     except FusionExhaustedError as err:
-        z0 = err.partial if err.partial is not None else coloring.front.scope
+        z0 = err.partial
         stats["stage_a_exhausted"] = True
     stats["deciding_reduct_size"] = len(z0)
 

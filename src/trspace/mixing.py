@@ -1,9 +1,9 @@
 """Mixing analysis for colored fronts.
 
-decide() classifies a pair of interior segments against a reduct: the
-reduct separates them (no equally colored pair of extensions anywhere
-inside), mixes them (every admissible reduct below keeps an equally
-colored pair), or leaves the pair undecided. Admissible means both
+MixingEngine.decide classifies a pair of interior segments against a
+reduct: the reduct separates them (no equally colored pair of extensions
+anywhere inside), mixes them (every admissible reduct below keeps an
+equally colored pair), or leaves the pair undecided. Admissible means both
 segments still have at least mu front extensions; pairs with an empty
 admissibility pool are sticky undecided, they have fallen out of the
 front's hat below this reduct. MixingEngine holds pools and equal pairs
@@ -95,8 +95,9 @@ class MixingEngine:
             if ext is None:
                 raise DomainError("mixing is defined on initial segments of members")
             # Bit-sliced counters: slice k holds the reducts realizing
-            # more than k of the members seen so far.
-            more_than = [0] * self.config.mu
+            # more than k of the members seen so far. No slice past the
+            # first one at the member count is kept: they all stay 0.
+            more_than = [0] * min(self.config.mu, ext.bit_count() + 1)
             by_color = [0] * self.coloring.classes()
             for i in _bits(ext):
                 up = self.model.up_mask(self.members[i])
@@ -169,17 +170,6 @@ class MixingEngine:
 
         oracle = PropertyOracle(check=check, pair=True, domain=self.in_hat)
         return fuse(self.model, oracle, start=self.front.scope, config=self.config)
-
-
-def decide(
-    model: SpaceModel,
-    x: Approx,
-    s: Approx,
-    t: Approx,
-    coloring: Coloring,
-    config: Config = DEFAULT_CONFIG,
-) -> Verdict:
-    return MixingEngine(model, coloring, config).decide(x, s, t)
 
 
 # ---------------------------------------------------------------------------

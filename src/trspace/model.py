@@ -158,11 +158,11 @@ class SpaceModel(ABC):
     the pairwise finitization order _leq_fin, the reference the engine
     never calls. The engine reads the order as bitsets over the reduct
     ids, the reducts above and below an approximation (_reducts_above,
-    _reducts_below), built from per-piece reduct masks; by default s <= y
-    iff y holds every piece of s, with atoms for pieces (_pieces,
-    _holders), and a space with another order overrides these. The
-    relation is stored only as lazily filled lines, rows (up_mask) and
-    columns (sub_mask), and leq_fin reads one bit of a row.
+    _reducts_below), built from per-piece reduct masks (_pieces,
+    _piece_masks). By default s <= y iff y holds every piece of s, with
+    atoms for pieces; a space with another order overrides both
+    directions. The relation is stored only as lazily filled lines, rows
+    (up_mask) and columns (sub_mask), and leq_fin reads one bit of a row.
     """
 
     kind: str = "abstract"
@@ -221,16 +221,10 @@ class SpaceModel(ABC):
         """The pieces of reduct y that _piece_masks indexes the reducts by."""
         return (a for b in y.blocks for a in b.atoms)
 
-    def _holders(self, piece) -> int:
-        """Bitset of the reducts holding piece in the sense of the order."""
-        return self._piece_masks()[piece]
-
     def _reducts_above(self, s: Approx) -> int:
         """Bitset of the reducts y with s <= y; s is EMPTY or a reduct."""
-        row = self._every_reduct()
-        for piece in self._pieces(s):
-            row &= self._holders(piece)
-        return row
+        masks = self._piece_masks()
+        return reduce(and_, (masks[piece] for piece in self._pieces(s)), self._every_reduct())
 
     def _reducts_below(self, x: Approx) -> int:
         """Bitset of the reducts y <= x; x is EMPTY or a reduct."""

@@ -33,7 +33,8 @@ the nodes it skips, so each N costs what a search of N alone costs.
 The rows depend only on (n, m): one table per (n, m) holds them for
 every call in the process, and a search builds a tuple's row when it
 is the first to reach the tuple. Only the rows are shared; each call
-keeps its own search state.
+keeps its own search state, which grows the same way, so a budget stop
+allocates nothing for a tuple it did not reach.
 
 `restricted_growth_strings` and `_admits_witness` enumerate and test
 whole kernels; they are the slow reference for both searches.
@@ -149,7 +150,11 @@ def _completion_rows(
     shape = None
     tuples = (head + (last,) for last in count(n - 1) for head in _colex_tuples(last, n - 1))
     for t in islice(tuples, start, None):
-        if shape is None and t[0] >= m - n:
+        if t[0] < m - n:
+            # completes no m-set; combinations would allocate m - n indices
+            yield []
+            continue
+        if shape is None:
             shape = _colex_tuples(m, n)
             pairs = [(u, v) for v in range(len(shape)) for u in range(v)]
             agreeing = [
@@ -195,10 +200,6 @@ class _CompletionTable:
                     raise
         return rows
 
-    def grow(self, N: int) -> list[list[tuple[int, frozenset[int]]]]:
-        """The table, holding at least the rows of the tuples of range(N)."""
-        return self.fill(comb(N, self.n))
-
 
 @functools.cache
 def _shared_table(n: int, m: int) -> _CompletionTable:
@@ -239,9 +240,10 @@ def _bad_kernels(
     k = visited = 0
     while True:
         total = comb(N, n)
-        colors += [-1] * (total - len(colors))
-        equal += [0] * (total + 1 - len(equal))
-        table.fill(k + 1)
+        if k == len(colors) < total:
+            colors.append(-1)
+            equal.append(0)
+            table.fill(k + 1)
         while 0 <= k < total:
             color = colors[k]
             if color >= 0:
@@ -268,7 +270,9 @@ def _bad_kernels(
             else:
                 equal[k + 1] = pairs
                 k += 1
-                if k == len(tests) and k < total:
+                if k == len(colors) < total:
+                    colors.append(-1)
+                    equal.append(0)
                     table.fill(k + 1)
         if k < 0:
             yield None
@@ -276,13 +280,6 @@ def _bad_kernels(
         yield tuple(colors)
         N += 1
         spend(visited)
-
-
-def _bad_kernel(
-    table: _CompletionTable, N: int, spend: Callable[..., None]
-) -> Optional[tuple[int, ...]]:
-    """The answer of _bad_kernels for N alone."""
-    return next(_bad_kernels(table, N, spend))
 
 
 def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> int:

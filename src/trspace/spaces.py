@@ -4,9 +4,9 @@ Each model gives the one-step extensions the reducts grow from, the
 pairwise finitization order _leq_fin and its selectors. The engine reads
 the order as rows and columns over the reduct ids, built from per-piece
 reduct masks: Ellentuck and trees keep SpaceModel's atom containment,
-and FIN overrides it with block splitting. Atoms are plain ints; a block
-remembers the 1-based half-open interval of ground levels it draws from,
-which is what the level-matching checks look at.
+and FIN builds both rows and columns from block splitting. Atoms are
+plain ints; a block remembers the 1-based half-open interval of ground
+levels it draws from, which is what the level-matching checks look at.
 """
 
 from __future__ import annotations
@@ -129,8 +129,9 @@ class FinModel(SpaceModel):
             hit = self._block_masks[block] = (reduce(and_, held.values()), inside, touch)
         return hit
 
-    def _holders(self, block: Block) -> int:
-        return self._masks(block)[0]
+    def _reducts_above(self, s: Approx) -> int:
+        # s <= y iff y splits every block of s.
+        return reduce(and_, (self._masks(b)[0] for b in s.blocks), self._every_reduct())
 
     def _reducts_below(self, x: Approx) -> int:
         # y <= x iff y holds no ground level outside x, and each block of

@@ -15,6 +15,7 @@ import pytest
 from trspace import (
     EMPTY,
     GENERATORS,
+    MixingEngine,
     build_ellentuck,
     build_fin,
     build_tree,
@@ -22,7 +23,6 @@ from trspace import (
     canonical_ramsey_number,
     check_axioms,
     color_front,
-    decide,
     derive_seed,
     lemma_suite,
     mixing_table,
@@ -148,10 +148,11 @@ def mixing_battery(e6, fin4, e6_tables) -> dict:
     front = uniform_front(fin4, 2)
     union = color_front(front, GENERATORS["union"], name="union")
     s, t, tp = fa((0,)), fa((0, 2)), fa((0, 1, 2))
+    engine = MixingEngine(fin4, union)
     verdicts = {
-        "s_t": decide(fin4, fin4.full, s, t, union).kind,
-        "s_tprime": decide(fin4, fin4.full, s, tp, union).kind,
-        "t_tprime": decide(fin4, fin4.full, t, tp, union).kind,
+        "s_t": engine.decide(fin4.full, s, t).kind,
+        "s_tprime": engine.decide(fin4.full, s, tp).kind,
+        "t_tprime": engine.decide(fin4.full, t, tp).kind,
     }
     report = transitivity_check(mixing_table(fin4, union))
     shape = {atoms_of(s), atoms_of(t), atoms_of(tp)}

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import pytest
 
-from trspace import Block, BudgetExceededError, build_fin
-from trspace import spaces
-from trspace.ramsey import _CompletionTable, _bad_kernel
+from trspace import Block, BudgetExceededError, Config, build_fin, canonical_ramsey_number
+from trspace import ramsey, spaces
+from trspace.ramsey import _CompletionTable, _bad_kernels
 
 
 def test_a_fin_reduct_budget_stop_builds_few_blocks(monkeypatch):
@@ -41,6 +41,18 @@ def test_a_kernel_budget_stop_builds_rows_only_as_far_as_it_got(n, m):
         spent += 1
 
     with pytest.raises(BudgetExceededError):
-        _bad_kernel(table, m, spend)
+        next(_bad_kernels(table, m, spend))
     assert spent == 10
     assert len(table.rows) <= 11
+
+
+@pytest.mark.parametrize("n, m", [(2, 10**7), (3, 10**5), (2, 10**15)])
+def test_a_kernel_budget_stop_allocates_nothing_per_tuple_it_did_not_reach(n, m):
+    # C(m, n) colors at N = m would exceed the address space, and no
+    # tuple the budget reaches completes an m-set, so its row must be
+    # built without a combinations pool of m - n indices (which at
+    # m = 10^15 would exceed it too).
+    with pytest.raises(BudgetExceededError) as info:
+        canonical_ramsey_number(n, m, Config(max_kernels=10))
+    assert info.value.largest_checked is None
+    assert len(ramsey._shared_table(n, m).rows) <= 11

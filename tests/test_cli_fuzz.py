@@ -22,7 +22,7 @@ from trspace import (
     instance_to_json,
     uniform_front,
 )
-from trspace.cli import main
+from trspace.cli import COMMANDS, main
 
 MUTATIONS = 300  # per seed
 # Replacement values stay small: an Ellentuck N or a FIN level count in
@@ -189,3 +189,34 @@ def test_nested_json_inputs_keep_the_exit_code_contract(tmp_path, seed):
                 pytest.fail(f"{argv[0]} on a nested {kind} raised {exc!r}")
             assert (code, out.getvalue()) == (3, ""), (argv, text[:200])
             assert "Traceback" not in err.getvalue(), (argv, text[:200])
+
+
+HUGE = str(10**15)  # mu counters this many would exceed the address space
+
+
+def _extreme_argvs() -> list[list[str]]:
+    """Each command reading --mu, on each base, with mu far past every
+    member count; er-number at targets whose C(m, n) tuples would exceed
+    the address space, under a small kernel budget."""
+    argvs = [
+        [name, *tokens, "--front", "AU2", "--coloring", "min", "--mu", HUGE, *BUDGET]
+        for name, _, _, flags, _ in COMMANDS if "mu" in flags
+        for tokens, _ in _bases()
+    ]
+    return argvs + [
+        ["er-number", "2", str(10**7), "--max-kernels", "10"],
+        ["er-number", "3", str(10**5), "--max-kernels", "10"],
+    ]
+
+
+def test_extreme_integer_flags_keep_the_exit_code_contract():
+    # a pass of its own, so that the mutation stream above is unchanged
+    for argv in _extreme_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except (Exception, SystemExit) as exc:  # any escape is the finding
+            pytest.fail(f"{' '.join(argv)} raised {exc!r}")
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

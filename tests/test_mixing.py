@@ -23,7 +23,6 @@ from trspace import (
     build_tree,
     closure,
     color_front,
-    decide,
     generated_coloring,
     mixing_table,
     transitivity_check,
@@ -96,10 +95,13 @@ def test_mixed_pair_stays_mixed_below(fin4, union2):
             assert engine.decide(y, s, t).kind == MIXES
 
 
-def test_module_level_decide_matches_engine(fin4, union2):
-    s, t = fa((0,)), fa((0, 2))
-    v = decide(fin4, fin4.full, s, t, union2)
-    assert v.kind == MIXES
+def test_a_mu_past_every_member_count_acts_as_the_count_plus_one(fin4, union2):
+    # A segment with fewer than mu members has no admissible reduct, so
+    # the engine sizes nothing by mu beyond the members it counts.
+    huge = mixing_table(fin4, union2, Config(mu=10**15))
+    past = mixing_table(fin4, union2, Config(mu=len(union2.front.members) + 1))
+    assert (huge.reduct, huge.rows, huge.verdicts) == (past.reduct, past.rows, past.verdicts)
+    assert huge.engine.pool(fin4.full, fa((0,)), fa((0, 2))) == 0
 
 
 # ---------------------------------------------------------------------------

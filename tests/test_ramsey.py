@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ from trspace import ramsey
 from trspace.ramsey import (
     _CompletionTable,
     _admits_witness,
-    _bad_kernel,
     _bad_kernels,
     _colex_tuples,
     _unary_walk,
@@ -207,7 +207,7 @@ def test_targets_at_most_the_arity_are_vacuous():
     pinned = {(2, 1): 1, (3, 1): 1, (3, 2): 2, (3, 3): 3, (2, 2): 2}
     for (n, m), value in pinned.items():
         assert canonical_ramsey_number(n, m) == value, (n, m)
-        assert _bad_kernel(_CompletionTable(n, m), m, no_budget) is None, (n, m)
+        assert next(_bad_kernels(_CompletionTable(n, m), m, no_budget)) is None, (n, m)
 
 
 ORACLE_CAP = 2000  # kernels the oracle may test for one (n, m, N)
@@ -234,7 +234,7 @@ def test_colex_search_agrees_with_oracle():
                 if verdict is None:
                     continue
                 decided.append((n, m, N))
-                assert (_bad_kernel(_CompletionTable(n, m), N, no_budget) is not None) == verdict, (n, m, N)
+                assert (next(_bad_kernels(_CompletionTable(n, m), N, no_budget)) is not None) == verdict, (n, m, N)
     assert (2, 3, 4) in decided and (3, 4, 5) not in decided
     assert len(decided) == 27
 
@@ -250,7 +250,7 @@ def test_bad_kernels_are_certified_by_the_oracle():
     for n, m, sizes in CERTIFIED:
         table = _CompletionTable(n, m)
         for N in sizes:
-            kernel = _bad_kernel(table, N, no_budget)
+            kernel = next(_bad_kernels(table, N, no_budget))
             assert kernel is not None, (n, m, N)
             assert len(kernel) == len(_colex_tuples(N, n))
             assert _admits_witness(_colex_tuples(N, n), kernel, n, m, N) is None, (n, m, N)
@@ -287,7 +287,7 @@ def _completion_tests(N: int, n: int, m: int) -> list[list[tuple[int, frozenset[
 def test_grown_table_equals_the_table_built_per_n(n, m, top):
     table = _CompletionTable(n, m)
     for N in range(1, top + 1):
-        rows = table.grow(N)
+        rows = table.fill(comb(N, n))
         reference = _completion_tests(N, n, m)
         assert len(rows) == len(reference) == len(_colex_tuples(N, n)), N
         assert rows == reference, N
@@ -295,10 +295,10 @@ def test_grown_table_equals_the_table_built_per_n(n, m, top):
 
 def test_a_smaller_n_reads_a_prefix_of_the_grown_table():
     table = _CompletionTable(2, 4)
-    table.grow(9)
+    table.fill(comb(9, 2))
     for N in range(4, 10):
-        kernel = _bad_kernel(table, N, no_budget)
-        assert kernel == _bad_kernel(_CompletionTable(2, 4), N, no_budget), N
+        kernel = next(_bad_kernels(table, N, no_budget))
+        assert kernel == next(_bad_kernels(_CompletionTable(2, 4), N, no_budget)), N
         assert len(kernel) == len(_colex_tuples(N, 2))
 
 
@@ -325,7 +325,7 @@ def test_nodes_spent_per_n(n, m):
             nonlocal nodes
             nodes += 1
 
-        assert _bad_kernel(table, N, spend) is not None, N
+        assert next(_bad_kernels(table, N, spend)) is not None, N
         spent[N] = nodes
     assert spent == NODES_PER_N[n, m]
 
@@ -381,7 +381,7 @@ def test_resuming_equals_a_fresh_search_of_each_n(n, m):
         charged = 0
         resumed, resumed_cost = next(searches), charged
         charged = 0
-        fresh = _bad_kernel(_CompletionTable(n, m), N, spend)
+        fresh = next(_bad_kernels(_CompletionTable(n, m), N, spend))
         assert fresh is not None, N
         assert (resumed, resumed_cost) == (fresh, charged), N
 

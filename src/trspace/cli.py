@@ -60,15 +60,16 @@ def _load_json(path: str):
         raise ParameterError(f"cannot read {path}: {err}") from err
 
 
-def _parse_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
+def _parse_instance(tokens: list[str], path: Optional[str], max_reducts: int) -> SpaceModel:
     """The instance of --instance PATH or of shorthand tokens, both built
-    by instance_from_json."""
+    by instance_from_json, which refuses one over max_reducts by its
+    closed-form count before building it."""
     if path is not None and tokens:
         raise ParameterError(
             "give either --instance or shorthand tokens, not both"
         )
     if path is not None:
-        return instance_from_json(_load_json(path))
+        return instance_from_json(_load_json(path), max_reducts)
     if not tokens:
         raise ParameterError(
             "no instance given; use e.g. 'ellentuck N=5', 'fin blocks=3"
@@ -83,7 +84,7 @@ def _parse_instance(tokens: list[str], path: Optional[str]) -> SpaceModel:
             params[key] = int(value)
         except ValueError:
             raise ParameterError(f"parameter {token!r} is not an integer")
-    return instance_from_json({"instance": tokens[0], "params": params})
+    return instance_from_json({"instance": tokens[0], "params": params}, max_reducts)
 
 
 def _build_front(model: SpaceModel, label: Optional[str]) -> Front:
@@ -250,7 +251,7 @@ def _run(args) -> int:
     config = _config(args)
     model = front = coloring = None
     if "instance" in args.inputs:
-        model = _parse_instance(args.instance, args.instance_path)
+        model = _parse_instance(args.instance, args.instance_path, config.max_reducts)
         model.all_reducts(config.max_reducts)
     if "coloring" in args.inputs:
         coloring = _build_coloring(model, args, config.seed)

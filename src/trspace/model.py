@@ -18,9 +18,10 @@ import itertools
 import json
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_, attrgetter, or_
 from typing import Callable, ClassVar, Iterable, Optional
 
 from .errors import (
@@ -104,6 +105,10 @@ class Approx:
 
 EMPTY = Approx()
 
+# The documented block key, read at C level; Block's dataclass order is
+# the same order through Python-level comparisons.
+block_key = attrgetter("source", "atoms")
+
 
 def approx_sort_key(s: Approx) -> tuple:
     # Shorter approximations first, then block keys; total and stable.
@@ -142,6 +147,13 @@ class Config:
 DEFAULT_CONFIG = Config()
 
 
+def reduct_budget_error(kind: str, limit: int) -> BudgetExceededError:
+    """The refusal of an instance with more than limit reducts."""
+    return BudgetExceededError(
+        f"reduct enumeration of the {kind} instance passed the max_reducts budget of {limit}"
+    )
+
+
 def derive_seed(*parts) -> int:
     """Stable RNG seed from structured parts (never Python hash())."""
     blob = json.dumps([str(p) for p in parts], sort_keys=True).encode()
@@ -163,6 +175,12 @@ class SpaceModel(ABC):
     atoms for pieces; a space with another order overrides both
     directions. The relation is stored only as lazily filled lines, rows
     (up_mask) and columns (sub_mask), and leq_fin reads one bit of a row.
+
+    Every store is per instance and filled on first use: the reducts in
+    documented order and their ids, the approximations, the piece masks,
+    the rows and columns, the answers of prefix_mask (and, for a model
+    that overrides restrict, its per-length tables), the segments of
+    each reduct and the sorted blocks of extension_blocks per (s, x).
     """
 
     kind: str = "abstract"
@@ -186,12 +204,14 @@ class SpaceModel(ABC):
         self._approxes: Optional[tuple[Approx, ...]] = None
         # The relation's only stores, each filled on first use: per piece
         # the reducts having it; the lines of _line, approximations above
-        # s (rows) and below x (columns); and per segment length n the
+        # s (rows) and below x (columns); per s the reducts with prefix s;
+        # and, only under an overridden restrict, per segment length n the
         # reducts grouped by their length-n segment.
         self._masks_by_piece: Optional[dict] = None
         self._rows: dict[Approx, int] = {}
         self._columns: dict[Approx, int] = {}
-        self._prefix_masks: dict[int, dict[Approx, int]] = {}
+        self._prefix_masks: dict[Approx, int] = {}
+        self._restrict_tables: dict[int, dict[Approx, int]] = {}
         self._segments: dict[Approx, tuple[Approx, ...]] = {}
         self._ext_cache: dict[tuple, tuple[Block, ...]] = {}
         # The maximal reduct (the truncated space itself).
@@ -357,7 +377,7 @@ class SpaceModel(ABC):
             if not self.leq_fin(s, x):
                 hit = ()
             else:
-                hit = tuple(sorted(self._extension_blocks(s, x)))
+                hit = tuple(sorted(self._extension_blocks(s, x), key=block_key))
             self._ext_cache[key] = hit
         return hit
 
@@ -375,16 +395,13 @@ class SpaceModel(ABC):
         if reds is None:
             known = self._reduct_count()  # refuses before enumerating
             if known is None or known <= limit:
-                reds = tuple(itertools.islice(self._enumerate_reducts(), limit + 1))
+                reds = tuple(self._enumerate_reducts(limit))
         elif budget is None:
             return reds
         if reds is None or len(reds) > limit:
-            raise BudgetExceededError(
-                f"reduct enumeration of the {self.kind} instance passed"
-                f" the max_reducts budget of {limit}"
-            )
+            raise reduct_budget_error(self.kind, limit)
         if self._reducts is None:
-            self._reducts = tuple(sorted(reds, key=approx_sort_key))
+            self._reducts = reds
         return self._reducts
 
     def _reduct_count(self) -> Optional[int]:
@@ -393,16 +410,26 @@ class SpaceModel(ABC):
         the space gives no closed form."""
         return None
 
-    def _enumerate_reducts(self) -> Iterable[Approx]:
-        """Every nonempty reduct: the closure of EMPTY under the one-step
-        extensions inside the full reduct."""
-        stack = [EMPTY]
-        while stack:
-            s = stack.pop()
-            for block in self._extension_blocks(s, self.full):
-                ext = s.extend(block)
-                yield ext
-                stack.append(ext)
+    def _enumerate_reducts(self, budget: Optional[int] = None) -> list[Approx]:
+        """Every nonempty reduct in documented order: the closure of EMPTY
+        under the one-step extensions inside the full reduct.
+
+        The parents are taken in order, EMPTY first, and each appends its
+        children, its blocks in block-key order. key(s + b) is
+        key(s) + (key(b),), so the children of ordered parents come out
+        ordered, one length after another. With a budget the walk stops
+        once it holds more than budget, and draws no parent's lazy hook
+        past budget + 1 reducts.
+        """
+        reds: list[Approx] = []
+        parent, done = EMPTY, 0
+        while True:
+            room = None if budget is None else budget + 1 - len(reds)
+            blocks = itertools.islice(self._extension_blocks(parent, self.full), room)
+            reds += [parent.extend(b) for b in sorted(blocks, key=block_key)]
+            if done == len(reds) or (budget is not None and len(reds) > budget):
+                return reds
+            parent, done = reds[done], done + 1
 
     def reducts_in(self, mask: int) -> tuple[Approx, ...]:
         """The reducts whose bits are set, in documented order."""
@@ -428,24 +455,54 @@ class SpaceModel(ABC):
         return self._row(s) >> 1
 
     def prefix_mask(self, s: Approx) -> int:
-        """Bitset of the reducts y with restrict(y, len(s)) == s.
+        """Bitset of the reducts y with restrict(y, len(s)) == s, kept
+        per s.
 
-        One pass per length fills the masks of every segment of that
-        length, all through the model's own restrict. It needs one
-        length per reduct, so it calls restrict once per reduct rather
-        than building every segment with segments(): a cold pigeonhole
-        battery asks for a single length.
+        In documented order the reducts of one length m >= len(s) whose
+        first len(s) blocks are s are one run of ids, found by bisection,
+        so the mask is one range per length and no restrict is called. A
+        model that overrides restrict (on its class or on the instance)
+        is read through it instead: one pass per length fills the masks
+        of every segment of that length, calling restrict once per
+        reduct rather than building every segment with segments().
         """
-        n = len(s)
-        table = self._prefix_masks.get(n)
+        hit = self._prefix_masks.get(s)
+        if hit is None:
+            if getattr(self.restrict, "__func__", None) is SpaceModel.restrict:
+                hit = self._prefix_runs(s)
+            else:
+                hit = self._restrict_table(len(s)).get(s, 0)
+            self._prefix_masks[s] = hit
+        return hit
+
+    def _prefix_runs(self, s: Approx) -> int:
+        """prefix_mask(s) from the runs of ids, one per length."""
+        reds, n, key = self.all_reducts(), len(s), s.key
+        if not reds:
+            return 0
+
+        def head(y: Approx) -> tuple:
+            return len(y.blocks), tuple(map(block_key, y.blocks[:n]))
+
+        mask = lo = 0
+        for m in range(n, len(reds[-1]) + 1):
+            lo = bisect_left(reds, (m, key), lo, key=head)
+            hi = bisect_right(reds, (m, key), lo, key=head)
+            mask |= ((1 << hi - lo) - 1) << lo
+            lo = hi
+        return mask
+
+    def _restrict_table(self, n: int) -> dict[Approx, int]:
+        """Per length-n segment, through the model's own restrict, the
+        bitset of the reducts having it."""
+        table = self._restrict_tables.get(n)
         if table is None:
-            table = {}
+            table = self._restrict_tables[n] = {}
             for i, y in enumerate(self.all_reducts()):
                 if len(y) >= n:
                     seg = self.restrict(y, n)
                     table[seg] = table.get(seg, 0) | 1 << i
-            self._prefix_masks[n] = table
-        return table.get(s, 0)
+        return table
 
     def sub_reducts(self, x: Approx) -> tuple[Approx, ...]:
         """All reducts y <= x, including x itself, in documented order."""

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from collections.abc import Sequence
 from itertools import combinations, count, islice
 from math import comb
 from typing import Callable, Iterator, Optional
@@ -101,7 +102,29 @@ def _admits_witness(
     return None
 
 
-def _unary_walk(N: int, m: int) -> tuple[int, Optional[tuple[int, ...]]]:
+class _GreedyKernel(Sequence):
+    """The colors of the greedy partition of range(N) into classes of
+    m - 1 points, remainder last: point i has color i // (m - 1). Each
+    color is worked out where it is read, so a search that only asks
+    whether N has a bad kernel allocates nothing per point. It equals
+    the tuple of its colors."""
+
+    def __init__(self, N: int, m: int):
+        self.N, self.width = N, m - 1
+
+    def __len__(self) -> int:
+        return self.N
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.N:
+            raise IndexError(i)
+        return i // self.width
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+
+def _unary_walk(N: int, m: int) -> tuple[int, Optional[_GreedyKernel]]:
     """(nodes, kernel) at arity one, 2 <= m <= N: the partitions of N a
     largest-part-first walk visits up to its first bad one, and that
     partition's colors class by class; p(N) and None when none is bad.
@@ -121,7 +144,7 @@ def _unary_walk(N: int, m: int) -> tuple[int, Optional[tuple[int, ...]]]:
     nodes = sum(q[t][min(t, N - t)] for t in range(top + 1))
     if low == 1:
         return nodes, None
-    return nodes + 1, tuple(i // (m - 1) for i in range(N))
+    return nodes + 1, _GreedyKernel(N, m)
 
 
 def _colex_tuples(N: int, n: int) -> list[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from operator import and_
 from typing import Iterable, Optional
 
 from .errors import ParameterError
-from .model import Approx, Block, SpaceModel
+from .model import Approx, Block, SpaceModel, block_key, reduct_budget_error
 from .reportio import is_int_list
 
 
@@ -74,6 +74,7 @@ class FinModel(SpaceModel):
         self._level_sets = [frozenset(l) for l in self.levels]
         self._ground: dict[Block, Optional[frozenset[int]]] = {}
         self._block_masks: dict[Block, tuple[int, int, int]] = {}
+        self._unions: dict[tuple[Block, ...], Optional[Block]] = {}
 
     def ground_indices(self, block: Block) -> Optional[frozenset[int]]:
         """0-based ground levels whose union is exactly this block; None
@@ -151,19 +152,32 @@ class FinModel(SpaceModel):
         # pieces of x past s start where the last block of s ends.
         start = s.blocks[-1].source[1] if s.blocks else 1
         pieces = [xb for xb in x.blocks if xb.source[0] >= start]
-        cap = self.span_cap
+        # A piece alone is a block of x, inside the span cap as x is.
         # Every piece holds at least one ground level, so more pieces
         # than the span cap always merge past it.
-        widest = len(pieces) if cap is None else min(len(pieces), cap)
-        return (
-            Block(
+        widest = len(pieces) if self.span_cap is None else min(len(pieces), self.span_cap)
+        combos = itertools.chain.from_iterable(
+            itertools.combinations(pieces, k) for k in range(2, widest + 1)
+        )
+        return itertools.chain(pieces, filter(None, map(self._union, combos)))
+
+    def _union(self, combo: tuple[Block, ...]) -> Optional[Block]:
+        """The block joining two or more pieces, built once per instance,
+        so every parent asking for it gets the same object; None when it
+        spans more ground levels than the span cap."""
+        try:
+            return self._unions[combo]
+        except KeyError:
+            pass
+        cap = self.span_cap
+        hit = None
+        if cap is None or sum(len(self.ground_indices(b)) for b in combo) <= cap:
+            hit = Block(
                 source=(combo[0].source[0], combo[-1].source[1]),
                 atoms=tuple(sorted(a for b in combo for a in b.atoms)),
             )
-            for k in range(1, widest + 1)
-            for combo in itertools.combinations(pieces, k)
-            if cap is None or sum(len(self.ground_indices(b)) for b in combo) <= cap
-        )
+        self._unions[combo] = hit
+        return hit
 
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
         bi = self.ground_indices(block)
@@ -281,7 +295,7 @@ def closure(model: SpaceModel, x: Approx) -> tuple[Block, ...]:
     seen: set[Block] = set()
     for y in model.sub_reducts(x):
         seen.update(y.blocks)
-    return tuple(sorted(seen))
+    return tuple(sorted(seen, key=block_key))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +310,21 @@ _INSTANCE_KEYS = {
 }
 
 
-def instance_from_json(payload: dict) -> SpaceModel:
+def _fits(kind: str, params: dict, limit: int) -> bool:
+    """Whether an instance given by its parameters alone can have at
+    most limit reducts: False only where a closed form says it has more.
+    An Ellentuck instance has 2^N - 1 reducts, so it fits iff
+    2^N <= limit + 1, read off the bit length without the N-bit power."""
+    return kind != "ellentuck" or params["N"] < (limit + 1).bit_length()
+
+
+def instance_from_json(payload: dict, max_reducts: Optional[int] = None) -> SpaceModel:
     """Build an instance from {"instance": kind, "params": {...},
     "levels": [[atom, ...], ...]}, as instance_to_json writes it; levels
     may be left out, and must match the instance when given. Raises
-    ParameterError on a malformed description."""
+    ParameterError on a malformed description. With max_reducts, an
+    instance without levels that has more reducts by its closed-form
+    count is refused (BudgetExceededError) before it is built."""
     if not (isinstance(payload, dict) and set(payload) <= {"instance", "params", "levels"}):
         raise ParameterError("an instance is an object with the keys instance, params and levels")
     kind, params, levels = (payload.get(k) for k in ("instance", "params", "levels"))
@@ -318,6 +342,8 @@ def instance_from_json(payload: dict) -> SpaceModel:
     if kind == "fin" and levels is not None and "blocks" not in params:
         model = build_fin(levels=levels, span_cap=params.get("span_cap"))
     elif set(required) <= set(params):
+        if max_reducts is not None and levels is None and not _fits(kind, params, max_reducts):
+            raise reduct_budget_error(kind, max_reducts)
         model = builder(*(params.get(k) for k in required + optional))
     else:
         raise ParameterError(f"{kind} needs " + " ".join(f"{k}=<int>" for k in required))

@@ -17,12 +17,15 @@ import hashlib
 import itertools
 import json
 import math
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, attrgetter, or_
-from typing import Callable, ClassVar, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     BudgetExceededError,
@@ -33,58 +36,125 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
+# ---- interning -----------------------------------------------------------
+# Each Block and Approx value has one live object, so both hash by
+# identity at C level, and Approx compares by identity. A table maps
+# each value to a weak reference to its object; the reference's callback
+# drops the entry only while it is still dead, as WeakValueDictionary's
+# does, so an object no one holds goes with its entry, and a value
+# entered again in the meantime keeps its new one.
+_INTERN_LOCK = threading.Lock()
+
+
+class _Entry(weakref.ref):
+    """A table's weak reference to an interned object, with its key.
+    weakref.KeyedRef is the same, but its Python-level __init__ makes
+    each new entry dearer than the object it refers to."""
+
+    __slots__ = ("key",)
+
+
+def _intern_table() -> tuple[dict, Callable]:
+    table: dict = {}
+
+    def drop(ref: _Entry) -> None:
+        _remove_dead_weakref(table, ref.key)
+
+    return table, drop
+
+
+_BLOCKS, _drop_block = _intern_table()
+_APPROXES, _drop_approx = _intern_table()
+
+
+def _enter(table: dict, drop: Callable, key, obj):
+    """The live object for key, obj when there is none. The entry is
+    made under the lock, so two threads never make two objects for one
+    value."""
+    ref = _Entry(obj, drop)
+    ref.key = key
+    _INTERN_LOCK.acquire()  # cheaper than a with statement
+    try:
+        held = table.setdefault(key, ref)
+        if held is not ref:
+            live = held()
+            if live is not None:
+                return live
+            table[key] = ref
+    finally:
+        _INTERN_LOCK.release()
+    return obj
+
+
+@dataclass(frozen=True, order=True, init=False)
 class Block:
-    """One block of an approximation.
+    """One block of an approximation, the one live object of its value.
 
     atoms: strictly increasing atom ids.
     source: half-open 1-based interval [k, l) of ground levels the block
-    was assembled from. Dataclass order gives the documented block key
-    (source first, then atoms).
+    was assembled from. Dataclass order and equality compare values and
+    give the documented block key (source first, then atoms); the hash is
+    the identity's, since equal blocks are one object.
     """
 
     source: tuple[int, int]
     atoms: tuple[int, ...]
-    # Frozen, so the hash is kept on first use; a ClassVar is no field.
-    _hash: ClassVar[Optional[int]] = None
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    __hash__ = object.__hash__
+
+    def __new__(cls, source: tuple[int, int], atoms: tuple[int, ...]) -> "Block":
+        key = (source, atoms)
+        ref = _BLOCKS.get(key)
+        if ref is not None:
+            obj = ref()
+            if obj is not None:
+                return obj
+        if not atoms:
             raise ParameterError("a block needs at least one atom")
-        if list(self.atoms) != sorted(set(self.atoms)):
+        if list(atoms) != sorted(set(atoms)):
             raise ParameterError("block atoms must be strictly increasing")
-        k, l = self.source
+        k, l = source
         if not (1 <= k < l):
             raise ParameterError("block source must be a nonempty 1-based interval")
+        obj = object.__new__(cls)
+        fields = obj.__dict__
+        fields["source"], fields["atoms"] = source, atoms
+        return _enter(_BLOCKS, _drop_block, key, obj)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle go through the constructor.
+        return (Block, (self.source, self.atoms))
 
     @property
     def key(self) -> tuple[tuple[int, int], tuple[int, ...]]:
         return (self.source, self.atoms)
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.source, self.atoms))
-            object.__setattr__(self, "_hash", h)
-        return h
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Approx:
-    """A finite approximation: a (possibly empty) sequence of blocks."""
+    """A finite approximation: a (possibly empty) sequence of blocks.
+
+    Each value is one live object, so equality and the hash are the
+    identity's.
+    """
 
     blocks: tuple[Block, ...] = ()
-    _hash: ClassVar[Optional[int]] = None  # like Block's; the dataclass value
+
+    def __new__(cls, blocks: tuple[Block, ...] = ()) -> "Approx":
+        ref = _APPROXES.get(blocks)
+        if ref is not None:
+            obj = ref()
+            if obj is not None:
+                return obj
+        obj = object.__new__(cls)
+        obj.__dict__["blocks"] = blocks
+        return _enter(_APPROXES, _drop_approx, blocks, obj)
+
+    def __reduce__(self):
+        return (Approx, (self.blocks,))
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.blocks,))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @property
     def key(self) -> tuple:
@@ -349,17 +419,12 @@ class SpaceModel(ABC):
     def segments(self, x: Approx) -> tuple[Approx, ...]:
         """restrict(x, n) for n = 0..len(x), through the model's own restrict.
 
-        A segment that is a reduct comes back as the stored reduct, and
-        an empty one as EMPTY, so equal segments are one object.
+        Approximations are interned, so a segment that is a reduct is the
+        stored reduct and an empty one is EMPTY.
         """
         hit = self._segments.get(x)
         if hit is None:
-            reds, ids = self.all_reducts(), self.reduct_ids()
-            hit = tuple(
-                reds[ids[seg]] if seg in ids else (seg if seg.blocks else EMPTY)
-                for seg in (self.restrict(x, n) for n in range(len(x) + 1))
-            )
-            self._segments[x] = hit
+            hit = self._segments[x] = tuple(self.restrict(x, n) for n in range(len(x) + 1))
         return hit
 
     def depth(self, x: Approx, s: Approx):

@@ -17,6 +17,8 @@ import contextlib
 import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +92,36 @@ def test_golden_reports_without_the_pairwise_hook(monkeypatch, tmp_path):
     exits = json.loads((GOLDEN / "exits.json").read_text())
     for line in CASES:
         code, stdout = run_case(line, tmp_path / "run.json")
+        assert code == exits[slug(line)], line
+        assert stdout == (GOLDEN / f"{slug(line)}.json").read_text(), line
+
+
+# Interned blocks and approximations hash by identity, so a set of them
+# iterates in an order that follows memory addresses. Padding allocated
+# before the import moves those addresses; a report that read such an
+# order unsorted would differ between the two interpreters.
+PADDED_RUN = """
+import json, sys
+pad = [(i,) * (i % 9 + 1) for i in range({pad})]
+sys.path[:0] = [{tests!r}, {src!r}]
+from pathlib import Path
+from test_cli_golden import CASES, run_case, slug
+out = Path({tmp!r}) / "run.json"
+print(json.dumps({{slug(line): run_case(line, out) for line in CASES}}))
+"""
+
+
+@pytest.mark.parametrize("pad", [0, 40_000])
+def test_golden_reports_do_not_depend_on_addresses(pad, tmp_path):
+    here = Path(__file__).resolve().parent
+    code = PADDED_RUN.format(pad=pad, tests=str(here), src=str(here.parent / "src"), tmp=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=600,
+    )
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    exits = json.loads((GOLDEN / "exits.json").read_text())
+    for line in CASES:
+        code, stdout = runs[slug(line)]
         assert code == exits[slug(line)], line
         assert stdout == (GOLDEN / f"{slug(line)}.json").read_text(), line
 

@@ -13,10 +13,16 @@ loop that comes back fails without any timing.
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
+import gc
 import itertools
 import math
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +38,7 @@ from trspace import (
     Config,
     DomainError,
     EllentuckModel,
+    ParameterError,
     MixingEngine,
     build_ellentuck,
     build_fin,
@@ -46,7 +53,7 @@ from trspace import (
     uniform_front,
     witness_sort_key,
 )
-from trspace.model import _is_preorder
+from trspace.model import _APPROXES, _BLOCKS, _is_preorder
 from trspace.reportio import to_jsonable
 from helpers import ea, ellentuck_instances, fa, fin_instances, flip_bits, refuse_pairwise_hook, tree_instances
 from test_axioms import InflatedLeq, ShiftedRestrict
@@ -551,7 +558,7 @@ def test_segments_are_the_restrictions(request, name):
 
 
 # ---------------------------------------------------------------------------
-# Cached hashes: a cache, never part of the value.
+# Interning: one object per value, hashed by identity, never a field.
 
 def test_independent_equal_values_hash_and_compare_equal():
     rng = random.Random(7)
@@ -560,10 +567,10 @@ def test_independent_equal_values_hash_and_compare_equal():
         spec = [((a + 1, a + 2), (a,)) for a in atoms]
         a = Approx(tuple(Block(src, at) for src, at in spec))
         b = Approx(tuple(Block(src, at) for src, at in spec))
-        assert a is not b
-        hash(a)  # fill one cache and not the other
+        assert a is b
+        hash(a)
         assert a == b and hash(a) == hash(b)
-        assert hash(b) == hash(a)  # and again with both filled
+        assert hash(b) == hash(a)
         assert {a: 1}[b] == 1
         for x, y in zip(a.blocks, b.blocks):
             assert x == y and hash(x) == hash(y)
@@ -572,8 +579,6 @@ def test_independent_equal_values_hash_and_compare_equal():
 def test_cached_hash_is_no_field():
     block = Block((1, 2), (0,))
     s = Approx((block,))
-    # the cached value is the plain dataclass hash, so set orders stay put
-    assert hash(s) == hash((s.blocks,)) and hash(block) == hash((block.source, block.atoms))
     assert [f.name for f in dataclasses.fields(Block)] == ["source", "atoms"]
     assert [f.name for f in dataclasses.fields(Approx)] == ["blocks"]
     assert "_hash" not in repr(s)
@@ -585,18 +590,83 @@ def test_first_hash_is_the_dataclass_hash_and_no_field():
     block = Block((2, 4), (1, 3))
     s = Approx((block, Block((4, 5), (4,))))
     twin = Approx((Block((2, 4), (1, 3)), Block((4, 5), (4,))))
-    assert "_hash" not in vars(block) and "_hash" not in vars(s)
-    assert hash(block) == hash(((2, 4), (1, 3)))
-    assert hash(s) == hash((s.blocks,))
-    assert vars(s)["_hash"] == hash(s) and Block._hash is None and Approx._hash is None
-    # a filled cache is no part of the value
-    assert s == twin and "_hash" not in vars(twin) and block == twin.blocks[0]
+    assert s == twin and block == twin.blocks[0]
     assert not block < twin.blocks[0] and not twin.blocks[0] < block
     assert [f.name for f in dataclasses.fields(s)] == ["blocks"]
     assert repr(s) == repr(twin) and "_hash" not in repr(block)
     assert to_jsonable(s) == to_jsonable(twin) == {
         "blocks": [{"atoms": [1, 3], "source": [2, 4]}, {"atoms": [4], "source": [4, 5]}]
     }
+
+
+def test_copies_pickles_and_replacements_are_the_interned_object():
+    block = Block((2, 4), (1, 3))
+    s = Approx((block, Block((4, 5), (4,))))
+    for obj in (block, s, EMPTY):
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) is obj
+        assert dataclasses.replace(obj) is obj
+    assert copy.deepcopy({"s": [s, s]})["s"][1] is s
+    assert dataclasses.replace(block, atoms=(1, 2, 3)) is Block((2, 4), (1, 2, 3))
+    assert dataclasses.replace(s, blocks=s.blocks[:1]) is Approx((block,))
+    # a copy never writes into another value's object
+    assert EMPTY.blocks == () and Approx() is EMPTY and Approx(()) is EMPTY
+    assert s.blocks == (block, Block((4, 5), (4,)))
+
+
+@pytest.mark.parametrize("source, atoms", [
+    ((1, 2), (3, 1)),     # decreasing atoms
+    ((1, 2), (3, 3)),     # a repeated atom
+    ((1, 2), ()),         # no atom
+    ((0, 2), (5,)),       # a source below level 1
+    ((3, 3), (5,)),       # an empty source
+])
+def test_a_refused_block_leaves_no_entry(source, atoms):
+    for _ in range(2):  # and is refused again, not found
+        with pytest.raises(ParameterError) as refused:
+            Block(source, atoms)
+        # not even while the error's frames are alive
+        assert (source, atoms) not in _BLOCKS
+        del refused
+
+
+def test_threads_building_the_same_values_get_one_object_each():
+    values = [((k + 9001, k + 9003), (k + 9000, k + 9001)) for k in range(200)]
+    start = threading.Barrier(8)
+    built = [None] * 8
+
+    def build(i):
+        start.wait(timeout=60)
+        built[i] = [Approx((Block(source, atoms),)) for source, atoms in values]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k, (source, atoms) in enumerate(values):
+        assert all(run[k] is built[0][k] for run in built)
+        assert Block(source, atoms) is built[0][k].blocks[0]
+
+
+def test_dropping_the_last_reference_drops_the_entries():
+    source, atoms = (7001, 7003), (7000, 7001)
+    s = Approx((Block(source, atoms),))
+    alive = weakref.ref(s)
+    assert _BLOCKS[(source, atoms)]() is s.blocks[0] and _APPROXES[s.blocks]() is s
+    del s
+    gc.collect()
+    assert alive() is None
+    # an Approx entry would keep its key's block, and so its entry, alive
+    assert (source, atoms) not in _BLOCKS
+    assert not any(key and key[0].source == source for key in _APPROXES)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, object(), [frozenset()]])

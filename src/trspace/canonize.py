@@ -34,7 +34,7 @@ from .model import (
     a4star_search,
     first_mismatch,
     fuse,
-    witness_sort_key,
+    longest_first,
 )
 from .reportio import approx_to_json, to_jsonable
 
@@ -142,13 +142,15 @@ def oracle_canonize(
     rows = [model.up_mask(m) for m in front]
     ids = [[(name, _class_ids(model, name, pos, front)) for name in family] for pos in range(arity)]
 
-    # The reducts arrive by witness_sort_key, so the hits of the largest
-    # size come in key order; each reduct's maps are sorted as found.
+    # The reducts arrive longest first, so the hits of the largest size
+    # come in key order; each reduct's maps are sorted as found.
     hits: list[tuple[Approx, InnerMap]] = []
     best = -1
-    for j, x in sorted(enumerate(reducts), key=lambda item: witness_sort_key(item[1])):
+    id_of = model.reduct_ids()
+    for x in longest_first(reducts):
         if len(x) < best:
             break
+        j = id_of[x]
         below = [i for i, row in enumerate(rows) if row >> j & 1]
         if not below:
             continue
@@ -299,7 +301,7 @@ def _assemble(engine: MixingEngine, z0: Approx, config: Config) -> tuple[Approx,
 def _grow(model: SpaceModel, coloring: Coloring, x: Approx, phi: InnerMap) -> Approx:
     """Largest reduct above x on which the map still verifies."""
     best = x
-    for g in sorted(model.reducts_in(model.up_mask(x)), key=witness_sort_key):
+    for g in longest_first(model.reducts_in(model.up_mask(x))):
         if len(g) <= len(best):
             break
         ok, _ = verify_canonical(model, g, phi, coloring)
@@ -354,7 +356,7 @@ def canonize(
     stats["deciding_reduct_size"] = len(z0)
 
     starts = itertools.chain((z0,), (
-        y for y in sorted(model.sub_reducts(z0), key=witness_sort_key)
+        y for y in longest_first(model.sub_reducts(z0))
         if y != z0 and engine.front_below(y)
     ))
     witness = phi = None
@@ -500,7 +502,7 @@ def maximality_check(
     a single member holds for every map, so admitting it would let any
     alternative through the precondition."""
     common = None
-    for y in sorted(model.all_reducts(config.max_reducts), key=witness_sort_key):
+    for y in longest_first(model.all_reducts(config.max_reducts)):
         if len(model.below(coloring.front.members, y)) < 2:
             continue
         ok1, _ = verify_canonical(model, y, phi, coloring)
@@ -512,7 +514,7 @@ def maximality_check(
         raise DomainError(
             "the maps have no common verifying reduct; rejected as input"
         )
-    for z in sorted(model.sub_reducts(common), key=witness_sort_key):
+    for z in longest_first(model.sub_reducts(common)):
         members = model.below(coloring.front.members, z)
         if not members:
             continue

@@ -335,6 +335,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SpaceError as err:
         print(f"undecided: {err}", file=sys.stderr)
         return UNDECIDED_EXIT
+    except MemoryError:
+        print("out of memory: memory ran out before any budget stopped the command", file=sys.stderr)
+        return UNDECIDED_EXIT
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, attrgetter, or_
@@ -190,6 +189,12 @@ def witness_sort_key(s: Approx) -> tuple:
     return (-len(s.blocks), s.key)
 
 
+def longest_first(reducts: Iterable[Approx]) -> list[Approx]:
+    # witness_sort_key order of reducts given in id order (length, then
+    # key): the sort by length is stable, so each length keeps key order.
+    return sorted(reducts, key=len, reverse=True)
+
+
 @dataclass(frozen=True)
 class Config:
     """Knobs shared by the checkers and the canonization pipeline."""
@@ -236,21 +241,21 @@ class SpaceModel(ABC):
     The full reduct has one block per ground level, and the reducts are
     what one-step extensions grow from EMPTY inside it; their initial
     segments are the approximations of the instance. Subclasses supply
-    the one-step extensions _extension_blocks, the selectors table and
-    the pairwise finitization order _leq_fin, the reference the engine
-    never calls. The engine reads the order as bitsets over the reduct
-    ids, the reducts above and below an approximation (_reducts_above,
-    _reducts_below), built from per-piece reduct masks (_pieces,
-    _piece_masks). By default s <= y iff y holds every piece of s, with
+    the one-step extensions _extension_blocks, which only the
+    enumeration asks, the selectors table and the pairwise finitization
+    order _leq_fin, the reference the engine never calls. The engine
+    reads the order as bitsets over the reduct ids, the reducts above
+    and below an approximation (_reducts_above, _reducts_below), built
+    from per-piece reduct masks (_pieces, _piece_masks). By default s <= y iff y holds every piece of s, with
     atoms for pieces; a space with another order overrides both
     directions. The relation is stored only as lazily filled lines, rows
     (up_mask) and columns (sub_mask), and leq_fin reads one bit of a row.
 
     Every store is per instance and filled on first use: the reducts in
-    documented order and their ids, the approximations, the piece masks,
-    the rows and columns, the answers of prefix_mask (and, for a model
-    that overrides restrict, its per-length tables), the segments of
-    each reduct and the sorted blocks of extension_blocks per (s, x).
+    documented order with their ids and child runs, the approximations,
+    the piece masks, the rows and columns, the answers of prefix_mask
+    (and, for a model that overrides restrict, its per-length tables)
+    and the segments of each reduct.
     """
 
     kind: str = "abstract"
@@ -271,6 +276,9 @@ class SpaceModel(ABC):
         self._reducts: Optional[tuple[Approx, ...]] = None
         # Dense reduct ids: reduct i is all_reducts()[i], bit i of every mask.
         self._ids: Optional[dict[Approx, int]] = None
+        # Child runs: the children of the approximation with line bit j
+        # are the reducts with ids _starts[j] up to _starts[j + 1].
+        self._starts: Optional[list[int]] = None
         self._approxes: Optional[tuple[Approx, ...]] = None
         # The relation's only stores, each filled on first use: per piece
         # the reducts having it; the lines of _line, approximations above
@@ -283,7 +291,6 @@ class SpaceModel(ABC):
         self._prefix_masks: dict[Approx, int] = {}
         self._restrict_tables: dict[int, dict[Approx, int]] = {}
         self._segments: dict[Approx, tuple[Approx, ...]] = {}
-        self._ext_cache: dict[tuple, tuple[Block, ...]] = {}
         # The maximal reduct (the truncated space itself).
         self.full = Approx(tuple(
             Block(source=(i + 1, i + 2), atoms=l) for i, l in enumerate(lv)
@@ -299,13 +306,10 @@ class SpaceModel(ABC):
         engine reads only those."""
 
     @abstractmethod
-    def _extension_blocks(self, s: Approx, x: Approx) -> Iterable[Block]:
-        """Blocks b with s.extend(b) an approximation inside x, in any
-        order; a lazy iterable lets a budget stop the enumeration early.
-
-        Preconditions (ensured by the caller): x is a reduct and
-        leq_fin(s, x).
-        """
+    def _extension_blocks(self, s: Approx) -> Iterable[Block]:
+        """Blocks b with s.extend(b) a reduct, in any order; a lazy
+        iterable lets a budget stop the enumeration early. Asked only by
+        the enumeration, once per parent s, which is EMPTY or a reduct."""
 
     def _pieces(self, y: Approx):
         """The pieces of reduct y that _piece_masks indexes the reducts by."""
@@ -436,18 +440,17 @@ class SpaceModel(ABC):
         return math.inf
 
     def extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
-        key = (s, x)
-        hit = self._ext_cache.get(key)
-        if hit is None:
-            if not self.leq_fin(s, x):
-                hit = ()
-            else:
-                hit = tuple(sorted(self._extension_blocks(s, x), key=block_key))
-            self._ext_cache[key] = hit
-        return hit
+        """The last blocks of extensions(s, x), in the same order."""
+        return tuple(c.blocks[-1] for c in self.extensions(s, x))
 
     def extensions(self, s: Approx, x: Approx) -> tuple[Approx, ...]:
-        return tuple(s.extend(b) for b in self.extension_blocks(s, x))
+        """The one-block extensions of s inside x: the stored children of
+        s whose row has x's bit, in documented order; () unless s <= x."""
+        if not self.leq_fin(s, x):
+            return ()
+        reds, i, j, rows = self.all_reducts(), self._bit(s), self._bit(x), self._rows
+        children = reds[self._starts[i]:self._starts[i + 1]]
+        return tuple(c for c in children if (rows.get(c) or self._row(c)) >> j & 1)
 
     def all_reducts(self, budget: Optional[int] = None) -> tuple[Approx, ...]:
         """Every reduct in documented order. BudgetExceededError when there
@@ -480,18 +483,20 @@ class SpaceModel(ABC):
         under the one-step extensions inside the full reduct.
 
         The parents are taken in order, EMPTY first, and each appends its
-        children, its blocks in block-key order. key(s + b) is
-        key(s) + (key(b),), so the children of ordered parents come out
-        ordered, one length after another. With a budget the walk stops
-        once it holds more than budget, and draws no parent's lazy hook
-        past budget + 1 reducts.
+        children, its blocks in block-key order, as one run of ids that
+        _starts records. key(s + b) is key(s) + (key(b),), so the children
+        of ordered parents come out ordered, one length after another.
+        With a budget the walk stops once it holds more than budget, and
+        draws no parent's lazy hook past budget + 1 reducts.
         """
         reds: list[Approx] = []
+        starts = self._starts = [0]
         parent, done = EMPTY, 0
         while True:
             room = None if budget is None else budget + 1 - len(reds)
-            blocks = itertools.islice(self._extension_blocks(parent, self.full), room)
+            blocks = itertools.islice(self._extension_blocks(parent), room)
             reds += [parent.extend(b) for b in sorted(blocks, key=block_key)]
+            starts.append(len(reds))
             if done == len(reds) or (budget is not None and len(reds) > budget):
                 return reds
             parent, done = reds[done], done + 1
@@ -523,13 +528,12 @@ class SpaceModel(ABC):
         """Bitset of the reducts y with restrict(y, len(s)) == s, kept
         per s.
 
-        In documented order the reducts of one length m >= len(s) whose
-        first len(s) blocks are s are one run of ids, found by bisection,
-        so the mask is one range per length and no restrict is called. A
-        model that overrides restrict (on its class or on the instance)
-        is read through it instead: one pass per length fills the masks
-        of every segment of that length, calling restrict once per
-        reduct rather than building every segment with segments().
+        These are s and its descendants, one run of ids per generation
+        read off the child runs, so no restrict is called. A model that
+        overrides restrict (on its class or on the instance) is read
+        through it instead: one pass per length fills the masks of every
+        segment of that length, calling restrict once per reduct rather
+        than building every segment with segments().
         """
         hit = self._prefix_masks.get(s)
         if hit is None:
@@ -541,20 +545,17 @@ class SpaceModel(ABC):
         return hit
 
     def _prefix_runs(self, s: Approx) -> int:
-        """prefix_mask(s) from the runs of ids, one per length."""
-        reds, n, key = self.all_reducts(), len(s), s.key
-        if not reds:
+        """prefix_mask(s): s's own id (EMPTY has none), then the children
+        of each run, until a run is empty."""
+        j = self._bit(s)
+        if j is None:
             return 0
-
-        def head(y: Approx) -> tuple:
-            return len(y.blocks), tuple(map(block_key, y.blocks[:n]))
-
-        mask = lo = 0
-        for m in range(n, len(reds[-1]) + 1):
-            lo = bisect_left(reds, (m, key), lo, key=head)
-            hi = bisect_right(reds, (m, key), lo, key=head)
-            mask |= ((1 << hi - lo) - 1) << lo
-            lo = hi
+        self.all_reducts()
+        starts = self._starts
+        mask, lo, hi = (1 << j) >> 1, j - 1, j
+        while lo < hi:
+            lo, hi = starts[lo + 1], starts[hi + 1]
+            mask |= (1 << hi) - (1 << lo)
         return mask
 
     def _restrict_table(self, n: int) -> dict[Approx, int]:
@@ -801,26 +802,25 @@ def a4star_search(
     selector of family whose values on the last blocks of those
     extensions have the kernel of color; None when there is none. A.4 is
     the family ("drop",). color is asked at most once per extension."""
-    # Every extension is s plus one block, so the search runs on the
-    # blocks and builds an extension only when color is asked about it.
-    colors: dict[Block, object] = {}
+    colors: dict[Approx, object] = {}
 
-    def same(a: Block, b: Block) -> bool:
-        for c in (a, b):
+    def same(p: Approx, q: Approx) -> bool:
+        for c in (p, q):
             if c not in colors:
-                colors[c] = color(s.extend(c))
-        return colors[a] == colors[b]
+                colors[c] = color(c)
+        return colors[p] == colors[q]
 
+    # Ties go by key, not by id: across lengths the two orders differ.
     ranked = sorted(
-        ((y, model.extension_blocks(s, y)) for y in model.basic(s, x)),
+        ((y, model.extensions(s, y)) for y in model.basic(s, x)),
         key=lambda item: (-len(item[1]), item[0].key),
     )
-    for y, blocks in ranked:
-        if len(blocks) < config.mu:
+    for y, exts in ranked:
+        if len(exts) < config.mu:
             break
         for name in family:
-            values = [model.apply_selector(name, b) for b in blocks]
-            if first_mismatch(blocks, same, values) is None:
+            values = [model.apply_selector(name, p.blocks[-1]) for p in exts]
+            if first_mismatch(exts, same, values) is None:
                 return y, name
     return None
 
@@ -914,7 +914,7 @@ def fuse(
             if bad is None:
                 break
             replacement = None
-            for y in sorted(model.basic(frozen, x), key=witness_sort_key):
+            for y in longest_first(model.basic(frozen, x)):
                 if y != x and oracle.holds(bad, y):
                     replacement = y
                     break

@@ -46,13 +46,14 @@ def config_to_json(config: Config) -> dict:
 
 
 def to_jsonable(obj):
-    """Recursively rewrite engine objects into JSON-safe structures; any
-    other type is a TypeError rather than text of unstable order."""
+    """Recursively rewrite engine objects into JSON-safe structures, +inf
+    as "inf"; any other type is a TypeError rather than text of unstable
+    order."""
     if isinstance(obj, Block):
         return block_to_json(obj)
     if isinstance(obj, Approx):
         return approx_to_json(obj)
-    if obj is math.inf:
+    if isinstance(obj, float) and obj == math.inf:
         return "inf"
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
@@ -64,7 +65,8 @@ def to_jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    # -inf and NaN have no JSON form, so they raise ValueError.
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def report_envelope(model: SpaceModel, body: dict, config: Config) -> dict:

@@ -1,6 +1,7 @@
 """Concrete space instances: Ellentuck, block sequences (FIN), strong trees.
 
-Each model gives the one-step extensions the reducts grow from, the
+Each model gives the one-step extensions the reducts grow from inside
+the full reduct (asked only while the reducts are enumerated), the
 pairwise finitization order _leq_fin and its selectors. The engine reads
 the order as rows and columns over the reduct ids, built from per-piece
 reduct masks: Ellentuck and trees keep SpaceModel's atom containment,
@@ -39,9 +40,9 @@ class EllentuckModel(SpaceModel):
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         return s.atom_set() <= t.atom_set()
 
-    def _extension_blocks(self, s: Approx, x: Approx) -> Iterable[Block]:
+    def _extension_blocks(self, s: Approx) -> Iterable[Block]:
         floor = s.blocks[-1].atoms[0] if s.blocks else -1
-        return (b for b in x.blocks if b.atoms[0] > floor)
+        return (b for b in self.full.blocks if b.atoms[0] > floor)
 
     def _reduct_count(self) -> int:
         # a reduct is a nonempty subset of the N atoms
@@ -74,7 +75,7 @@ class FinModel(SpaceModel):
         self._level_sets = [frozenset(l) for l in self.levels]
         self._ground: dict[Block, Optional[frozenset[int]]] = {}
         self._block_masks: dict[Block, tuple[int, int, int]] = {}
-        self._unions: dict[tuple[Block, ...], Optional[Block]] = {}
+        self._unions: dict[tuple[Block, ...], Block] = {}
 
     def ground_indices(self, block: Block) -> Optional[frozenset[int]]:
         """0-based ground levels whose union is exactly this block; None
@@ -147,36 +148,28 @@ class FinModel(SpaceModel):
                 column &= ~self._masks(ground)[2]
         return column
 
-    def _extension_blocks(self, s: Approx, x: Approx) -> Iterable[Block]:
+    def _extension_blocks(self, s: Approx) -> Iterable[Block]:
         # Blocks of the instance are separated and increasing, so the
-        # pieces of x past s start where the last block of s ends.
+        # ground levels past s start where the last block of s ends.
         start = s.blocks[-1].source[1] if s.blocks else 1
-        pieces = [xb for xb in x.blocks if xb.source[0] >= start]
-        # A piece alone is a block of x, inside the span cap as x is.
-        # Every piece holds at least one ground level, so more pieces
-        # than the span cap always merge past it.
+        pieces = self.full.blocks[start - 1:]
+        # Each piece is one ground level, so a union of k pieces spans k
+        # levels and keeps within the span cap exactly when k does.
         widest = len(pieces) if self.span_cap is None else min(len(pieces), self.span_cap)
         combos = itertools.chain.from_iterable(
             itertools.combinations(pieces, k) for k in range(2, widest + 1)
         )
-        return itertools.chain(pieces, filter(None, map(self._union, combos)))
+        return itertools.chain(pieces, map(self._union, combos))
 
-    def _union(self, combo: tuple[Block, ...]) -> Optional[Block]:
+    def _union(self, combo: tuple[Block, ...]) -> Block:
         """The block joining two or more pieces, built once per instance,
-        so every parent asking for it gets the same object; None when it
-        spans more ground levels than the span cap."""
-        try:
-            return self._unions[combo]
-        except KeyError:
-            pass
-        cap = self.span_cap
-        hit = None
-        if cap is None or sum(len(self.ground_indices(b)) for b in combo) <= cap:
-            hit = Block(
+        so every parent asking for it gets the same object."""
+        hit = self._unions.get(combo)
+        if hit is None:
+            hit = self._unions[combo] = Block(
                 source=(combo[0].source[0], combo[-1].source[1]),
                 atoms=tuple(sorted(a for b in combo for a in b.atoms)),
             )
-        self._unions[combo] = hit
         return hit
 
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
@@ -230,32 +223,27 @@ class TreeModel(SpaceModel):
         t_levels = {b.source for b in t.blocks}
         return s_levels <= t_levels and s.atom_set() <= t.atom_set()
 
-    def _extension_blocks(self, s: Approx, x: Approx) -> tuple[Block, ...]:
+    def _extension_blocks(self, s: Approx) -> tuple[Block, ...]:
         if not s.blocks:
             return tuple(
                 Block(source=xb.source, atoms=(u,))
-                for xb in x.blocks for u in xb.atoms
+                for xb in self.full.blocks for u in xb.atoms
             )
         last = s.blocks[-1]
         d = last.source[0] - 1
         first = self.levels[d][0]
         out: list[Block] = []
-        for xb in x.blocks:
-            dl = xb.source[0] - 1
-            if dl <= d:
-                continue
+        for dl in range(d + 1, len(self.levels)):
             # Nodes are numbered in level order: child c of the i-th node
             # of level d is node k = i*b + c of level d+1, and its
             # descendants at depth dl are run k, of width b^(dl-d-1), of
             # level dl.
-            level, width, pool = self.levels[dl], self.b ** (dl - d - 1), set(xb.atoms)
+            level, width = self.levels[dl], self.b ** (dl - d - 1)
             slots = [
-                [v for v in level[k * width:(k + 1) * width] if v in pool]
+                level[k * width:(k + 1) * width]
                 for u in last.atoms
                 for k in range((u - first) * self.b, (u - first + 1) * self.b)
             ]
-            if any(not cands for cands in slots):
-                continue
             for pick in itertools.product(*slots):
                 out.append(Block(source=(dl + 1, dl + 2), atoms=tuple(sorted(pick))))
         return tuple(out)

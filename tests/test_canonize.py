@@ -15,6 +15,7 @@ from trspace import (
     DomainError,
     EMPTY,
     GENERATORS,
+    FusionExhaustedError,
     InnerMap,
     MixingEngine,
     NoInnerWitnessError,
@@ -145,6 +146,19 @@ def test_tree_canonize_within_its_selector_family(tree23):
         assert report.phi.selectors == want
         assert report.oracle_agreement["agrees"]
         assert report.stats["family_limited"]
+
+
+def test_stage_a_exhaustion_assembles_from_the_partial_reduct(fin4, monkeypatch):
+    def exhausted(engine):
+        raise FusionExhaustedError(0, partial=engine.model.full)
+
+    monkeypatch.setattr(MixingEngine, "deciding_reduct", exhausted)
+    coloring = generated_coloring(uniform_front(fin4, 2), "min")
+    report = canonize(fin4, coloring)
+    assert report.verdict == "pass"
+    assert report.stats["stage_a_exhausted"] is True
+    assert report.stats["deciding_reduct_size"] == len(fin4.full)
+    assert verify_canonical(fin4, report.witness, report.phi, coloring) == (True, None)
 
 
 def test_canon_report_json_shape(fin_runs):

@@ -133,6 +133,19 @@ def test_er_number_budget_is_undecided(capsys):
     assert "budget" in rep["error"]
 
 
+def test_running_out_of_memory_is_undecided(capsys, monkeypatch):
+    def exhaust(n, m, config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "canonical_ramsey_number", exhaust)
+    code = main(["er-number", "10", "11"])
+    captured = capsys.readouterr()
+    # exit 1 is kept for findings; memory, not a budget, stopped the run
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("out of memory:")
+    assert "budget" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # Envelope contents.
 
@@ -383,7 +396,7 @@ def test_max_reducts_budget_is_honoured(capsys):
 @pytest.mark.parametrize("n", [30, 100_000])
 def test_ellentuck_over_budget_is_refused_before_enumerating(capsys, monkeypatch, n):
     # 2^N - 1 reducts: the count alone refuses the instance
-    def enumerate_blocks(self, s, x):
+    def enumerate_blocks(self, s):
         raise AssertionError("the reducts were enumerated")
 
     monkeypatch.setattr(EllentuckModel, "_extension_blocks", enumerate_blocks)

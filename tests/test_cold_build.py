@@ -1,15 +1,16 @@
 """A cold instance is built in documented order: the walk that
 enumerates the reducts emits them sorted, prefix_mask reads runs of ids
-instead of calling restrict, and FIN builds each union of pieces once.
-Each fast path is compared here with the slow form it replaced."""
+instead of calling restrict, longest_first reads the witness order off
+the id order, and FIN builds each union of pieces once. Each fast path
+is compared here with the slow form it replaced."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from trspace import EMPTY, Approx, build_ellentuck, build_fin
-from trspace.model import approx_sort_key
+from trspace.model import approx_sort_key, longest_first, witness_sort_key
 from trspace.spaces import EllentuckModel
 
 from helpers import fin_instances, tree_instances
@@ -22,7 +23,7 @@ def dfs_closure(model) -> tuple:
     found, stack = [], [EMPTY]
     while stack:
         s = stack.pop()
-        for block in model._extension_blocks(s, model.full):
+        for block in model._extension_blocks(s):
             found.append(s.extend(block))
             stack.append(found[-1])
     return tuple(sorted(found, key=approx_sort_key))
@@ -60,6 +61,31 @@ def test_cold_build_matches_reference_on_fin_partitions(model):
 @given(model=tree_instances())
 def test_cold_build_matches_reference_on_drawn_trees(model):
     assert_cold_build_matches_reference(model)
+
+
+def assert_longest_first_is_witness_order(model, data):
+    mask = data.draw(st.integers(min_value=0, max_value=model._every_reduct()))
+    reducts = model.reducts_in(mask)
+    assert longest_first(reducts) == sorted(reducts, key=witness_sort_key)
+
+
+@pytest.mark.parametrize("name", sorted(LINE_INSTANCES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_longest_first_is_witness_order(name, data):
+    assert_longest_first_is_witness_order(LINE_INSTANCES[name](), data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=fin_instances(), data=st.data())
+def test_longest_first_is_witness_order_on_fin_partitions(model, data):
+    assert_longest_first_is_witness_order(model, data)
+
+
+@settings(max_examples=10, deadline=None)
+@given(model=tree_instances(), data=st.data())
+def test_longest_first_is_witness_order_on_drawn_trees(model, data):
+    assert_longest_first_is_witness_order(model, data)
 
 
 def test_a_prefix_no_reduct_has_is_empty():
@@ -119,12 +145,3 @@ def test_fin_builds_each_union_once():
     # and the reducts holding it share that object too
     holders = {id(b) for y in model.all_reducts() for b in y.blocks if b == tail[0]}
     assert holders == {id(tail[0])}
-
-
-def test_fin_remembers_unions_past_the_span_cap():
-    model = build_fin(4, span_cap=2)
-    # a reduct whose first block spans two ground levels: joining it
-    # with the next block would span three
-    y = next(y for y in model.all_reducts() if len(y) == 2 and len(y.blocks[0].atoms) == 2)
-    assert model.extension_blocks(EMPTY, y) == y.blocks
-    assert model._unions[y.blocks] is None

@@ -50,6 +50,7 @@ from trspace import (
     canonize,
     mixing_table,
     pigeonhole_A4,
+    approx_sort_key,
     uniform_front,
     witness_sort_key,
 )
@@ -504,23 +505,28 @@ def test_depth_and_below_match_scan_on_fin_partitions(model):
 
 
 # ---------------------------------------------------------------------------
-# extension_blocks(s, x) against the truncation: the last blocks of the
-# one-block-longer reducts that start with s and lie below x. The
-# reducts grow from the same hook inside the full reduct, so for x below
-# it this scan is the hook's independent slow path.
+# extensions(s, x) against the truncation: the one-block-longer reducts
+# that start with s and lie below x, in documented order, each the
+# stored reduct itself; extension_blocks(s, x) is their last blocks. The
+# scan reads restrict and leq_fin, not the child runs extensions reads.
 
 def _assert_extensions_match_truncation(model):
     reds = model.all_reducts()
+    ordered = sorted(reds, key=approx_sort_key)
     for x in reds:
         for s in model.approximations():
             if not model.leq_fin(s, x):
+                assert model.extensions(s, x) == (), (s, x)
                 continue
             n = len(s)
-            grown = {
-                r.blocks[-1] for r in reds
+            grown = tuple(
+                r for r in ordered
                 if len(r) == n + 1 and model.restrict(r, n) == s and model.leq_fin(r, x)
-            }
-            assert set(model.extension_blocks(s, x)) == grown, (s, x)
+            )
+            exts = model.extensions(s, x)
+            assert exts == grown, (s, x)
+            assert all(e is r for e, r in zip(exts, grown))
+            assert model.extension_blocks(s, x) == tuple(r.blocks[-1] for r in grown)
 
 
 EXTENSION_INSTANCES = {
@@ -675,6 +681,19 @@ def test_to_jsonable_refuses_values_without_a_canonical_form(value):
     # address-bearing text into a byte-identical report
     with pytest.raises(TypeError, match="has no canonical JSON form"):
         to_jsonable(value)
+
+
+@pytest.mark.parametrize("value", [math.inf, float("inf"), float("1e999")])
+def test_every_infinite_float_is_written_inf(value):
+    assert to_jsonable({"depth": value}) == {"depth": "inf"}
+    assert canonical_json([value]) == '[\n  "inf"\n]\n'
+
+
+@pytest.mark.parametrize("value", [-math.inf, math.nan, float("nan")])
+def test_values_outside_json_are_refused(value):
+    # json.dumps would write -Infinity or NaN, which no JSON reader takes
+    with pytest.raises(ValueError):
+        canonical_json({"x": value})
 
 
 # ---------------------------------------------------------------------------

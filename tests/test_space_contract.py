@@ -28,9 +28,9 @@ class AtomSpace(SpaceModel):
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         return s.atom_set() <= t.atom_set()
 
-    def _extension_blocks(self, s: Approx, x: Approx):
+    def _extension_blocks(self, s: Approx):
         floor = s.blocks[-1].atoms[0] if s.blocks else -1
-        return (b for b in x.blocks if b.atoms[0] > floor)
+        return (b for b in self.full.blocks if b.atoms[0] > floor)
 
 
 def test_a_space_needs_only_the_extensions_and_the_pairwise_order():

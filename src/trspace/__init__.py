@@ -5,173 +5,83 @@ subtrees) are modeled as finite towers of approximations; on top of
 that sit the structural axiom checks, front enumeration, mixing and
 separation analysis for colorings, fusion, canonization by inner
 maps with an exhaustive oracle, and canonical partition numbers.
+
+The public names load lazily: `_EXPORTS` maps each home module to the
+names it exports, and the first read of a name imports its home module
+(PEP 562), so a run loads only the layers it uses.
 """
 
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    FusionExhaustedError,
-    InstanceMismatchError,
-    NoInnerWitnessError,
-    ParameterError,
-    SpaceError,
-    TruncationTooShallowError,
-)
-from .model import (
-    DEFAULT_CONFIG,
-    EMPTY,
-    Approx,
-    Block,
-    Config,
-    PropertyOracle,
-    SpaceModel,
-    approx_sort_key,
-    check_axioms,
-    derive_seed,
-    fuse,
-    instance_to_json,
-    pigeonhole_A4,
-    witness_sort_key,
-)
-from .spaces import (
-    EllentuckModel,
-    FinModel,
-    TreeModel,
-    build_ellentuck,
-    build_fin,
-    build_tree,
-    closure,
-    instance_from_json,
-)
-from .fronts import (
-    GENERATORS,
-    Coloring,
-    Front,
-    color_front,
-    coloring_from_json,
-    coloring_to_json,
-    front_from_json,
-    front_to_json,
-    generated_coloring,
-    hat,
-    is_front,
-    members_extending,
-    restrict_front,
-    subfront,
-    uniform_front,
-)
-from .mixing import (
-    MIXES,
-    SEPARATES,
-    UNDECIDED,
-    MixingEngine,
-    MixingTable,
-    Verdict,
-    mixing_table,
-    transitivity_check,
-    weak_mixing_detect,
-)
-from .canonize import (
-    CanonReport,
-    InnerMap,
-    avoidance_check,
-    canonize,
-    eval_inner,
-    lemma_suite,
-    maximality_check,
-    oracle_agreement,
-    oracle_canonize,
-    property_p_check,
-    search_inner_A4star,
-    verify_canonical,
-)
-from .ramsey import canonical_ramsey_number, restricted_growth_strings
-from .reportio import (
-    approx_from_json,
-    approx_to_json,
-    block_from_json,
-    block_to_json,
-    canonical_json,
-    report_envelope,
-    to_jsonable,
-)
+import importlib
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Approx",
-    "Block",
-    "BudgetExceededError",
-    "CanonReport",
-    "Coloring",
-    "Config",
-    "DEFAULT_CONFIG",
-    "DomainError",
-    "EMPTY",
-    "EllentuckModel",
-    "FinModel",
-    "Front",
-    "FusionExhaustedError",
-    "GENERATORS",
-    "InnerMap",
-    "InstanceMismatchError",
-    "MIXES",
-    "MixingEngine",
-    "MixingTable",
-    "NoInnerWitnessError",
-    "ParameterError",
-    "PropertyOracle",
-    "SEPARATES",
-    "SpaceError",
-    "SpaceModel",
-    "TreeModel",
-    "TruncationTooShallowError",
-    "UNDECIDED",
-    "Verdict",
-    "approx_from_json",
-    "approx_sort_key",
-    "approx_to_json",
-    "avoidance_check",
-    "block_from_json",
-    "block_to_json",
-    "build_ellentuck",
-    "build_fin",
-    "build_tree",
-    "canonical_json",
-    "canonical_ramsey_number",
-    "canonize",
-    "check_axioms",
-    "closure",
-    "color_front",
-    "coloring_from_json",
-    "coloring_to_json",
-    "derive_seed",
-    "eval_inner",
-    "front_from_json",
-    "front_to_json",
-    "fuse",
-    "generated_coloring",
-    "hat",
-    "instance_from_json",
-    "instance_to_json",
-    "is_front",
-    "lemma_suite",
-    "maximality_check",
-    "members_extending",
-    "mixing_table",
-    "oracle_agreement",
-    "oracle_canonize",
-    "pigeonhole_A4",
-    "property_p_check",
-    "report_envelope",
-    "restrict_front",
-    "restricted_growth_strings",
-    "search_inner_A4star",
-    "subfront",
-    "to_jsonable",
-    "transitivity_check",
-    "uniform_front",
-    "verify_canonical",
-    "weak_mixing_detect",
-    "witness_sort_key",
-]
+_EXPORTS = {
+    "errors": (
+        "BudgetExceededError", "DomainError", "FusionExhaustedError",
+        "InstanceMismatchError", "NoInnerWitnessError", "ParameterError",
+        "SpaceError", "TruncationTooShallowError",
+    ),
+    "model": (
+        "DEFAULT_CONFIG", "EMPTY", "Approx", "Block", "Config", "PropertyOracle",
+        "SpaceModel", "approx_sort_key", "check_axioms", "derive_seed", "fuse",
+        "instance_to_json", "pigeonhole_A4", "witness_sort_key",
+    ),
+    "spaces": (
+        "EllentuckModel", "FinModel", "TreeModel", "build_ellentuck", "build_fin",
+        "build_tree", "closure", "instance_from_json",
+    ),
+    "fronts": (
+        "GENERATORS", "Coloring", "Front", "color_front", "coloring_from_json",
+        "coloring_to_json", "front_from_json", "front_to_json", "generated_coloring",
+        "hat", "is_front", "members_extending", "restrict_front", "subfront",
+        "uniform_front",
+    ),
+    "mixing": (
+        "MIXES", "SEPARATES", "UNDECIDED", "MixingEngine", "MixingTable", "Verdict",
+        "mixing_table", "transitivity_check", "weak_mixing_detect",
+    ),
+    "canonize": (
+        "CanonReport", "InnerMap", "avoidance_check", "canonize", "eval_inner",
+        "lemma_suite", "maximality_check", "oracle_agreement", "oracle_canonize",
+        "property_p_check", "search_inner_A4star", "verify_canonical",
+    ),
+    "ramsey": ("canonical_ramsey_number", "restricted_growth_strings"),
+    "reportio": (
+        "approx_from_json", "approx_to_json", "block_from_json", "block_to_json",
+        "canonical_json", "report_envelope", "to_jsonable",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import a public name's home module on its first read and bind the
+    name here, so later reads are plain lookups."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _HOME.keys())
+
+
+class _Package(ModuleType):
+    """Importing a submodule binds it on the package; `canonize` is both
+    a submodule and an exported function, so a submodule never binds
+    over an exported name, whichever is imported first."""
+
+    def __setattr__(self, name, value):
+        if name in _HOME and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -4,6 +4,11 @@ Builds instances from shorthand tokens or --instance JSON files, runs the
 checks and searches, and emits canonical JSON reports. Exit codes:
 0 everything passed, 1 a mathematical finding or failure, 2 an
 undecided verdict or exhausted budget, 3 a usage or input error.
+
+Only errors, model and reportio load with this module; spaces, fronts,
+mixing, canonize and ramsey are imported inside the functions that
+build a command's inputs and run it, so a command loads only its own
+layers.
 """
 
 from __future__ import annotations
@@ -14,9 +19,8 @@ import json
 import re
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .canonize import canonize, lemma_suite
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -24,20 +28,11 @@ from .errors import (
     ParameterError,
     SpaceError,
 )
-from .fronts import (
-    Coloring,
-    Front,
-    coloring_from_json,
-    front_from_json,
-    front_to_json,
-    generated_coloring,
-    uniform_front,
-)
-from .mixing import MIXES, mixing_table, transitivity_check, weak_mixing_detect
 from .model import DEFAULT_CONFIG, Config, SpaceModel, check_axioms
-from .ramsey import canonical_ramsey_number
 from .reportio import canonical_json, config_to_json, report_envelope
-from .spaces import instance_from_json
+
+if TYPE_CHECKING:
+    from .fronts import Coloring, Front
 
 PASS, FINDING, UNDECIDED_EXIT, USAGE = 0, 1, 2, 3
 
@@ -64,6 +59,8 @@ def _parse_instance(tokens: list[str], path: Optional[str], max_reducts: int) ->
     """The instance of --instance PATH or of shorthand tokens, both built
     by instance_from_json, which refuses one over max_reducts by its
     closed-form count before building it."""
+    from .spaces import instance_from_json
+
     if path is not None and tokens:
         raise ParameterError(
             "give either --instance or shorthand tokens, not both"
@@ -88,6 +85,8 @@ def _parse_instance(tokens: list[str], path: Optional[str], max_reducts: int) ->
 
 
 def _build_front(model: SpaceModel, label: Optional[str]) -> Front:
+    from .fronts import front_from_json, uniform_front
+
     if label is None:
         raise ParameterError("this command needs --front")
     if label.endswith(".json"):
@@ -102,6 +101,8 @@ def _build_front(model: SpaceModel, label: Optional[str]) -> Front:
 
 def _build_coloring(model: SpaceModel, args, seed: int) -> Coloring:
     """A generated coloring of --front, or a JSON coloring with its own front."""
+    from .fronts import coloring_from_json, generated_coloring
+
     name = args.coloring
     if name is None:
         raise ParameterError("this command needs --coloring")
@@ -120,11 +121,13 @@ def _config(args) -> Config:
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
+    """The report to --out first, then to stdout, so a --out that cannot
+    be written leaves stdout empty under exit 3."""
     text = canonical_json(payload)
-    sys.stdout.write(text)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _exit_code(finding, undecided) -> int:
@@ -144,6 +147,8 @@ def _verify_axioms(args, config, model, front, coloring):
 
 
 def _enumerate_front(args, config, model, front, coloring):
+    from .fronts import front_to_json
+
     body = {
         "check": "enumerate_front",
         "front": front_to_json(front),
@@ -154,6 +159,8 @@ def _enumerate_front(args, config, model, front, coloring):
 
 def _mixing(args, config, model, front, coloring):
     """mixing-table reports the table and its audit, transitivity the audit alone."""
+    from .mixing import mixing_table, transitivity_check
+
     table = mixing_table(model, coloring, config=config)
     trans = transitivity_check(table)
     if args.command == "mixing-table":
@@ -165,6 +172,8 @@ def _mixing(args, config, model, front, coloring):
 
 
 def _weak_mixing(args, config, model, front, coloring):
+    from .mixing import MIXES, mixing_table, weak_mixing_detect
+
     table = mixing_table(model, coloring, config=config)
     witnesses = []
     scanned = 0
@@ -190,6 +199,8 @@ def _weak_mixing(args, config, model, front, coloring):
 
 
 def _canonize(args, config, model, front, coloring):
+    from .canonize import canonize
+
     report = canonize(model, coloring, config, oracle=args.oracle)
     body = {"check": "canonize", "result": report.to_json()}
     if report.verdict != "pass":
@@ -198,6 +209,8 @@ def _canonize(args, config, model, front, coloring):
 
 
 def _lemma_suite(args, config, model, front, coloring):
+    from .canonize import canonize, lemma_suite
+
     report = canonize(model, coloring, config, oracle=False)
     body = {"check": "lemma_suite", "canonize": report.to_json(), "suite": None}
     if report.verdict != "pass":
@@ -207,6 +220,8 @@ def _lemma_suite(args, config, model, front, coloring):
 
 
 def _er_number(args, config, model, front, coloring):
+    from .ramsey import canonical_ramsey_number
+
     body = {"check": "er_number", "config": config_to_json(config), "n": args.n, "m": args.m}
     try:
         body["value"] = canonical_ramsey_number(args.n, args.m, config)

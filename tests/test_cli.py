@@ -24,7 +24,7 @@ from trspace import (
     instance_to_json,
     uniform_front,
 )
-from trspace import cli
+from trspace import cli, ramsey
 from trspace.cli import main
 from trspace.reportio import config_to_json
 from trspace.spaces import EllentuckModel
@@ -137,7 +137,7 @@ def test_running_out_of_memory_is_undecided(capsys, monkeypatch):
     def exhaust(n, m, config):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "canonical_ramsey_number", exhaust)
+    monkeypatch.setattr(ramsey, "canonical_ramsey_number", exhaust)
     code = main(["er-number", "10", "11"])
     captured = capsys.readouterr()
     # exit 1 is kept for findings; memory, not a budget, stopped the run
@@ -194,6 +194,16 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
     code, _ = run(capsys, argv + ["--out", str(b)])
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["missing-dir", "directory"])
+def test_an_unwritable_out_prints_nothing(capsys, tmp_path, where):
+    # exit 3 leaves stdout empty: the report goes to --out before stdout
+    argv = ["verify-axioms", "ellentuck", "N=4", "--out", str(tmp_path / where)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

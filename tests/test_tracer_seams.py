@@ -20,9 +20,12 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 
 INSTALL = """
-import json, sys
+import importlib, json, pkgutil, sys
 sys.path[:0] = [{bench!r}, {src!r}]
-import trspace, trspace.cli
+import trspace
+# the package loads its layers on first use; the tracer wraps loaded ones only
+for info in pkgutil.iter_modules(trspace.__path__):
+    importlib.import_module("trspace." + info.name)
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()

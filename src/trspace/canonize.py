@@ -34,6 +34,7 @@ from .model import (
     a4star_search,
     first_mismatch,
     fuse,
+    kernel_ids,
     longest_first,
 )
 from .reportio import approx_to_json, to_jsonable
@@ -176,9 +177,9 @@ def oracle_canonize(
 def _class_ids(model: SpaceModel, name: str, pos: int, members) -> tuple[int, ...]:
     """Per member, the id of the selector's value on its block at pos, or
     of () when the member is shorter; equal values share an id."""
-    first: dict = {}
-    values = (model.apply_selector(name, m.blocks[pos]) if pos < len(m) else () for m in members)
-    return tuple(first.setdefault(v, len(first)) for v in values)
+    return kernel_ids(
+        model.apply_selector(name, m.blocks[pos]) if pos < len(m) else () for m in members
+    )
 
 
 def oracle_agreement(
@@ -203,7 +204,7 @@ def oracle_agreement(
             j = ids[x_o]
             common = [m for m, row in rows if row >> j & 1]
             theirs = [eval_inner(model, phi_o, m) for m in common]
-            if first_mismatch(common, lambda p, q: ours[p] == ours[q], theirs) is None:
+            if kernel_ids(ours[m] for m in common) == kernel_ids(theirs):
                 agree = True
                 common_best = max(common_best, len(common))
     return {
@@ -599,8 +600,8 @@ def _mix_class(engine: MixingEngine, z0: Approx, base: Approx, p: Approx):
     model = engine.model
     for q in model.extensions(base, z0):
         if engine.in_hat(q) and engine.mixes(z0, p, q):
-            return q.key
-    return p.key
+            return q
+    return p
 
 
 def avoidance_check(model: SpaceModel, s: Approx, x: Approx) -> dict:

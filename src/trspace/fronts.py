@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .errors import DomainError, InstanceMismatchError, ParameterError
-from .model import Approx, EMPTY, SpaceModel, _report, approx_sort_key, derive_seed
+from .model import Approx, EMPTY, SpaceModel, _report, approx_sort_key, derive_seed, kernel_ids
 from .reportio import approx_from_json, approx_to_json, is_int_list
 
 
@@ -27,6 +27,8 @@ class Front:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if len(set(self.members)) < len(self.members):
+            raise ParameterError("front members must be distinct")
         object.__setattr__(
             self, "members", tuple(sorted(self.members, key=approx_sort_key))
         )
@@ -137,16 +139,6 @@ def restrict_front(model: SpaceModel, front: Front, y: Approx) -> Front:
 # ---------------------------------------------------------------------------
 # Colorings.
 
-def _normalize(colors: Sequence) -> tuple[int, ...]:
-    relabel: dict = {}
-    out = []
-    for c in colors:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out.append(relabel[c])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Coloring:
     """A coloring of a front's members, stored kernel-normalized."""
@@ -158,7 +150,7 @@ class Coloring:
     def __post_init__(self):
         if len(self.colors) != len(self.front.members):
             raise ParameterError("need exactly one color per member")
-        object.__setattr__(self, "colors", _normalize(self.colors))
+        object.__setattr__(self, "colors", kernel_ids(self.colors))
         object.__setattr__(
             self, "_index", {m: i for i, m in enumerate(self.front.members)}
         )
@@ -181,7 +173,7 @@ class Coloring:
 
 
 def color_front(front: Front, fn: Callable[[Approx], object], name: str = "custom") -> Coloring:
-    return Coloring(front, tuple(_normalize([fn(m) for m in front.members])), name=name)
+    return Coloring(front, tuple(map(fn, front.members)), name=name)
 
 
 def _gen_constant(m: Approx):
@@ -272,8 +264,6 @@ def front_from_json(model: SpaceModel, payload: dict) -> Front:
         flags=tuple(flags),
     )
     _check_instance(model, front)
-    if len(set(front.members)) < len(front.members):
-        raise ParameterError("front members must be distinct")
     if front.scope == EMPTY:
         raise ParameterError("a front's scope must be a nonempty reduct")
     inside = set(model.below((front.scope,) + front.members, model.full))

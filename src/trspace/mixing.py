@@ -184,10 +184,6 @@ class MixingTable:
     fused: bool
     engine: MixingEngine = field(repr=False)
 
-    def verdict_at(self, i: int, j: int) -> Verdict:
-        a, b = min(i, j), max(i, j)
-        return self.verdicts[(a, b)]
-
     def undecided_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             ij for ij, v in sorted(self.verdicts.items()) if v.kind == UNDECIDED
@@ -232,22 +228,19 @@ def transitivity_check(table: MixingTable) -> dict:
     segments of one common depth contradict the equal-depth transitivity
     law and fail the check; failures across depths are reported as
     findings (the known non-transitive behavior)."""
-    rows, depths = table.rows, table.depths
+    rows, depths, verdicts = table.rows, table.depths, table.verdicts
     equal_depth = []
     unequal_depth = []
-    n = len(rows)
-    for mid in range(n):
-        for a in range(n):
-            if a == mid:
-                continue
-            if table.verdict_at(a, mid).kind != MIXES:
-                continue
-            for b in range(a + 1, n):
-                if b == mid:
-                    continue
-                if table.verdict_at(mid, b).kind != MIXES:
-                    continue
-                if table.verdict_at(a, b).kind != SEPARATES:
+    # Per segment, the others it mixes with, in row order.
+    mixes_with: list[list[int]] = [[] for _ in rows]
+    for (i, j), v in sorted(verdicts.items()):
+        if i != j and v.kind == MIXES:
+            mixes_with[i].append(j)
+            mixes_with[j].append(i)
+    for mid, around in enumerate(mixes_with):
+        for k, a in enumerate(around):
+            for b in around[k + 1:]:
+                if verdicts[(a, b)].kind != SEPARATES:
                     continue
                 item = {
                     "s": rows[a], "t": rows[mid], "tprime": rows[b],

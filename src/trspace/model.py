@@ -778,6 +778,14 @@ def check_axioms(model: SpaceModel, axiom: str, config: Config = DEFAULT_CONFIG)
     return report
 
 
+def kernel_ids(values: Iterable) -> tuple[int, ...]:
+    """The kernel of a labeling in normal form, its restricted growth
+    string: each label becomes the rank of its first occurrence. Two
+    labelings have one kernel exactly when their kernel_ids are equal."""
+    first: dict = {}
+    return tuple([first.setdefault(v, len(first)) for v in values])
+
+
 def first_mismatch(items, same, values) -> Optional[tuple]:
     """The first pair (items[i], items[j]), i < j, on which the relation
     same and equality of the parallel values disagree; None when the two

@@ -72,24 +72,19 @@ class FinModel(SpaceModel):
         params = {"span_cap": span_cap} if span_cap is not None else {}
         self.span_cap = span_cap
         super().__init__(lv, params=params)
-        self._level_sets = [frozenset(l) for l in self.levels]
-        self._ground: dict[Block, Optional[frozenset[int]]] = {}
+        self._level_of = {a: i for i, l in enumerate(self.levels) for a in l}
+        self._ground: dict[Block, frozenset[int]] = {}
         self._block_masks: dict[Block, tuple[int, int, int]] = {}
         self._unions: dict[tuple[Block, ...], Block] = {}
 
-    def ground_indices(self, block: Block) -> Optional[frozenset[int]]:
-        """0-based ground levels whose union is exactly this block; None
-        when no union of ground levels is."""
+    def ground_indices(self, block: Block) -> frozenset[int]:
+        """0-based ground levels whose union is this block, read off the
+        atoms' levels; every block of the instance is such a union."""
         try:
             return self._ground[block]
         except KeyError:
-            pass
-        atoms = set(block.atoms)
-        picked = frozenset(i for i, l in enumerate(self._level_sets) if l <= atoms)
-        covered = set().union(*(self._level_sets[i] for i in picked))
-        hit = picked if picked and covered == atoms else None
-        self._ground[block] = hit
-        return hit
+            hit = self._ground[block] = frozenset(map(self._level_of.__getitem__, block.atoms))
+            return hit
 
     def _leq_fin(self, s: Approx, t: Approx) -> bool:
         t_idx = [self.ground_indices(b) for b in t.blocks]
@@ -162,8 +157,9 @@ class FinModel(SpaceModel):
         return itertools.chain(pieces, map(self._union, combos))
 
     def _union(self, combo: tuple[Block, ...]) -> Block:
-        """The block joining two or more pieces, built once per instance,
-        so every parent asking for it gets the same object."""
+        """The block joining two or more pieces, built once per instance.
+        Interning already makes it one object per value; the memo is kept
+        for speed, as it skips rebuilding and sorting the atoms."""
         hit = self._unions.get(combo)
         if hit is None:
             hit = self._unions[combo] = Block(
@@ -173,9 +169,8 @@ class FinModel(SpaceModel):
         return hit
 
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
-        bi = self.ground_indices(block)
-        wi = self.ground_indices(w)
-        if bi is None or wi is None or not wi < bi:
+        bi, wi = self.ground_indices(block), self.ground_indices(w)
+        if not wi < bi:
             return False
         floor = max((max(self.ground_indices(sb)) for sb in s.blocks), default=-1)
         # The leftover ground levels always split into separated chain

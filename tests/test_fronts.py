@@ -11,6 +11,7 @@ from trspace import (
     DomainError,
     EMPTY,
     GENERATORS,
+    Front,
     InstanceMismatchError,
     ParameterError,
     build_ellentuck,
@@ -42,6 +43,16 @@ def test_uniform_front_members_are_segments_of_reducts(e5):
     for m in front.members:
         assert len(m) == 2
         assert e5.leq_fin(m, front.scope)
+
+
+def test_front_refuses_repeated_members():
+    # A repeated member would get a colour of its own and a bit of its
+    # own in the mixing masks, for a member that is not there.
+    front = uniform_front(build_ellentuck(4), 1)
+    with pytest.raises(ParameterError, match="front members must be distinct"):
+        Front(front.members + front.members[:1], scope=front.scope, instance=front.instance)
+    with pytest.raises(ParameterError, match="front members must be distinct"):
+        Front(front.members[:1] * 2, scope=front.scope, instance="elsewhere")
 
 
 def test_uniform_front_guards(e5):

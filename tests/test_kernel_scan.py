@@ -46,13 +46,14 @@ from trspace import (
     oracle_agreement,
     oracle_canonize,
     pigeonhole_A4,
+    restricted_growth_strings,
     search_inner_A4star,
     uniform_front,
     verify_canonical,
     witness_sort_key,
 )
 from trspace.canonize import _position_oracle
-from trspace.model import first_mismatch
+from trspace.model import first_mismatch, kernel_ids
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,20 @@ def test_first_mismatch_names_the_first_disagreeing_pair():
     assert first_mismatch(items, same, [5, 6, 6, 6]) == ("a", "b")
     assert first_mismatch(items, same, [5, 5, 5, 6]) == ("a", "c")
     assert first_mismatch((), same, []) is None
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_kernel_ids_are_the_restricted_growth_strings(k):
+    # The normal form of every labeling of k points by k labels: exactly
+    # the restricted growth strings of length k, a fixed point of
+    # kernel_ids, and the same kernel as the labeling it came from.
+    image = set()
+    for labels in itertools.product(range(k), repeat=k):
+        ids = kernel_ids(labels)
+        assert kernel_ids(ids) == ids
+        assert first_mismatch(range(k), lambda i, j: labels[i] == labels[j], ids) is None
+        image.add(ids)
+    assert image == set(restricted_growth_strings(k))
 
 
 # ---------------------------------------------------------------------------

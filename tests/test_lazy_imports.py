@@ -1,11 +1,13 @@
 """What a run loads: the package imports a layer on first use.
 
 Each case runs in its own interpreter, since the rest of the suite has
-already loaded every layer.
+already loaded every layer. The layer order itself is checked from the
+source, without importing it.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -65,3 +67,74 @@ def test_a_command_loads_only_its_layers(argv, modules):
 def test_canonize_is_the_function_whatever_the_import_order(setup):
     check = "\nassert trspace.canonize is sys.modules['trspace.canonize'].canonize"
     assert "canonize" in _loaded(setup + check + "\nimport trspace.canonize" + check)
+
+
+# ---------------------------------------------------------------------------
+# The layer order, read statically: at module level a layer imports only
+# the layers to its left in README's Layout order. Imports inside
+# functions (the CLI's per-command imports) and TYPE_CHECKING blocks run
+# later or never, so they are not counted.
+
+CHAIN = ("errors", "model", "reportio", "spaces", "fronts", "mixing", "canonize")
+MAY_IMPORT = {
+    **{name: set(CHAIN[:i]) for i, name in enumerate(CHAIN)},
+    "ramsey": {"errors", "model"},
+    "cli": {"errors", "model", "reportio"},
+    "__init__": set(),
+}
+
+
+def _module_level_imports(source: str) -> set[str]:
+    """The trspace modules a module's source imports when it loads."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "trspace":
+                names = node.module.split(".")[1:2] or [alias.name for alias in node.names]
+                found.update(names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("trspace.")
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_import_reader():
+    source = """
+from __future__ import annotations
+import json
+from typing import TYPE_CHECKING
+from .errors import ParameterError
+from . import model
+import trspace.spaces
+from trspace.fronts import Front
+if TYPE_CHECKING:
+    from .canonize import InnerMap
+def run():
+    from .mixing import mixing_table
+"""
+    assert _module_level_imports(source) == {"errors", "model", "spaces", "fronts"}
+
+
+def test_each_layer_imports_only_layers_to_its_left():
+    paths = sorted((SRC / "trspace").glob("*.py"))
+    assert {p.stem for p in paths} == set(MAY_IMPORT)
+    for path in paths:
+        extra = _module_level_imports(path.read_text()) - MAY_IMPORT[path.stem]
+        assert not extra, f"{path.stem} imports {sorted(extra)} at module level"

@@ -34,6 +34,7 @@ from trspace import (
     uniform_front,
     witness_sort_key,
 )
+from trspace.model import _bits
 from helpers import ea, fa, atoms_of
 
 
@@ -337,3 +338,31 @@ def test_fuse_rejects_the_empty_start(e5):
     # EMPTY lies below every reduct but is none itself.
     with pytest.raises(DomainError):
         fuse(e5, PropertyOracle(check=lambda s, y: True), start=EMPTY)
+
+
+# ---------------------------------------------------------------------------
+# The bit decoder.
+
+def _plain_bit_scan(mask: int) -> list[int]:
+    # The binary digits, lowest first.
+    return [i for i, digit in enumerate(reversed(f"{mask:b}")) if digit == "1"]
+
+
+EDGE_BITS = (0, 63, 64, 65, 20_605)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=20_605).map(lambda i: 1 << i),
+    st.sets(st.sampled_from(EDGE_BITS), min_size=1).map(lambda bits: sum(1 << i for i in bits)),
+    st.integers(min_value=1, max_value=(1 << 300) - 1),
+))
+def test_bits_matches_a_plain_bit_scan(mask):
+    assert list(_bits(mask)) == _plain_bit_scan(mask)
+
+
+def test_bits_on_the_edge_bits_together():
+    mask = sum(1 << i for i in EDGE_BITS)
+    assert list(_bits(mask)) == list(EDGE_BITS) == _plain_bit_scan(mask)
+    assert list(_bits(0)) == []

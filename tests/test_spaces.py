@@ -6,6 +6,7 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from trspace import (
     EMPTY,
@@ -20,7 +21,7 @@ from trspace import (
     instance_to_json,
     uniform_front,
 )
-from helpers import fa, fblk, atoms_of
+from helpers import fa, fblk, atoms_of, fin_instances
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,38 @@ def test_selector_outputs(fin4):
     assert fin4.apply_selector("max", b) == (3,)
     assert fin4.apply_selector("minmax", b) == (1, 3)
     assert fin4.apply_selector("identity", b) == (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# FIN's ground levels, read off its atom map.
+
+@settings(max_examples=60, deadline=None)
+@given(fin_instances())
+def test_fin_blocks_are_the_union_of_their_ground_levels(model):
+    levels = [frozenset(l) for l in model.levels]
+    for y in model.all_reducts():
+        for b in y.blocks:
+            got = model.ground_indices(b)
+            assert got and frozenset().union(*(levels[i] for i in got)) == frozenset(b.atoms)
+            assert model.ground_indices(b) is got  # kept per block
+
+
+def _proper_combination_reference(block, w, s) -> bool:
+    # Over singleton ground levels an atom is its level: block properly
+    # contains w and lies wholly past every atom of s.
+    inner, outer = frozenset(w.atoms), frozenset(block.atoms)
+    before = frozenset(a for sb in s.blocks for a in sb.atoms)
+    return inner < outer and all(a > b for a in outer for b in before)
+
+
+def test_fin_proper_combination_matches_a_set_reference(fin4, fin4cap2):
+    for model in (fin4, fin4cap2):
+        blocks = closure(model, model.full)
+        for s in model.approximations():
+            for block in blocks:
+                for w in blocks:
+                    want = _proper_combination_reference(block, w, s)
+                    assert model.proper_combination(block, w, s) == want, (s, block, w)
 
 
 # ---------------------------------------------------------------------------

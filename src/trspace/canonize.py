@@ -245,7 +245,6 @@ def _position_oracle(
     matches the mixing kernel. Bases that fell out of the hat are
     exempt."""
     model = engine.model
-    member_set = set(engine.members)
 
     def check(a: Approx, y: Approx) -> bool:
         if not engine.live_bits(y, a):
@@ -255,7 +254,7 @@ def _position_oracle(
         return first_mismatch(exts, lambda p, q: engine.mixes(z0, p, q), values) is None
 
     def domain(a: Approx) -> bool:
-        return len(a) == pos and engine.in_hat(a) and a not in member_set
+        return len(a) == pos and engine.in_hat(a) and a not in engine.front.positions
 
     return PropertyOracle(check=check, domain=domain)
 
@@ -274,16 +273,14 @@ def _assemble(engine: MixingEngine, z0: Approx, config: Config) -> tuple[Approx,
     z = z0
     names: list[str] = []
     for pos in range(arity):
-        chosen = None
-        for name in family:
-            oracle = _position_oracle(engine, z0, pos, name)
-            if all(oracle.check(a, z) for a in engine.interior_below(z) if len(a) == pos):
-                chosen = name
-                break
+        oracles = [(name, _position_oracle(engine, z0, pos, name)) for name in family]
+        bases = [a for a in engine.interior_below(z) if len(a) == pos]
+        chosen = next(
+            (name for name, oracle in oracles if all(oracle.check(a, z) for a in bases)), None
+        )
         if chosen is None:
             fused = []
-            for rank, name in enumerate(family):
-                oracle = _position_oracle(engine, z0, pos, name)
+            for rank, (name, oracle) in enumerate(oracles):
                 try:
                     z_new = fuse(model, oracle, start=z, config=config)
                 except FusionExhaustedError:

@@ -10,7 +10,7 @@ induced partitions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .errors import DomainError, InstanceMismatchError, ParameterError
@@ -25,13 +25,16 @@ class Front:
     instance: str
     anchor: Approx = EMPTY
     flags: tuple[str, ...] = ()
+    # Each member's index in the sorted members, the one member index.
+    positions: dict[Approx, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.members)) < len(self.members):
+        members = tuple(sorted(self.members, key=approx_sort_key))
+        positions = {m: i for i, m in enumerate(members)}
+        if len(positions) < len(members):
             raise ParameterError("front members must be distinct")
-        object.__setattr__(
-            self, "members", tuple(sorted(self.members, key=approx_sort_key))
-        )
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -111,7 +114,7 @@ def members_extending(front: Front, s: Approx) -> tuple[Approx, ...]:
 def subfront(model: SpaceModel, front: Front, t: Approx) -> Front:
     """The members above an interior segment t, anchored at t."""
     _check_instance(model, front)
-    if t in set(front.members):
+    if t in front.positions:
         raise DomainError("segment is already a member; the subfront is trivial")
     if t not in set(hat(model, front)):
         raise DomainError("segment is not an initial segment of any member")
@@ -151,12 +154,9 @@ class Coloring:
         if len(self.colors) != len(self.front.members):
             raise ParameterError("need exactly one color per member")
         object.__setattr__(self, "colors", kernel_ids(self.colors))
-        object.__setattr__(
-            self, "_index", {m: i for i, m in enumerate(self.front.members)}
-        )
 
     def __call__(self, member: Approx) -> int:
-        idx = self._index.get(member)
+        idx = self.front.positions.get(member)
         if idx is None:
             raise DomainError("approximation is not a member of the colored front")
         return self.colors[idx]

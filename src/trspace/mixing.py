@@ -67,7 +67,6 @@ class MixingEngine:
         self.config = config
         self.members = self.front.members
         self.hat_members = hat(model, self.front)
-        self._member_ids = {m: i for i, m in enumerate(self.members)}
         self._ext_bits = dict.fromkeys(self.hat_members, 0)
         for i, m in enumerate(self.members):
             for a in model.segments(m):
@@ -80,7 +79,7 @@ class MixingEngine:
     def real_bits(self, y: Approx) -> int:
         bits = self._real_bits.get(y)
         if bits is None:
-            bits = sum(1 << self._member_ids[m] for m in self.model.below(self.members, y))
+            bits = sum(1 << self.front.positions[m] for m in self.model.below(self.members, y))
             self._real_bits[y] = bits
         return bits
 
@@ -132,7 +131,7 @@ class MixingEngine:
 
     def interior_below(self, x: Approx) -> tuple[Approx, ...]:
         """hat_below(x) without the members: the interior segments."""
-        return tuple(a for a in self.hat_below(x) if a not in self._member_ids)
+        return tuple(a for a in self.hat_below(x) if a not in self.front.positions)
 
     def live_extensions(self, a: Approx, y: Approx) -> tuple[Approx, ...]:
         """One-block extensions of a inside y that are hat segments with

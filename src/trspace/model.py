@@ -209,6 +209,9 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # booleans are not integers here
+            if type(value) is not int and (name, value) != ("depth_budget", None):
+                raise ParameterError(f"{name} must be an integer")
         if self.mu < 1:
             raise ParameterError("mu must be at least 1")
         if self.retries < 0:
@@ -618,7 +621,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _check_a1(model: SpaceModel, config: Config) -> dict:
+def _check_a1(model: SpaceModel) -> dict:
     reds = model.all_reducts()
     segs = [model.segments(x) for x in reds]
     # A.1(1): the empty segment of every reduct is empty.
@@ -649,7 +652,7 @@ def _check_a1(model: SpaceModel, config: Config) -> dict:
     return _report("A1", "pass", stats={"reducts": len(reds)})
 
 
-def _check_a2(model: SpaceModel, config: Config) -> dict:
+def _check_a2(model: SpaceModel) -> dict:
     approxes = model.approximations()
     reds = model.all_reducts()
     ids = model.reduct_ids()
@@ -727,7 +730,7 @@ def _squeezes(sub: list[int], ps: int, bx: int, by: int) -> bool:
     return False
 
 
-def _check_a3(model: SpaceModel, config: Config) -> dict:
+def _check_a3(model: SpaceModel) -> dict:
     reds = model.all_reducts()
     sub = [model.sub_mask(x) for x in reds]
     # A preorder passes, whatever restrict does: y lies in [s, y], and any z
@@ -773,7 +776,7 @@ def check_axioms(model: SpaceModel, axiom: str, config: Config = DEFAULT_CONFIG)
     if checker is None:
         raise DomainError(f"unknown axiom group {axiom!r}; expected A1, A2 or A3")
     model.all_reducts(config.max_reducts)
-    report = checker(model, config)
+    report = checker(model)
     report["instance"] = model.instance_tag()
     return report
 
@@ -921,15 +924,13 @@ def fuse(
             )
             if bad is None:
                 break
-            replacement = None
             for y in longest_first(model.basic(frozen, x)):
                 if y != x and oracle.holds(bad, y):
-                    replacement = y
+                    x = y
                     break
-            if replacement is None:
-                raise FusionExhaustedError(stage, partial=x)
-            x = replacement
-        else:
+            else:
+                break  # no replacement
+        if bad is not None:  # unsettled: no replacement, or the shrink cap ran out
             raise FusionExhaustedError(stage, partial=x)
         stage += 1
         if stage >= len(x):

@@ -161,6 +161,55 @@ def test_stage_a_exhaustion_assembles_from_the_partial_reduct(fin4, monkeypatch)
     assert verify_canonical(fin4, report.witness, report.phi, coloring) == (True, None)
 
 
+def test_canonize_skips_starts_where_no_selector_fuses(e5, monkeypatch):
+    # Stage A still fuses; every stage-B fusion fails, so each start with
+    # a position no selector matches as it stands raises NoInnerWitnessError.
+    def exhausted(model, oracle, start=None, config=DEFAULT_CONFIG):
+        raise FusionExhaustedError(0, partial=start)
+
+    raised = []
+    assemble = canonize_module._assemble
+
+    def recording(engine, z0, config):
+        try:
+            return assemble(engine, z0, config)
+        except Exception as err:
+            raised.append(type(err))
+            raise
+
+    monkeypatch.setattr(canonize_module, "fuse", exhausted)
+    monkeypatch.setattr(canonize_module, "_assemble", recording)
+    coloring = generated_coloring(uniform_front(e5, 2), "parity")
+    report = canonize(e5, coloring)
+    assert raised == [NoInnerWitnessError] * (DEFAULT_CONFIG.retries + 1)
+    assert report.stats["retries_used"] == DEFAULT_CONFIG.retries == 3
+    assert report.stats["fallback"] is True
+    assert report.verdict == "pass"
+    assert verify_canonical(e5, report.witness, report.phi, coloring) == (True, None)
+
+
+def test_stage_b_builds_each_position_oracle_once(e5, monkeypatch):
+    # Parity on AU2 fails the as-is test, so the fusion pass runs too.
+    built, oracles, fused = [], [], []
+    position_oracle, fuse = canonize_module._position_oracle, canonize_module.fuse
+
+    def building(engine, z0, pos, name):
+        built.append((z0, pos, name))
+        oracles.append(position_oracle(engine, z0, pos, name))
+        return oracles[-1]
+
+    def fusing(model, oracle, **kwargs):
+        fused.append(oracle)
+        return fuse(model, oracle, **kwargs)
+
+    monkeypatch.setattr(canonize_module, "_position_oracle", building)
+    monkeypatch.setattr(canonize_module, "fuse", fusing)
+    assert canonize(e5, generated_coloring(uniform_front(e5, 2), "parity")).verdict == "pass"
+    assert fused
+    assert len(built) == len(set(built))
+    assert all(any(o is b for b in oracles) for o in fused)
+
+
 def test_canon_report_json_shape(fin_runs):
     payload = fin_runs[0][1].to_json()
     assert set(payload) >= {"witness", "phi", "verdict", "oracle_agreement", "stats"}

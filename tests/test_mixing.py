@@ -169,6 +169,14 @@ def test_weak_mixing_requires_strictly_deeper_partner(fin4, union2):
         weak_mixing_detect(fin4, fin4.full, fa((0, 2)), fa((1, 2)), union2)
 
 
+def test_weak_mixing_refuses_segments_outside_the_hat(fin4, union2):
+    inside, outside = fa((0,)), fa((0,), (1,), (2,))  # the front has rank 2
+    assert not MixingEngine(fin4, union2).in_hat(outside)
+    for s, t in ((inside, outside), (outside, inside)):
+        with pytest.raises(DomainError, match="initial segments of members"):
+            weak_mixing_detect(fin4, fin4.full, s, t, union2)
+
+
 def test_weak_mixing_none_for_separated_pairs(fin4, union2):
     engine = MixingEngine(fin4, union2, DEFAULT_CONFIG)
     assert engine.decide(fin4.full, fa((0,)), fa((1,))).kind == SEPARATES

@@ -236,6 +236,16 @@ def test_config_validation():
     assert DEFAULT_CONFIG.mu == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mu", 1.5), ("mu", "2"), ("mu", True), ("depth_budget", 2.0), ("depth_budget", False),
+    ("retries", 1.5), ("max_reducts", 10.0), ("max_kernels", 2.5), ("seed", None),
+])
+def test_config_refuses_non_integer_fields(field, value):
+    # Booleans are refused too, as is_int_list refuses them.
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer$"):
+        Config(**{field: value})
+
+
 # Ellentuck N=4 has 15 reducts; every entry point taking a Config holds
 # the instance to its max_reducts.
 BUDGET_ENTRY_POINTS = {
@@ -325,6 +335,29 @@ def test_fuse_reports_the_stage_it_cannot_settle(e5):
         fuse(e5, PropertyOracle(check=lambda s, y: False))
     assert info.value.stage == 0
     assert info.value.partial == e5.full
+
+
+def test_fuse_gives_up_when_the_shrink_cap_runs_out(monkeypatch):
+    # basic offers A and B whatever it is asked. A settles the EMPTY entry
+    # only and B the ({0},) entry only, so each shrink unsettles the other
+    # entry and fusion alternates A -> B -> A ... until the cap runs out.
+    e4 = build_ellentuck(4)
+    A, B = ea(0, 1, 2), ea(0, 1, 3)
+    asked = []
+
+    def basic(frozen, x):
+        asked.append(x)
+        return (A, B)
+
+    monkeypatch.setattr(e4, "basic", basic)
+    settled_by = {EMPTY: A, ea(0): B}
+    oracle = PropertyOracle(check=lambda s, y: y is settled_by[s], domain=settled_by.__contains__)
+    cap = e4.sub_mask(A).bit_count() + 1
+    with pytest.raises(FusionExhaustedError) as info:
+        fuse(e4, oracle, start=A)
+    assert info.value.stage == 0
+    assert asked == [A, B] * (cap // 2) + [A] * (cap % 2)
+    assert info.value.partial is (B if cap % 2 else A)
 
 
 def test_fuse_rejects_a_start_that_is_no_reduct(e5):

@@ -140,19 +140,17 @@ def oracle_canonize(
             f"oracle would enumerate {total} candidates, budget is {config.max_kernels}"
         )
     front = coloring.front.members
-    rows = [model.up_mask(m) for m in front]
+    positions = coloring.front.positions
     ids = [[(name, _class_ids(model, name, pos, front)) for name in family] for pos in range(arity)]
 
     # The reducts arrive longest first, so the hits of the largest size
     # come in key order; each reduct's maps are sorted as found.
     hits: list[tuple[Approx, InnerMap]] = []
     best = -1
-    id_of = model.reduct_ids()
     for x in longest_first(reducts):
         if len(x) < best:
             break
-        j = id_of[x]
-        below = [i for i, row in enumerate(rows) if row >> j & 1]
+        below = [positions[m] for m in model.below(front, x)]
         if not below:
             continue
         colors = [coloring.colors[i] for i in below]
@@ -198,11 +196,8 @@ def oracle_agreement(
     if ok:
         mine = model.below(coloring.front.members, witness)
         ours = {m: eval_inner(model, phi, m) for m in mine}
-        rows = [(m, model.up_mask(m)) for m in mine]
-        ids = model.reduct_ids()
         for x_o, phi_o in oracle_hits:
-            j = ids[x_o]
-            common = [m for m, row in rows if row >> j & 1]
+            common = model.below(mine, x_o)
             theirs = [eval_inner(model, phi_o, m) for m in common]
             if kernel_ids(ours[m] for m in common) == kernel_ids(theirs):
                 agree = True
@@ -299,7 +294,7 @@ def _assemble(engine: MixingEngine, z0: Approx, config: Config) -> tuple[Approx,
 def _grow(model: SpaceModel, coloring: Coloring, x: Approx, phi: InnerMap) -> Approx:
     """Largest reduct above x on which the map still verifies."""
     best = x
-    for g in longest_first(model.reducts_in(model.up_mask(x))):
+    for g in longest_first(model.super_reducts(x)):
         if len(g) <= len(best):
             break
         ok, _ = verify_canonical(model, g, phi, coloring)
@@ -362,7 +357,7 @@ def canonize(
         stats["retries_used"] = attempt
         try:
             cand_x, cand_phi = _assemble(engine, start, config)
-        except (NoInnerWitnessError, FusionExhaustedError):
+        except NoInnerWitnessError:
             continue
         ok, _ = verify_canonical(model, cand_x, cand_phi, coloring)
         if ok:

@@ -277,7 +277,7 @@ class SpaceModel(ABC):
         self.levels = lv
         self.params: dict = dict(params or {})
         self._reducts: Optional[tuple[Approx, ...]] = None
-        # Dense reduct ids: reduct i is all_reducts()[i], bit i of every mask.
+        # Line bits: reduct i is all_reducts()[i], bit i + 1 of each line.
         self._ids: Optional[dict[Approx, int]] = None
         # Child runs: the children of the approximation with line bit j
         # are the reducts with ids _starts[j] up to _starts[j + 1].
@@ -358,20 +358,14 @@ class SpaceModel(ABC):
             return x
         return Approx(x.blocks[:n])
 
-    def reduct_ids(self) -> dict[Approx, int]:
-        """Dense reduct ids: reduct i is all_reducts()[i], bit i of every
-        mask."""
-        if self._ids is None:
-            self._ids = {y: i for i, y in enumerate(self.all_reducts())}
-        return self._ids
-
     def _bit(self, a: Approx) -> Optional[int]:
         """a's bit in the lines: 0 for EMPTY, i + 1 for reduct i; None
         when a is no approximation of the instance."""
         if not a.blocks:
             return 0
-        i = self.reduct_ids().get(a)
-        return None if i is None else i + 1
+        if self._ids is None:
+            self._ids = {y: i for i, y in enumerate(self.all_reducts(), 1)}
+        return self._ids.get(a)
 
     def _every_reduct(self) -> int:
         """Bitset of all reducts."""
@@ -577,6 +571,10 @@ class SpaceModel(ABC):
         """All reducts y <= x, including x itself, in documented order."""
         return self.reducts_in(self.sub_mask(x))
 
+    def super_reducts(self, x: Approx) -> tuple[Approx, ...]:
+        """All reducts y >= x, including x itself, in documented order."""
+        return self.reducts_in(self.up_mask(x))
+
     def approximations(self) -> tuple[Approx, ...]:
         """Every initial segment of every reduct (the truncated AR set)."""
         if self._approxes is None:
@@ -655,7 +653,6 @@ def _check_a1(model: SpaceModel) -> dict:
 def _check_a2(model: SpaceModel) -> dict:
     approxes = model.approximations()
     reds = model.all_reducts()
-    ids = model.reduct_ids()
     # Only EMPTY and the reducts lie below anything. EMPTY takes bit 0 and
     # reduct i bit i + 1, so the bits run in approximation order; a
     # segment that is neither (an overridden restrict can name one) takes
@@ -664,7 +661,8 @@ def _check_a2(model: SpaceModel) -> dict:
     tops = (EMPTY, *reds)
 
     def bit(a: Approx) -> int:
-        return ids.get(a, len(reds)) + 1 if a.blocks else 0
+        j = model._bit(a)
+        return len(reds) + 1 if j is None else j
 
     rows = [model._row(s) for s in tops] + [0]
     # occurs[b] holds the y with b among their segments, so reach[a], the
@@ -888,8 +886,7 @@ def _fusion_agenda(model: SpaceModel, oracle: PropertyOracle, bound: Approx):
     if oracle.domain is not None:
         pool = [z for z in pool if oracle.domain(z)]
     if oracle.pair:
-        keyed = [(z, z.key) for z in pool]
-        return [(a, b) for a, ka in keyed for b, kb in keyed if ka <= kb]
+        return [(a, b) for i, a in enumerate(pool) for b in pool[i:]]
     return [(z,) for z in pool]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -17,6 +18,9 @@ import pytest
 from trspace import (
     DEFAULT_CONFIG,
     Config,
+    FusionExhaustedError,
+    MixingEngine,
+    NoInnerWitnessError,
     build_ellentuck,
     coloring_to_json,
     front_to_json,
@@ -26,7 +30,7 @@ from trspace import (
 )
 from trspace import cli, ramsey
 from trspace.cli import main
-from trspace.reportio import config_to_json
+from trspace.reportio import approx_to_json, config_to_json
 from trspace.spaces import EllentuckModel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -144,6 +148,39 @@ def test_running_out_of_memory_is_undecided(capsys, monkeypatch):
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("out of memory:")
     assert "budget" in captured.err
+
+
+def test_a_space_error_is_undecided(capsys, monkeypatch):
+    def exhausted(engine):
+        raise FusionExhaustedError(1)
+
+    monkeypatch.setattr(MixingEngine, "deciding_reduct", exhausted)
+    code = main(["mixing-table", "fin", "blocks=3", "--coloring", "union", "--front", "AU2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "undecided: fusion refinement failed at stage 1\n"
+
+
+@pytest.mark.parametrize("command", ["canonize", "lemma-suite"])
+def test_canonize_without_any_witness_is_undecided(capsys, monkeypatch, command):
+    # `import trspace.canonize as C` would bind the lazily exported
+    # function, not the module.
+    canonize_module = importlib.import_module("trspace.canonize")
+
+    def no_witness(engine, z0, config):
+        raise NoInnerWitnessError("no selector fuses")
+
+    monkeypatch.setattr(canonize_module, "_assemble", no_witness)
+    monkeypatch.setattr(canonize_module, "_fallback", lambda model, coloring: None)
+    code, rep = run(capsys, [command, "ellentuck", "N=4", "--front", "AU2", "--coloring", "min"])
+    assert code == 2
+    result = rep["result"] if command == "canonize" else rep["canonize"]
+    assert result["verdict"] == "undecided"
+    assert result["witness"] == approx_to_json(build_ellentuck(4).full)
+    assert result["phi"] == ["drop", "drop"]
+    assert (result["stats"]["retries_used"], result["stats"]["fallback"]) == (3, False)
+    if command == "lemma-suite":
+        assert rep["suite"] is None
 
 
 # ---------------------------------------------------------------------------

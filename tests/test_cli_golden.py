@@ -55,6 +55,8 @@ CASES = (
     "verify-axioms ellentuck N=4 --max-reducts 3",
     # the tree rule of proper_combination
     "weak-mixing tree b=2 h=2 --coloring constant --front AU3",
+    # weak mixing's depth orientation: the deeper row comes first twice
+    "weak-mixing fin blocks=4 --front AU2 --coloring max",
     # canonize's retry path: three retries then the fallback, one retry
     "canonize fin blocks=4 --front AU2 --coloring union --oracle",
     "canonize fin blocks=4 --front AU3 --coloring union --oracle",

@@ -243,12 +243,21 @@ class IrreflexiveAtom(FlippedLeq):
     flips = frozenset({(ea(0), ea(0))})
 
 
+class NonEmptyZero(EllentuckModel):
+    """The empty segment of every nonempty reduct is its first block, so
+    A.1 clause 1 fails."""
+
+    def restrict(self, x, n):
+        return super().restrict(x, max(n, 1) if x.blocks else n)
+
+
 DEFECTS = {
     "ShiftedRestrict": ShiftedRestrict,
     "InflatedLeq": InflatedLeq,
     "LongHeadRestrict": LongHeadRestrict,
     "DroppedAtom": DroppedAtom,
     "IrreflexiveAtom": IrreflexiveAtom,
+    "NonEmptyZero": NonEmptyZero,
 }
 
 
@@ -271,6 +280,8 @@ def test_fast_axioms_match_reference(request, name, axiom, reference):
 
 
 def test_new_defects_reach_their_clauses():
+    a1 = check_axioms(NonEmptyZero(4), "A1")
+    assert (a1["verdict"], a1["witness"]["clause"]) == ("fail", 1)
     a1 = check_axioms(LongHeadRestrict(4), "A1")
     assert (a1["verdict"], a1["witness"]["clause"]) == ("fail", 3)
     a3 = check_axioms(DroppedAtom(4), "A3")
@@ -421,6 +432,14 @@ def test_basic_matches_scan_on_trees(b, h):
 @given(model=tree_instances())
 def test_basic_matches_scan_on_drawn_trees(model):
     _assert_basic_matches_scan(model)
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4", "fin4cap2", "tree22", "tree23"])
+def test_super_reducts_match_scan(request, name):
+    model = request.getfixturevalue(name)
+    reducts = model.all_reducts()
+    for x in reducts:
+        assert model.super_reducts(x) == tuple(y for y in reducts if model.leq_fin(x, y))
 
 
 # ---------------------------------------------------------------------------

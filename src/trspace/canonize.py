@@ -105,10 +105,9 @@ def verify_canonical(
     realizable in x; returns the first violating pair in member order."""
     members = model.below(coloring.front.members, x)
     values = [eval_inner(model, phi, m) for m in members]
-    colors = [coloring(m) for m in members]
-    # The kernels agree exactly when colors and values pair off one to one;
-    # only a disagreement needs the pair scan, to name the first violator.
-    if len(set(zip(colors, values))) == len(set(colors)) == len(set(values)):
+    # Only a disagreement of the kernels needs the pair scan, to name the
+    # first violator.
+    if kernel_ids(map(coloring, members)) == kernel_ids(values):
         return True, None
     pair = first_mismatch(members, lambda p, q: coloring(p) == coloring(q), values)
     return pair is None, pair
@@ -575,8 +574,8 @@ def property_p_check(
                 if any_hit:
                     continue
                 checked += 1
-                # Separating reducts below z: admissible, no equal pair.
-                if not engine.pool(z, s, t) & ~engine.equal_pairs(s, t):
+                # A separating reduct below z: admissible, no equal pair.
+                if not engine.pool(z, s, t) or engine.mixes(z, s, t):
                     violations.append({"s": s, "t": t, "z": z})
     return _report(
         "property_p", "fail" if violations else "pass",

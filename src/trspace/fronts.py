@@ -65,9 +65,12 @@ def uniform_front(model: SpaceModel, n: int) -> Front:
     return Front(tuple(members), scope=model.full, instance=model.instance_tag())
 
 
-def is_front(model: SpaceModel, members: Iterable[Approx], scope: Optional[Approx] = None) -> dict:
+def is_front(
+    model: SpaceModel, members: Iterable[Approx], scope: Optional[Approx] = None,
+    anchor: Approx = EMPTY,
+) -> dict:
     """Check the front laws: an antichain under end extension that meets
-    every reduct of the scope.
+    every reduct of [anchor, scope].
 
     A reduct with no member segment is only a counterexample when it is
     not itself en route to a member and still had room to grow; dead
@@ -81,7 +84,7 @@ def is_front(model: SpaceModel, members: Iterable[Approx], scope: Optional[Appro
                 witness = {"reason": "not an antichain", "s": s, "t": t}
                 return _report("is_front", "fail", witness=witness)
     boundary = []
-    for y in model.sub_reducts(x):
+    for y in model.basic(anchor, x):
         segs = model.segments(y)
         if any(len(s) < len(segs) and segs[len(s)] == s for s in mem):
             continue
@@ -131,7 +134,7 @@ def restrict_front(model: SpaceModel, front: Front, y: Approx) -> Front:
     mem = model.below(front.members, y)
     flags: tuple[str, ...] = ()
     if mem:
-        verdict = is_front(model, mem, scope=y)
+        verdict = is_front(model, mem, scope=y, anchor=front.anchor)
         if verdict["verdict"] != "pass":
             flags = ("covering_undecided",)
     else:
@@ -160,13 +163,6 @@ class Coloring:
         if idx is None:
             raise DomainError("approximation is not a member of the colored front")
         return self.colors[idx]
-
-    def kernel(self) -> tuple[tuple[int, ...], ...]:
-        """Member indices grouped by color, in color order."""
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(self.colors):
-            groups.setdefault(c, []).append(i)
-        return tuple(tuple(g) for _, g in sorted(groups.items()))
 
     def classes(self) -> int:
         return len(set(self.colors))
@@ -278,7 +274,7 @@ def front_from_json(model: SpaceModel, payload: dict) -> Front:
             raise ParameterError(f"front member {m.key} is not inside the scope")
         if not front.anchor.is_prefix_of(m):
             raise ParameterError(f"front anchor is not an initial segment of member {m.key}")
-    verdict = is_front(model, front.members, scope=front.scope)
+    verdict = is_front(model, front.members, scope=front.scope, anchor=front.anchor)
     if verdict["verdict"] != "pass":
         raise ParameterError(
             f"front members are not a front: {verdict['witness']['reason']}"

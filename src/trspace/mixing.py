@@ -66,8 +66,9 @@ class MixingEngine:
         self.front = coloring.front
         self.config = config
         self.members = self.front.members
-        self.hat_members = hat(model, self.front)
-        self._ext_bits = dict.fromkeys(self.hat_members, 0)
+        self._ext_bits = dict.fromkeys(hat(model, self.front), 0)
+        if len(model.below(self.members, self.front.scope)) < len(self.members):
+            raise DomainError("a front member is no approximation inside the front's scope")
         for i, m in enumerate(self.members):
             for a in model.segments(m):
                 self._ext_bits[a] |= 1 << i
@@ -112,18 +113,13 @@ class MixingEngine:
         least mu front extensions of s and of t."""
         return self.model.sub_mask(x) & self._row(s)[0] & self._row(t)[0]
 
-    def equal_pairs(self, s: Approx, t: Approx) -> int:
-        """Bitset of the reducts keeping an equally colored pair of front
-        extensions of s and t."""
-        return reduce(or_, map(and_, self._row(s)[1], self._row(t)[1]), 0)
-
     def in_hat(self, a: Approx) -> bool:
         return a in self._ext_bits
 
     def hat_below(self, x: Approx) -> tuple[Approx, ...]:
         """Initial segments of members realizable inside x."""
         live = self.real_bits(x)
-        return tuple(a for a in self.hat_members if self._ext_bits[a] & live)
+        return tuple(a for a, ext in self._ext_bits.items() if ext & live)
 
     def front_below(self, x: Approx) -> tuple[Approx, ...]:
         live = self.real_bits(x)
@@ -144,7 +140,7 @@ class MixingEngine:
     # -- verdicts ------------------------------------------------------------
 
     def decide(self, x: Approx, s: Approx, t: Approx) -> Verdict:
-        # pool and equal_pairs inlined: each segment's row is read once.
+        # pool inlined: each segment's row is read once.
         rows = self._rows
         admissible_s, by_color_s = rows.get(s) or self._row(s)
         admissible_t, by_color_t = rows.get(t) or self._row(t)
@@ -180,7 +176,6 @@ class MixingTable:
     rows: tuple[Approx, ...]
     depths: tuple[object, ...]
     verdicts: dict[tuple[int, int], Verdict]
-    fused: bool
     engine: MixingEngine = field(repr=False)
 
     def undecided_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -192,7 +187,7 @@ class MixingTable:
         return {
             "check": "mixing_table",
             "reduct": approx_to_json(self.reduct),
-            "fused": self.fused,
+            "fused": True,
             "rows": [approx_to_json(a) for a in self.rows],
             "depths": to_jsonable(self.depths),
             "entries": [
@@ -219,7 +214,7 @@ def mixing_table(
     for i in range(len(rows)):
         for j in range(i, len(rows)):
             verdicts[(i, j)] = engine.decide(z, rows[i], rows[j])
-    return MixingTable(z, rows, depths, verdicts, True, engine)
+    return MixingTable(z, rows, depths, verdicts, engine)
 
 
 def transitivity_check(table: MixingTable) -> dict:

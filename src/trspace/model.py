@@ -12,7 +12,6 @@ the least one and reruns are byte-reproducible.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import itertools
 import json
@@ -673,9 +672,9 @@ def _check_a2(model: SpaceModel) -> dict:
             occurs[bit(u)] |= 1 << j
     reach = [reduce(or_, map(occurs.__getitem__, _bits(row)), 0) for row in rows]
     inside = reduce(or_, (1 << bit(t) for t in approxes))  # the approximations
-    # A.2(1): predecessor sets are finite; report the largest one.
-    preds = collections.Counter(b for t in approxes for b in _bits(rows[bit(t)] & inside))
-    stats = {"max_predecessors": max(preds.values(), default=0)}
+    # A.2(1): predecessor sets are finite; report the largest one. The
+    # predecessors of t are its column.
+    stats = {"max_predecessors": max((model._column(t) & inside).bit_count() for t in approxes)}
     # A.2(2): the reduct order matches the segmentwise finitization order,
     # x <= y iff every segment of x reaches y. Bit 0 is no reduct.
     for x in reds:

@@ -43,6 +43,7 @@ from trspace import (
     front_from_json,
     front_to_json,
     generated_coloring,
+    hat,
     oracle_agreement,
     oracle_canonize,
     pigeonhole_A4,
@@ -295,7 +296,7 @@ def test_stage_b_matches_the_reference_loop(request, name):
         for pos in range(coloring.front.arity()):
             for sel in model.selector_names():
                 oracle = _position_oracle(engine, z0, pos, sel)
-                for a in filter(oracle.domain, engine.hat_members):
+                for a in filter(oracle.domain, hat(model, coloring.front)):
                     for y in below:
                         expected = not engine.live_bits(y, a) or reference_kernel_matches(
                             lambda p, q: engine.mixes(z0, p, q), model, sel,

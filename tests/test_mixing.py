@@ -9,11 +9,14 @@ import pytest
 
 from trspace import (
     Approx,
+    Block,
     Coloring,
     Config,
     DEFAULT_CONFIG,
     DomainError,
+    Front,
     GENERATORS,
+    InnerMap,
     MIXES,
     MixingEngine,
     SEPARATES,
@@ -21,9 +24,11 @@ from trspace import (
     UNDECIDED,
     build_fin,
     build_tree,
+    canonize,
     closure,
     color_front,
     generated_coloring,
+    lemma_suite,
     mixing_table,
     transitivity_check,
     uniform_front,
@@ -78,6 +83,25 @@ def test_decide_requires_hat_segments(fin4, union2):
         engine.decide(fin4.full, fa((0,), (1,), (2,)), fa((0,)))
 
 
+@pytest.mark.parametrize("member, scope", [
+    # Two copies of one block: no approximation of the instance.
+    (Approx((Block((1, 2), (0,)),) * 2), None),
+    # An approximation of the instance, but not inside the scope.
+    (ea(0, 1), ea(1, 2, 3)),
+])
+def test_engine_refuses_members_it_cannot_read(e5, member, scope):
+    front = Front((member,), scope=scope or e5.full, instance=e5.instance_tag())
+    coloring = Coloring(front, (0,))
+    with pytest.raises(DomainError):
+        MixingEngine(e5, coloring)
+    with pytest.raises(DomainError):
+        canonize(e5, coloring)
+    with pytest.raises(DomainError):
+        mixing_table(e5, coloring)
+    with pytest.raises(DomainError):
+        lemma_suite(e5, coloring, front.scope, InnerMap(("keep",)))
+
+
 def test_separated_pair_stays_separated_below(fin4, union2):
     engine = MixingEngine(fin4, union2, DEFAULT_CONFIG)
     t, tp = fa((0, 2)), fa((0, 1, 2))
@@ -112,7 +136,7 @@ def test_fused_tables_have_no_undecided_entries(e6):
     for name in ("constant", "injective", "min", "max", "parity"):
         coloring = color_front(front, GENERATORS[name], name=name)
         table = mixing_table(e6, coloring)
-        assert table.fused
+        assert table.to_json()["fused"]
         assert not table.undecided_pairs(), name
 
 

@@ -48,6 +48,7 @@ from trspace import (
     color_front,
     generated_coloring,
     canonize,
+    hat,
     mixing_table,
     pigeonhole_A4,
     approx_sort_key,
@@ -872,7 +873,7 @@ def test_mixing_engine_matches_reference_on_every_triple(request, name):
     front = uniform_front(model, 2)
     colorings = [color_front(front, GENERATORS[g], name=g) for g in ("min", "union")]
     colorings.append(generated_coloring(front, "random-kernel", seed=3))
-    segs = MixingEngine(model, colorings[0]).hat_members
+    segs = hat(model, front)
     triples = [
         (x, s, t) for x in model.all_reducts()
         for i, s in enumerate(segs) for t in segs[i:]
@@ -890,7 +891,7 @@ def _assert_engine_matches_reference_on_draws(model, data):
     rank = data.draw(st.integers(1, min(2, max(len(y) for y in reds))))
     front = uniform_front(model, rank)
     coloring = generated_coloring(front, "random-kernel", seed=data.draw(st.integers(0, 99)))
-    segs = MixingEngine(model, coloring).hat_members
+    segs = hat(model, front)
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     triples = [(rng.choice(reds), rng.choice(segs), rng.choice(segs)) for _ in range(60)]
     _assert_engine_matches_reference(model, coloring, data.draw(st.sampled_from((1, 2, 3))), triples)
@@ -958,7 +959,7 @@ def test_deciding_on_a_warm_engine_reads_only_its_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("decide on a warm engine left its rows")
 
-    for name in ("pool", "equal_pairs", "in_hat", "real_bits"):
+    for name in ("pool", "in_hat", "real_bits"):
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(model, "up_mask", refuse)
     for (i, j), verdict in sorted(table.verdicts.items()):

@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "model": (
         "DEFAULT_CONFIG", "EMPTY", "Approx", "Block", "Config", "PropertyOracle",
-        "SpaceModel", "approx_sort_key", "check_axioms", "derive_seed", "fuse",
-        "instance_to_json", "pigeonhole_A4", "witness_sort_key",
+        "SpaceModel", "a4star_search", "approx_sort_key", "check_axioms", "derive_seed",
+        "fuse", "instance_to_json", "pigeonhole_A4", "witness_sort_key",
     ),
     "spaces": (
         "EllentuckModel", "FinModel", "TreeModel", "build_ellentuck", "build_fin",
@@ -45,7 +45,7 @@ _EXPORTS = {
     "canonize": (
         "CanonReport", "InnerMap", "avoidance_check", "canonize", "eval_inner",
         "lemma_suite", "maximality_check", "oracle_agreement", "oracle_canonize",
-        "property_p_check", "search_inner_A4star", "verify_canonical",
+        "property_p_check", "verify_canonical",
     ),
     "ramsey": ("canonical_ramsey_number", "restricted_growth_strings"),
     "reportio": (

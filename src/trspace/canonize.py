@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (
     BudgetExceededError,
@@ -67,31 +67,6 @@ def eval_inner(model: SpaceModel, phi: InnerMap, t: Approx) -> tuple:
     return tuple(out)
 
 
-def search_inner_A4star(
-    model: SpaceModel,
-    s: Approx,
-    x: Approx,
-    coloring_of_ext: Callable[[Approx], object],
-    config: Config = DEFAULT_CONFIG,
-) -> tuple[Approx, str]:
-    """Find a reduct in [s, x] and a selector whose kernel on the
-    surviving extensions equals the kernel of the given coloring.
-
-    Witness preference: more extensions first, then least reduct key;
-    selectors are tried in family order, so the drop component wins
-    whenever the coloring is constant on the survivors.
-    """
-    model.all_reducts(config.max_reducts)
-    if not model.extension_blocks(s, x):
-        raise DomainError("the segment has no extensions inside the reduct")
-    found = a4star_search(model, s, x, coloring_of_ext, model.selector_names(), config)
-    if found is None:
-        raise NoInnerWitnessError(
-            "no selector in the family matches the kernel on any admissible reduct"
-        )
-    return found
-
-
 # ---------------------------------------------------------------------------
 # Verification and the brute-force oracle.
 
@@ -118,9 +93,9 @@ def oracle_canonize(
     coloring: Coloring,
     config: Config = DEFAULT_CONFIG,
 ) -> tuple[tuple[Approx, InnerMap], ...]:
-    """Exhaust reducts and selector tuples; keep every verifying pair of
-    maximal witness size. Reducts carrying no member are skipped, their
-    verification would be vacuous.
+    """Exhaust the reducts of the front's scope and selector tuples; keep
+    every verifying pair of maximal witness size. Reducts carrying no
+    member are skipped, their verification would be vacuous.
 
     Decided on class ids: per position and selector, members share an id
     when the selector gives equal values on their blocks there, or when
@@ -132,7 +107,8 @@ def oracle_canonize(
     as the colors."""
     family = model.selector_names()
     arity = coloring.front.arity()
-    reducts = model.all_reducts(config.max_reducts)
+    model.all_reducts(config.max_reducts)
+    reducts = model.sub_reducts(coloring.front.scope)
     total = len(reducts) * len(family) ** arity
     if total > config.max_kernels:
         raise BudgetExceededError(
@@ -291,9 +267,10 @@ def _assemble(engine: MixingEngine, z0: Approx, config: Config) -> tuple[Approx,
 
 
 def _grow(model: SpaceModel, coloring: Coloring, x: Approx, phi: InnerMap) -> Approx:
-    """Largest reduct above x on which the map still verifies."""
+    """Largest reduct between x and the front's scope on which the map
+    still verifies."""
     best = x
-    for g in longest_first(model.super_reducts(x)):
+    for g in longest_first(model.between(x, coloring.front.scope)):
         if len(g) <= len(best):
             break
         ok, _ = verify_canonical(model, g, phi, coloring)
@@ -349,7 +326,7 @@ def canonize(
 
     starts = itertools.chain((z0,), (
         y for y in longest_first(model.sub_reducts(z0))
-        if y != z0 and engine.front_below(y)
+        if y != z0 and model.below(coloring.front.members, y)
     ))
     witness = phi = None
     for attempt, start in enumerate(itertools.islice(starts, config.retries + 1)):
@@ -378,7 +355,7 @@ def canonize(
 
     witness = _grow(model, coloring, witness, phi)
     stats["witness_size"] = len(witness)
-    stats["members_on_witness"] = len(engine.front_below(witness))
+    stats["members_on_witness"] = len(model.below(coloring.front.members, witness))
     agreement = None
     if oracle:
         hits = oracle_canonize(model, coloring, config)
@@ -417,7 +394,7 @@ def lemma_suite(
     mixed with one segment share a selector value.
     """
     engine = MixingEngine(model, coloring, config)
-    members = engine.front_below(witness)
+    members = model.below(coloring.front.members, witness)
     hat_w = engine.hat_below(witness)
     interior = engine.interior_below(witness)
     values: dict[Approx, tuple] = {a: eval_inner(model, phi, a) for a in hat_w}
@@ -453,8 +430,6 @@ def lemma_suite(
     class_violations = []
     for base in interior:
         pos = len(base)
-        if pos >= len(phi.selectors):
-            continue
         at_depth: dict[object, list[Approx]] = {}
         for p in engine.live_extensions(base, witness):
             at_depth.setdefault(depths[p], []).append(p)
@@ -487,14 +462,16 @@ def maximality_check(
     phi_alt: InnerMap,
     config: Config = DEFAULT_CONFIG,
 ) -> dict:
-    """Below a common verifying reduct, find one where the alternative
-    map's component outputs sit inside the reference map's outputs.
+    """Below a common verifying reduct inside the front's scope, find one
+    where the alternative map's component outputs sit inside the
+    reference map's outputs.
 
     The common reduct must carry at least two members: verification on
     a single member holds for every map, so admitting it would let any
     alternative through the precondition."""
+    model.all_reducts(config.max_reducts)
     common = None
-    for y in longest_first(model.all_reducts(config.max_reducts)):
+    for y in longest_first(model.sub_reducts(coloring.front.scope)):
         if len(model.below(coloring.front.members, y)) < 2:
             continue
         ok1, _ = verify_canonical(model, y, phi, coloring)
@@ -533,18 +510,21 @@ def property_p_check(
     engine = MixingEngine(model, coloring, config)
     z0 = engine.deciding_reduct()
     interior = engine.interior_below(z0)
+    family = model.selector_names()
     # Per segment, the A.4* selector of its mixing classes at z0, or None
-    # when the search finds none; each segment is searched once.
+    # when the search finds none or asks about an extension outside the
+    # hat; each segment is searched once.
     selector: dict[Approx, Optional[str]] = {}
 
     def selector_of(a: Approx) -> Optional[str]:
         if a not in selector:
             try:
-                selector[a] = search_inner_A4star(
-                    model, a, z0, lambda p: _mix_class(engine, z0, a, p), config,
-                )[1]
-            except (DomainError, NoInnerWitnessError):
-                selector[a] = None
+                found = a4star_search(
+                    model, a, z0, lambda p: _mix_class(engine, z0, a, p), family, config,
+                )
+            except DomainError:
+                found = None
+            selector[a] = None if found is None else found[1]
         return selector[a]
 
     violations = []

@@ -72,9 +72,12 @@ def is_front(
     """Check the front laws: an antichain under end extension that meets
     every reduct of [anchor, scope].
 
-    A reduct with no member segment is only a counterexample when it is
-    not itself en route to a member and still had room to grow; dead
-    ends at the truncation boundary are reported as flags, not failures.
+    A reduct y with no member segment is only a counterexample when it
+    is not itself en route to a member and can grow, inside [y, scope],
+    to a reduct as long as the longest member: that reduct, and every
+    longer extension of it, meets the family only in segments it already
+    has. The other such reducts are dead ends at the truncation boundary,
+    reported as flags, not failures.
     """
     x = scope if scope is not None else model.full
     mem = tuple(sorted(set(members), key=approx_sort_key))
@@ -83,6 +86,7 @@ def is_front(
             if s != t and s.is_prefix_of(t):
                 witness = {"reason": "not an antichain", "s": s, "t": t}
                 return _report("is_front", "fail", witness=witness)
+    longest = max(map(len, mem), default=0)
     boundary = []
     for y in model.basic(anchor, x):
         segs = model.segments(y)
@@ -90,7 +94,8 @@ def is_front(
             continue
         if any(y.is_prefix_of(s) for s in mem):
             continue  # en route to a member, its extensions answer for it
-        if model.extension_blocks(y, x):
+        # basic is in id order, so its last reduct is a longest one.
+        if len(model.basic(y, x)[-1]) >= longest:
             witness = {"reason": "reduct dodges the family", "y": y}
             return _report("is_front", "fail", witness=witness)
         boundary.append(y)
@@ -119,9 +124,9 @@ def subfront(model: SpaceModel, front: Front, t: Approx) -> Front:
     _check_instance(model, front)
     if t in front.positions:
         raise DomainError("segment is already a member; the subfront is trivial")
-    if t not in set(hat(model, front)):
-        raise DomainError("segment is not an initial segment of any member")
     mem = members_extending(front, t)
+    if not mem:
+        raise DomainError("segment is not an initial segment of any member")
     return Front(mem, scope=front.scope, instance=front.instance, anchor=t)
 
 

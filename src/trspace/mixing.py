@@ -121,10 +121,6 @@ class MixingEngine:
         live = self.real_bits(x)
         return tuple(a for a, ext in self._ext_bits.items() if ext & live)
 
-    def front_below(self, x: Approx) -> tuple[Approx, ...]:
-        live = self.real_bits(x)
-        return tuple(m for i, m in enumerate(self.members) if live & (1 << i))
-
     def interior_below(self, x: Approx) -> tuple[Approx, ...]:
         """hat_below(x) without the members: the interior segments."""
         return tuple(a for a in self.hat_below(x) if a not in self.front.positions)

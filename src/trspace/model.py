@@ -570,9 +570,9 @@ class SpaceModel(ABC):
         """All reducts y <= x, including x itself, in documented order."""
         return self.reducts_in(self.sub_mask(x))
 
-    def super_reducts(self, x: Approx) -> tuple[Approx, ...]:
-        """All reducts y >= x, including x itself, in documented order."""
-        return self.reducts_in(self.up_mask(x))
+    def between(self, x: Approx, y: Approx) -> tuple[Approx, ...]:
+        """All reducts z with x <= z <= y, in documented order."""
+        return self.reducts_in(self.up_mask(x) & self.sub_mask(y))
 
     def approximations(self) -> tuple[Approx, ...]:
         """Every initial segment of every reduct (the truncated AR set)."""
@@ -803,13 +803,15 @@ def a4star_search(
     x: Approx,
     color: Callable[[Approx], object],
     family: tuple[str, ...],
-    config: Config,
+    config: Config = DEFAULT_CONFIG,
 ) -> Optional[tuple[Approx, str]]:
     """The A.4* search: the first reduct y of [s, x], by most extensions
     of s then least key and keeping at least mu of them, with the first
     selector of family whose values on the last blocks of those
-    extensions have the kernel of color; None when there is none. A.4 is
-    the family ("drop",). color is asked at most once per extension."""
+    extensions have the kernel of color; None when there is none, as
+    when s has no extension inside x. A.4 is the family ("drop",).
+    color is asked at most once per extension."""
+    model.all_reducts(config.max_reducts)
     colors: dict[Approx, object] = {}
 
     def same(p: Approx, q: Approx) -> bool:

@@ -19,6 +19,7 @@ from trspace import (
     InnerMap,
     MixingEngine,
     NoInnerWitnessError,
+    a4star_search,
     avoidance_check,
     build_ellentuck,
     canonical_json,
@@ -32,7 +33,7 @@ from trspace import (
     oracle_canonize,
     pigeonhole_A4,
     property_p_check,
-    search_inner_A4star,
+    restrict_front,
     uniform_front,
     verify_canonical,
 )
@@ -303,12 +304,30 @@ def test_oracle_budget_guard(e6):
         oracle_canonize(e6, coloring, Config(max_kernels=10))
 
 
+@pytest.mark.parametrize("name", ["constant", "min", "injective"])
+def test_searches_stay_inside_the_fronts_scope(e5, name):
+    # AU1 restricted to ({0},{1},{2}) is a front of that reduct alone:
+    # the grown witness, the oracle's hits and the common reduct of
+    # maximality_check all lie below it.
+    scope = ea(0, 1, 2)
+    front = restrict_front(e5, uniform_front(e5, 1), scope)
+    assert (front.scope, front.flags, len(front)) == (scope, (), 3)
+    coloring = generated_coloring(front, name)
+    report = canonize(e5, coloring, oracle=True)
+    assert report.witness == scope
+    assert report.oracle_agreement["oracle_max_size"] == 3
+    assert report.stats["witness_is_max_size"]
+    assert all(e5.leq_fin(x, scope) for x, _ in oracle_canonize(e5, coloring))
+    common = maximality_check(e5, coloring, report.phi, report.phi)["common"]
+    assert common == scope
+
+
 # ---------------------------------------------------------------------------
 # Inner pigeonhole (the selector-matching search).
 
 def test_search_inner_matches_min_kernel(fin4):
     coloring = lambda p: p.blocks[-1].atoms[0]
-    witness, selector = search_inner_A4star(fin4, EMPTY, fin4.full, coloring)
+    witness, selector = a4star_search(fin4, EMPTY, fin4.full, coloring, fin4.selector_names())
     assert selector == "min"
     assert witness == fin4.full
 
@@ -317,7 +336,7 @@ def test_search_inner_subsumes_plain_pigeonhole():
     e8 = build_ellentuck(8)
     parity = lambda p: p.blocks[-1].atoms[0] % 2
     plain = pigeonhole_A4(e8, EMPTY, e8.full, parity)
-    witness, selector = search_inner_A4star(e8, EMPTY, e8.full, parity)
+    witness, selector = a4star_search(e8, EMPTY, e8.full, parity, e8.selector_names())
     assert selector == "drop"
     assert witness == plain
     assert len({parity(p) for p in e8.extensions(EMPTY, witness)}) == 1
@@ -326,15 +345,14 @@ def test_search_inner_subsumes_plain_pigeonhole():
 def test_search_inner_no_witness_in_family(e5):
     colors = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2}
     coloring = lambda p: colors[p.blocks[-1].atoms[0]]
-    witness, selector = search_inner_A4star(e5, EMPTY, e5.full, coloring)
+    family = e5.selector_names()
+    witness, selector = a4star_search(e5, EMPTY, e5.full, coloring, family)
     assert (atoms_of(witness), selector) == (((0,), (1,), (4,)), "keep")
-    with pytest.raises(NoInnerWitnessError):
-        search_inner_A4star(e5, EMPTY, e5.full, coloring, Config(mu=4))
+    assert a4star_search(e5, EMPTY, e5.full, coloring, family, Config(mu=4)) is None
 
 
 def test_search_inner_requires_extensions(e5):
-    with pytest.raises(DomainError):
-        search_inner_A4star(e5, e5.full, e5.full, lambda p: 0)
+    assert a4star_search(e5, e5.full, e5.full, lambda p: 0, e5.selector_names()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +473,15 @@ def test_property_p_searches_each_segment_once(e6, monkeypatch):
     interior = engine.interior_below(engine.deciding_reduct())
     failing = next(a for a in interior if len(a) == 1)
     searched = []
-    search = canonize_module.search_inner_A4star
+    search = canonize_module.a4star_search
 
     def counting(model, s, *args):
         searched.append(s)
         if s == failing:
-            raise NoInnerWitnessError("no selector for this segment")
+            return None
         return search(model, s, *args)
 
-    monkeypatch.setattr(canonize_module, "search_inner_A4star", counting)
+    monkeypatch.setattr(canonize_module, "a4star_search", counting)
     report = property_p_check(e6, cmin)
     # A failed search skips every pair of its segment, and is not retried.
     partners = sum(1 for a in interior if len(a) == 1 and a != failing)

@@ -484,6 +484,42 @@ def test_front_json_is_checked_against_the_instance(capsys, tmp_path):
         assert code == want, name
 
 
+@pytest.mark.parametrize("rank", [3, 4])
+def test_enumerated_fronts_of_rank_3_and_4_round_trip(capsys, tmp_path, rank):
+    argv = ["enumerate-front", "ellentuck", "N=5", "--front"]
+    code, rep = run(capsys, argv + [f"AU{rank}"])
+    assert code == 0
+    path = tmp_path / f"au{rank}.json"
+    path.write_text(json.dumps(rep["front"]))
+    code, again = run(capsys, argv + [str(path)])
+    assert code == 0
+    assert again["front"] == rep["front"]
+
+
+REFUSED_ARGV = {
+    "instance and tokens": (
+        ["verify-axioms", "ellentuck", "N=3", "--instance", "inst.json"],
+        "error: give either --instance or shorthand tokens, not both\n",
+    ),
+    "non-integer parameter": (
+        ["verify-axioms", "ellentuck", "N=x"],
+        "error: parameter 'N=x' is not an integer\n",
+    ),
+    "no front": (
+        ["enumerate-front", "ellentuck", "N=3"],
+        "error: this command needs --front\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGV))
+def test_refused_invocations_exit_3(capsys, case):
+    argv, message = REFUSED_ARGV[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", message)
+
+
 def test_json_colors_follow_the_listed_members(capsys, tmp_path):
     _, rep = run(capsys, ["enumerate-front", "ellentuck", "N=4", "--front", "AU1"])
     front = rep["front"]

@@ -15,6 +15,7 @@ from trspace import (
     InstanceMismatchError,
     ParameterError,
     build_ellentuck,
+    build_fin,
     color_front,
     coloring_from_json,
     coloring_to_json,
@@ -99,6 +100,43 @@ def test_is_front_boundary_dead_ends():
     assert "boundary_dead_ends" in report["flags"]
 
 
+def test_uniform_fronts_of_every_rank_are_fronts(e5, e6, fin4, tree22, tree23):
+    # A reduct can miss every member and still grow, but only to dead
+    # ends shorter than the rank: boundary flags, not failures.
+    for model in (build_ellentuck(4), e5, e6, fin4, build_fin(5), tree22, tree23):
+        for rank in range(2, len(model.full) + 1):
+            report = is_front(model, uniform_front(model, rank).members)
+            assert report["verdict"] == "pass", (model.kind, rank)
+            assert report["flags"] == ("boundary_dead_ends",), (model.kind, rank)
+
+
+def test_is_front_fails_where_a_reduct_can_grow_past_the_family():
+    e4 = build_ellentuck(4)
+    holed = [m for m in uniform_front(e4, 3).members if m != ea(1, 2, 3)]
+    report = is_front(e4, holed)
+    # ({1}) reaches ({1},{2},{3}), as long as any member, and meets none.
+    assert report["verdict"] == "fail"
+    assert report["witness"] == {"reason": "reduct dodges the family", "y": ea(1)}
+    empty = is_front(e4, [])
+    assert empty["verdict"] == "fail"
+    assert empty["witness"]["reason"] == "reduct dodges the family"
+
+
+def test_a_capped_schreier_barrier_is_a_front_with_dead_ends():
+    # A member has length min(first atom + 1, 3): 1 + 5 + 10 members on
+    # e7. The reduct ({5}) grows only to ({5},{6}), a dead end.
+    e7 = build_ellentuck(7)
+    members = set()
+    for y in e7.all_reducts():
+        k = min(y.blocks[0].atoms[0] + 1, 3)
+        if len(y) >= k:
+            members.add(e7.restrict(y, k))
+    assert sorted(map(len, members)) == [1] + [2] * 5 + [3] * 10
+    report = is_front(e7, members)
+    assert report["verdict"] == "pass"
+    assert report["flags"] == ("boundary_dead_ends",)
+
+
 def test_hat_contains_every_segment(e5):
     # four atoms: 6 members, 3 startable singletons, the empty segment
     e4 = build_ellentuck(4)
@@ -140,6 +178,14 @@ def test_restrict_front_flags_loss_of_covering(e5):
     tiny = restrict_front(e5, front, ea(3))
     assert tiny.members == ()
     assert "covering_undecided" in tiny.flags
+    # A front built in Python is not checked for covering; restricting
+    # it keeps its members and flags the hole at ({0},{1}).
+    holed = Front(
+        tuple(m for m in front.members if m != ea(0, 1)), scope=e5.full, instance=front.instance
+    )
+    kept = restrict_front(e5, holed, e5.full)
+    assert len(kept.members) == 9
+    assert kept.flags == ("covering_undecided",)
 
 
 def test_front_instance_mismatch(e5, e6):

@@ -28,13 +28,12 @@ from trspace import (
     BudgetExceededError,
     Coloring,
     Config,
-    DomainError,
     Front,
     FusionExhaustedError,
     InnerMap,
     MixingEngine,
-    NoInnerWitnessError,
     TruncationTooShallowError,
+    a4star_search,
     canonical_json,
     canonize,
     color_front,
@@ -48,7 +47,6 @@ from trspace import (
     oracle_canonize,
     pigeonhole_A4,
     restricted_growth_strings,
-    search_inner_A4star,
     uniform_front,
     verify_canonical,
     witness_sort_key,
@@ -242,12 +240,10 @@ def test_a4_searches_match_the_reference_loops(request, name):
                     got = pigeonhole_A4(model, s, model.full, table.__getitem__, config)
                     assert got == expected, (s, seed, mu)
                 expected = reference_search_inner(model, s, model.full, table.__getitem__, mu)
-                if expected is None:
-                    with pytest.raises(NoInnerWitnessError):
-                        search_inner_A4star(model, s, model.full, table.__getitem__, config)
-                else:
-                    got = search_inner_A4star(model, s, model.full, table.__getitem__, config)
-                    assert got == expected, (s, seed, mu)
+                got = a4star_search(
+                    model, s, model.full, table.__getitem__, model.selector_names(), config
+                )
+                assert got == expected, (s, seed, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +312,7 @@ def test_a4star_asks_each_extension_at_most_once(request, name):
             asked[p] += 1
             return len(p.blocks[-1].atoms) % 2
 
-        search_inner_A4star(model, s, model.full, color)
+        a4star_search(model, s, model.full, color, model.selector_names())
         assert set(asked) <= domain and set(asked.values()) <= {1}, s
 
 
@@ -340,12 +336,10 @@ def test_pigeonhole_asks_each_extension_at_most_once(request, name):
 def test_a4_searches_keep_their_own_errors(e5):
     with pytest.raises(TruncationTooShallowError, match="no extensions of the segment"):
         pigeonhole_A4(e5, e5.full, e5.full, lambda p: 0)
-    with pytest.raises(DomainError, match="no extensions inside the reduct"):
-        search_inner_A4star(e5, e5.full, e5.full, lambda p: 0)
+    assert a4star_search(e5, e5.full, e5.full, lambda p: 0, e5.selector_names()) is None
     with pytest.raises(TruncationTooShallowError, match="no monochromatic"):
         pigeonhole_A4(e5, EMPTY, e5.full, lambda p: 0, Config(mu=6))
-    with pytest.raises(NoInnerWitnessError, match="no selector in the family"):
-        search_inner_A4star(e5, EMPTY, e5.full, lambda p: 0, Config(mu=6))
+    assert a4star_search(e5, EMPTY, e5.full, lambda p: 0, e5.selector_names(), Config(mu=6)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from trspace import (
     ParameterError,
     BudgetExceededError,
     PropertyOracle,
+    a4star_search,
     approx_sort_key,
     build_ellentuck,
     build_fin,
@@ -30,7 +31,6 @@ from trspace import (
     generated_coloring,
     mixing_table,
     pigeonhole_A4,
-    search_inner_A4star,
     uniform_front,
     witness_sort_key,
 )
@@ -233,6 +233,8 @@ def test_config_validation():
         Config(retries=-1)
     with pytest.raises(ParameterError):
         Config(max_reducts=0)
+    with pytest.raises(ParameterError, match="depth budget must be positive when set"):
+        Config(depth_budget=0)
     assert DEFAULT_CONFIG.mu == 1
 
 
@@ -260,8 +262,8 @@ BUDGET_ENTRY_POINTS = {
     "pigeonhole_A4": lambda model, config: pigeonhole_A4(
         model, EMPTY, model.full, lambda p: 0, config
     ),
-    "search_inner_A4star": lambda model, config: search_inner_A4star(
-        model, EMPTY, model.full, lambda p: 0, config
+    "a4star_search": lambda model, config: a4star_search(
+        model, EMPTY, model.full, lambda p: 0, model.selector_names(), config
     ),
 }
 

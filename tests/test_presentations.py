@@ -20,7 +20,9 @@ from trspace import (
     check_axioms,
     eval_inner,
     generated_coloring,
+    lemma_suite,
     mixing_table,
+    property_p_check,
     uniform_front,
 )
 from trspace.model import kernel_ids
@@ -70,9 +72,16 @@ def test_canonization_agrees(n, rank):
         assert kernel_ids(eval_inner(ell, mine.phi, m) for m in members) == kernel_ids(
             eval_inner(fin, theirs.phi, m) for m in members
         ), label
+        # The lemma suite runs on each side's own result; its report and
+        # Property P's name segments and reducts, not selectors.
+        assert lemma_suite(ell, ell_coloring, mine.witness, mine.phi) == lemma_suite(
+            fin, fin_coloring, theirs.witness, theirs.phi
+        ), label
+        assert property_p_check(ell, ell_coloring) == property_p_check(fin, fin_coloring), label
         ell_table, fin_table = mixing_table(ell, ell_coloring), mixing_table(fin, fin_coloring)
         assert ell_table.reduct == fin_table.reduct, label
         assert ell_table.rows == fin_table.rows, label
         assert {ij: v.kind for ij, v in ell_table.verdicts.items()} == {
             ij: v.kind for ij, v in fin_table.verdicts.items()
         }, label
+

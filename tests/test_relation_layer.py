@@ -440,7 +440,7 @@ def test_super_reducts_match_scan(request, name):
     model = request.getfixturevalue(name)
     reducts = model.all_reducts()
     for x in reducts:
-        assert model.super_reducts(x) == tuple(y for y in reducts if model.leq_fin(x, y))
+        assert model.between(x, model.full) == tuple(y for y in reducts if model.leq_fin(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from trspace import (
     EMPTY,
+    Block,
     BudgetExceededError,
     DomainError,
     ParameterError,
@@ -145,6 +146,8 @@ def test_instance_parameter_guards():
         build_ellentuck(0)
     with pytest.raises(ParameterError):
         build_fin(0)
+    with pytest.raises(ParameterError, match="span cap must be at least 1"):
+        build_fin(3, span_cap=0)
     with pytest.raises(ParameterError):
         build_tree(1, 3)
     with pytest.raises(ParameterError):
@@ -247,6 +250,15 @@ def test_fin_proper_combination_matches_a_set_reference(fin4, fin4cap2):
                 for w in blocks:
                     want = _proper_combination_reference(block, w, s)
                     assert model.proper_combination(block, w, s) == want, (s, block, w)
+
+
+def test_tree_proper_combination_stays_on_one_level(tree22):
+    _, level1, level2 = tree22.full.blocks
+    w = Block(source=level1.source, atoms=level1.atoms[:1])
+    assert tree22.proper_combination(level1, w, EMPTY)
+    assert not tree22.proper_combination(level1, level1, EMPTY)
+    # across two levels
+    assert not tree22.proper_combination(level2, w, EMPTY)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ _EXPORTS = {
     "fronts": (
         "GENERATORS", "Coloring", "Front", "color_front", "coloring_from_json",
         "coloring_to_json", "front_from_json", "front_to_json", "generated_coloring",
-        "hat", "is_front", "members_extending", "restrict_front", "subfront",
-        "uniform_front",
+        "hat", "is_front", "restrict_front", "subfront", "uniform_front",
     ),
     "mixing": (
         "MIXES", "SEPARATES", "UNDECIDED", "MixingEngine", "MixingTable", "Verdict",

@@ -4,10 +4,11 @@ An inner map assigns one selector per member position; evaluating it on
 a member keeps, projects or drops each block and the canonical claim is
 the biconditional f(s) = f(t) iff phi(s) = phi(t) on the front members
 of the witness reduct. The pipeline mirrors the mixing analysis: first
-shrink to a reduct deciding every interior pair, then uniformize one
-selector per position against the mixing kernel, verify, and grow the
-witness while verification holds. The brute-force oracle enumerates
-selector tuples over whole reducts and is used to cross-validate.
+shrink to a reduct deciding every pair of hat segments, the members
+included, then uniformize one selector per position against the mixing
+kernel, verify, and grow the witness while verification holds. The
+brute-force oracle enumerates selector tuples over whole reducts and is
+used to cross-validate.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ def canonize(
 ) -> CanonReport:
     """Find a witness reduct and an inner map canonical for the coloring.
 
-    Stage A fuses to a reduct deciding every interior pair, stage B
+    Stage A fuses to a reduct deciding every pair of hat segments, stage B
     uniformizes one selector per position against the mixing kernel,
     then the map is verified and the witness grown while verification
     holds. Failed attempts retry from the next smaller deciding start;

@@ -81,19 +81,21 @@ def is_front(
     """
     x = scope if scope is not None else model.full
     mem = tuple(sorted(set(members), key=approx_sort_key))
-    for s in mem:
-        for t in mem:
-            if s != t and s.is_prefix_of(t):
-                witness = {"reason": "not an antichain", "s": s, "t": t}
-                return _report("is_front", "fail", witness=witness)
+    # Each proper segment of a member, with the first member having it.
+    route: dict[Approx, Approx] = {}
+    for t in mem:
+        for seg in model.segments(t)[:-1]:
+            route.setdefault(seg, t)
+    s = next((s for s in mem if s in route), None)
+    if s is not None:
+        witness = {"reason": "not an antichain", "s": s, "t": route[s]}
+        return _report("is_front", "fail", witness=witness)
+    family = set(mem)
     longest = max(map(len, mem), default=0)
     boundary = []
     for y in model.basic(anchor, x):
-        segs = model.segments(y)
-        if any(len(s) < len(segs) and segs[len(s)] == s for s in mem):
-            continue
-        if any(y.is_prefix_of(s) for s in mem):
-            continue  # en route to a member, its extensions answer for it
+        if y in route or not family.isdisjoint(model.segments(y)):
+            continue  # en route to a member (its extensions answer for it), or meets one
         # basic is in id order, so its last reduct is a longest one.
         if len(model.basic(y, x)[-1]) >= longest:
             witness = {"reason": "reduct dodges the family", "y": y}
@@ -114,17 +116,12 @@ def hat(model: SpaceModel, front: Front) -> tuple[Approx, ...]:
     return tuple(sorted(seen, key=approx_sort_key))
 
 
-def members_extending(front: Front, s: Approx) -> tuple[Approx, ...]:
-    """F_s: the members with s as an initial segment."""
-    return tuple(m for m in front.members if s.is_prefix_of(m))
-
-
 def subfront(model: SpaceModel, front: Front, t: Approx) -> Front:
     """The members above an interior segment t, anchored at t."""
     _check_instance(model, front)
     if t in front.positions:
         raise DomainError("segment is already a member; the subfront is trivial")
-    mem = members_extending(front, t)
+    mem = tuple(m for m in front.members if t in model.segments(m))
     if not mem:
         raise DomainError("segment is not an initial segment of any member")
     return Front(mem, scope=front.scope, instance=front.instance, anchor=t)
@@ -277,7 +274,7 @@ def front_from_json(model: SpaceModel, payload: dict) -> Front:
     for m in front.members:
         if m not in below_scope:
             raise ParameterError(f"front member {m.key} is not inside the scope")
-        if not front.anchor.is_prefix_of(m):
+        if front.anchor not in model.segments(m):
             raise ParameterError(f"front anchor is not an initial segment of member {m.key}")
     verdict = is_front(model, front.members, scope=front.scope, anchor=front.anchor)
     if verdict["verdict"] != "pass":

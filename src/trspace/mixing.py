@@ -6,8 +6,9 @@ anywhere inside), mixes them (every admissible reduct below keeps an
 equally colored pair), or leaves the pair undecided. Admissible means both
 segments still have at least mu front extensions; pairs with an empty
 admissibility pool are sticky undecided, they have fallen out of the
-front's hat below this reduct. MixingEngine holds pools and equal pairs
-as bitsets over the model's reducts.
+front's hat below this reduct. MixingEngine holds per-segment rows as
+bitsets over the model's reducts and forms the pool and the equally
+colored reducts from them on each call.
 """
 
 from __future__ import annotations

@@ -164,9 +164,6 @@ class Approx:
             out.update(b.atoms)
         return frozenset(out)
 
-    def is_prefix_of(self, other: "Approx") -> bool:
-        return self.blocks == other.blocks[: len(self.blocks)]
-
     def extend(self, block: Block) -> "Approx":
         return Approx(self.blocks + (block,))
 
@@ -457,8 +454,7 @@ class SpaceModel(ABC):
         limit = DEFAULT_CONFIG.max_reducts if budget is None else budget
         reds = self._reducts
         if reds is None:
-            known = self._reduct_count()  # refuses before enumerating
-            if known is None or known <= limit:
+            if self._fits(self.params, limit):  # refuses before enumerating
                 reds = tuple(self._enumerate_reducts(limit))
         elif budget is None:
             return reds
@@ -468,11 +464,13 @@ class SpaceModel(ABC):
             self._reducts = reds
         return self._reducts
 
-    def _reduct_count(self) -> Optional[int]:
-        """The number of reducts in closed form, so that all_reducts can
-        refuse an instance over budget before enumerating it; None when
-        the space gives no closed form."""
-        return None
+    @classmethod
+    def _fits(cls, params: dict, limit: int) -> bool:
+        """Whether an instance with these parameters can have at most
+        limit reducts: False only where the space's closed form says it
+        has more. instance_from_json asks it before the build and
+        all_reducts before the enumeration."""
+        return True
 
     def _enumerate_reducts(self, budget: Optional[int] = None) -> list[Approx]:
         """Every nonempty reduct in documented order: the closure of EMPTY

@@ -44,9 +44,12 @@ class EllentuckModel(SpaceModel):
         floor = s.blocks[-1].atoms[0] if s.blocks else -1
         return (b for b in self.full.blocks if b.atoms[0] > floor)
 
-    def _reduct_count(self) -> int:
-        # a reduct is a nonempty subset of the N atoms
-        return 2 ** len(self.levels) - 1
+    @classmethod
+    def _fits(cls, params: dict, limit: int) -> bool:
+        # A reduct is a nonempty subset of the N atoms, so there are
+        # 2^N - 1 and they fit iff 2^N <= limit + 1, read off the bit
+        # length without the N-bit power.
+        return params["N"] < (limit + 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +287,13 @@ def closure(model: SpaceModel, x: Approx) -> tuple[Block, ...]:
 # ---------------------------------------------------------------------------
 # Instance serialization.
 
-# kind: (builder, required params, optional params), in builder order.
-# fin may give its levels in place of blocks.
+# kind: (model class, builder, required params, optional params), the
+# params in builder order. fin may give its levels in place of blocks.
 _INSTANCE_KEYS = {
-    "ellentuck": (build_ellentuck, ("N",), ()),
-    "fin": (build_fin, ("blocks",), ("span_cap",)),
-    "tree": (build_tree, ("b", "h"), ()),
+    "ellentuck": (EllentuckModel, build_ellentuck, ("N",), ()),
+    "fin": (FinModel, build_fin, ("blocks",), ("span_cap",)),
+    "tree": (TreeModel, build_tree, ("b", "h"), ()),
 }
-
-
-def _fits(kind: str, params: dict, limit: int) -> bool:
-    """Whether an instance given by its parameters alone can have at
-    most limit reducts: False only where a closed form says it has more.
-    An Ellentuck instance has 2^N - 1 reducts, so it fits iff
-    2^N <= limit + 1, read off the bit length without the N-bit power."""
-    return kind != "ellentuck" or params["N"] < (limit + 1).bit_length()
 
 
 def instance_from_json(payload: dict, max_reducts: Optional[int] = None) -> SpaceModel:
@@ -313,7 +308,7 @@ def instance_from_json(payload: dict, max_reducts: Optional[int] = None) -> Spac
     kind, params, levels = (payload.get(k) for k in ("instance", "params", "levels"))
     if not isinstance(kind, str) or kind not in _INSTANCE_KEYS:
         raise ParameterError(f"unknown instance kind {kind!r}")
-    builder, required, optional = _INSTANCE_KEYS[kind]
+    space, builder, required, optional = _INSTANCE_KEYS[kind]
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise ParameterError(f"{kind} params must be an object")
@@ -325,7 +320,7 @@ def instance_from_json(payload: dict, max_reducts: Optional[int] = None) -> Spac
     if kind == "fin" and levels is not None and "blocks" not in params:
         model = build_fin(levels=levels, span_cap=params.get("span_cap"))
     elif set(required) <= set(params):
-        if max_reducts is not None and levels is None and not _fits(kind, params, max_reducts):
+        if max_reducts is not None and levels is None and not space._fits(params, max_reducts):
             raise reduct_budget_error(kind, max_reducts)
         model = builder(*(params.get(k) for k in required + optional))
     else:

@@ -49,6 +49,21 @@ def test_the_admission_before_the_build_is_the_closed_form(limit):
                 instance_from_json(payload, limit)
 
 
+def test_an_instance_given_by_its_levels_is_refused_before_enumeration(monkeypatch):
+    # Given levels, the instance is built first, so that mismatched
+    # levels stay an input error; its closed form then refuses the first
+    # enumeration before a reduct is made.
+    def unenumerated(self, budget=None):
+        raise AssertionError("the reducts were enumerated")
+
+    payload = {"instance": "ellentuck", "params": {"N": 25}, "levels": [[a] for a in range(25)]}
+    model = instance_from_json(payload, 10)
+    monkeypatch.setattr(spaces.EllentuckModel, "_enumerate_reducts", unenumerated)
+    for _ in range(2):  # a refused call stores nothing, so it refuses again
+        with pytest.raises(BudgetExceededError, match="max_reducts budget of 10$"):
+            model.all_reducts(10)
+
+
 def test_admission_leaves_other_input_errors_first():
     # a bad atom count and mismatched levels are input errors as before
     code, _, err = _main(["verify-axioms", "ellentuck", "N=0", "--max-reducts", "10"])

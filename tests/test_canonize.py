@@ -34,6 +34,7 @@ from trspace import (
     pigeonhole_A4,
     property_p_check,
     restrict_front,
+    subfront,
     uniform_front,
     verify_canonical,
 )
@@ -304,6 +305,22 @@ def test_oracle_budget_guard(e6):
         oracle_canonize(e6, coloring, Config(max_kernels=10))
 
 
+def test_oracle_skips_reducts_carrying_no_member(e5):
+    # AU2 above ({0}): the members ({0},{k}). Colored (0, 0, 1, 1), no map
+    # verifies on the full scope, and the length-4 reducts without atom 0
+    # carry no member, so every hit is one size smaller.
+    front = subfront(e5, uniform_front(e5, 2), ea(0))
+    coloring = Coloring(front, (0, 0, 1, 1))
+    assert e5.below(front.members, ea(1, 2, 3, 4)) == ()
+    hits = oracle_canonize(e5, coloring)
+    assert len(hits) == 12
+    assert {len(x) for x, _ in hits} == {3}
+    report = canonize(e5, coloring, oracle=True)
+    assert len(report.witness) == 3
+    assert report.stats["witness_is_max_size"]
+    assert report.oracle_agreement["agrees"]
+
+
 @pytest.mark.parametrize("name", ["constant", "min", "injective"])
 def test_searches_stay_inside_the_fronts_scope(e5, name):
     # AU1 restricted to ({0},{1},{2}) is a front of that reduct alone:
@@ -454,6 +471,24 @@ def test_maximality_containment_across_distinct_maps(fin4):
     assert report["verdict"] == "pass"
     assert len(report["common"]) == 2
     assert report["witness"] is not None
+
+
+def test_maximality_undecided_without_a_containing_reduct(tree22):
+    # The injective coloring of tree AU2: (drop, full) and (full, full)
+    # both verify on the full tree, and no reduct below it that carries
+    # a member has the alternative's outputs inside the reference's.
+    # Reducts without members, such as the one-level subtrees, are
+    # passed over.
+    coloring = generated_coloring(uniform_front(tree22, 2), "injective")
+    report = maximality_check(
+        tree22, coloring, InnerMap(("drop", "full")), InnerMap(("full", "full"))
+    )
+    assert report["verdict"] == "undecided"
+    assert report["witness"] is None
+    assert report["common"] == tree22.full
+    assert any(
+        not tree22.below(coloring.front.members, z) for z in tree22.sub_reducts(tree22.full)
+    )
 
 
 def test_property_p_passes_on_generators(e6, fin4):

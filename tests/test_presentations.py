@@ -22,9 +22,13 @@ from trspace import (
     generated_coloring,
     lemma_suite,
     mixing_table,
+    oracle_canonize,
     property_p_check,
+    transitivity_check,
     uniform_front,
+    weak_mixing_detect,
 )
+from trspace.mixing import MIXES
 from trspace.model import kernel_ids
 
 # "identity" names the same generator as "injective".
@@ -52,8 +56,31 @@ def _colorings(front):
         yield generated_coloring(front, "random-kernel", seed=seed)
 
 
+def _weak_mixing_scan(model, coloring, table):
+    """weak_mixing_detect on each mixed pair of the table at unequal
+    depths, shallower segment first, as the weak-mixing command scans."""
+    found = []
+    for (i, j), verdict in sorted(table.verdicts.items()):
+        if verdict.kind != MIXES or table.depths[i] == table.depths[j]:
+            continue
+        s, t = table.rows[i], table.rows[j]
+        if table.depths[j] < table.depths[i]:
+            s, t = t, s
+        found.append(weak_mixing_detect(model, table.reduct, s, t, coloring, engine=table.engine))
+    return found
+
+
+def _oracle_kernels(model, coloring, hits):
+    """Per oracle witness, the kernels its maps induce on the members
+    below it: the hits up to the names of the selectors."""
+    return {
+        (x, kernel_ids(eval_inner(model, phi, m) for m in model.below(coloring.front.members, x)))
+        for x, phi in hits
+    }
+
+
 @pytest.mark.parametrize("n", range(4, 7))
-@pytest.mark.parametrize("rank", (1, 2))
+@pytest.mark.parametrize("rank", (1, 2, 3))
 def test_canonization_agrees(n, rank):
     ell, fin = _pair(n)
     ell_front, fin_front = uniform_front(ell, rank), uniform_front(fin, rank)
@@ -84,4 +111,13 @@ def test_canonization_agrees(n, rank):
         assert {ij: v.kind for ij, v in ell_table.verdicts.items()} == {
             ij: v.kind for ij, v in fin_table.verdicts.items()
         }, label
+        assert transitivity_check(ell_table) == transitivity_check(fin_table), label
+        assert _weak_mixing_scan(ell, ell_coloring, ell_table) == _weak_mixing_scan(
+            fin, fin_coloring, fin_table
+        ), label
+        ell_hits, fin_hits = oracle_canonize(ell, ell_coloring), oracle_canonize(fin, fin_coloring)
+        assert {x for x, _ in ell_hits} == {x for x, _ in fin_hits}, label
+        assert _oracle_kernels(ell, ell_coloring, ell_hits) == _oracle_kernels(
+            fin, fin_coloring, fin_hits
+        ), label
 

@@ -781,7 +781,8 @@ class ReferenceMixing:
         hit = self._live.get(key)
         if hit is None:
             colors = [
-                c for m, c in self.colored if a.is_prefix_of(m) and self.model.leq_fin(m, y)
+                c for m, c in self.colored
+                if m.blocks[:len(a)] == a.blocks and self.model.leq_fin(m, y)
             ]
             hit = self._live[key] = (len(colors), frozenset(colors))
         return hit

@@ -2,7 +2,7 @@
 the property-P probe, byte for byte.
 
 The A1-A3 reports of every defective model (the two that reach A.2
-clause 3 on Ellentuck N=3, the rest on N=4) and two property-P probes
+clause 3 on Ellentuck N=3, the rest on N=4) and the property-P probes
 are serialized with `canonical_json` and compared with the files in
 `tests/golden/reports/`. They pin the witnesses that the relation layer
 and the mixing engine name, which the CLI goldens never reach. When a
@@ -53,6 +53,12 @@ CASES = {
     "property-p-ellentuck-N-6-AU2-min": lambda: _property_p(build_ellentuck(6), 2, "min"),
     "property-p-fin-blocks-4-AU1-min": lambda: _property_p(build_fin(4), 1, "min"),
     "property-p-ellentuck-N-5-AU2-max": lambda: _property_p(build_ellentuck(5), 2, "max"),
+    # AU3 reaches two edges of the A.4* search: under min it asks about
+    # an extension outside the hat, so some pairs are skipped; under max
+    # an extension that mixes with none of its base's extensions at the
+    # deciding reduct is its own class.
+    "property-p-ellentuck-N-5-AU3-min": lambda: _property_p(build_ellentuck(5), 3, "min"),
+    "property-p-ellentuck-N-5-AU3-max": lambda: _property_p(build_ellentuck(5), 3, "max"),
 }
 
 

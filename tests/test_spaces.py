@@ -13,7 +13,10 @@ from trspace import (
     Block,
     BudgetExceededError,
     DomainError,
+    EllentuckModel,
+    FinModel,
     ParameterError,
+    TreeModel,
     build_ellentuck,
     build_fin,
     build_tree,
@@ -95,18 +98,19 @@ def test_ellentuck_reduct_count_matches_subset_formula():
 
 
 def test_closed_form_reduct_count_matches_enumeration():
-    # Ellentuck is admitted or refused by its count 2^N - 1 alone; the
-    # enumeration agrees with it, and a budget of exactly that admits it
+    # Ellentuck is admitted or refused by its closed form alone; it admits
+    # a budget of exactly the enumerated count and refuses one less
     for n in range(1, 10):
-        count = build_ellentuck(n)._reduct_count()
-        assert count == sum(1 for _ in build_ellentuck(n)._enumerate_reducts())
+        count = sum(1 for _ in build_ellentuck(n)._enumerate_reducts())
+        assert EllentuckModel._fits({"N": n}, count)
+        assert not EllentuckModel._fits({"N": n}, count - 1)
         assert len(build_ellentuck(n).all_reducts(count)) == count
         with pytest.raises(BudgetExceededError, match=f"max_reducts budget of {count - 1}$"):
             build_ellentuck(n).all_reducts(count - 1)
-    # the other spaces give no closed form and are held to the budget
-    # while they enumerate
-    assert build_fin(3)._reduct_count() is None
-    assert build_tree(2, 2)._reduct_count() is None
+    # the other spaces give no closed form, so they are admitted and held
+    # to the budget while they enumerate
+    assert FinModel._fits(build_fin(3).params, 1)
+    assert TreeModel._fits(build_tree(2, 2).params, 1)
 
 
 def test_fin_reducts_match_independent_enumeration():

@@ -7,9 +7,9 @@ containers in the documented order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import ParameterError
 from .model import Approx, Block, Config, SpaceModel, instance_to_json
@@ -45,6 +45,14 @@ def config_to_json(config: Config) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(Config)}
 
 
+def _str_keys(d: dict) -> dict:
+    """d keyed by str(key); a ValueError if two keys would become one."""
+    keyed = {str(k): v for k, v in d.items()}
+    if len(keyed) != len(d):
+        raise ValueError("two keys of one dict have the same str(), so one would be lost")
+    return keyed
+
+
 def to_jsonable(obj):
     """Recursively rewrite engine objects into JSON-safe structures, +inf
     as "inf"; any other type is a TypeError rather than text of unstable
@@ -56,7 +64,7 @@ def to_jsonable(obj):
     if isinstance(obj, float) and obj == math.inf:
         return "inf"
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {k: to_jsonable(v) for k, v in _str_keys(obj).items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
@@ -65,8 +73,46 @@ def to_jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    # -inf and NaN have no JSON form, so they raise ValueError.
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    and a newline, written in one pass with no copy. -inf and NaN have no
+    JSON form, so they raise ValueError."""
+    parts: list[str] = []
+    _write(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(obj, nl: str, out) -> None:
+    """Append obj's text to out; nl is the newline and indent of its line."""
+    if isinstance(obj, str):
+        out(_encode_str(obj))
+    elif obj is None or obj is True or obj is False:
+        out("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != math.inf and not math.isfinite(obj):
+            raise ValueError(f"{obj!r} has no JSON form")
+        out('"inf"' if obj == math.inf else float.__repr__(obj))
+    elif isinstance(obj, (Block, Approx)):
+        _write(to_jsonable(obj), nl, out)
+    elif isinstance(obj, dict):
+        keyed = _str_keys(obj)
+        inner, sep = nl + "  ", "{"
+        for key in sorted(keyed):
+            out(sep + inner + _encode_str(key) + ": ")
+            _write(keyed[key], inner, out)
+            sep = ","
+        out(nl + "}" if keyed else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = nl + "  ", "["
+        for value in obj:
+            out(sep + inner)
+            _write(value, inner, out)
+            sep = ","
+        out(nl + "]" if obj else "[]")
+    else:
+        raise TypeError(f"{type(obj).__name__} has no canonical JSON form")
 
 
 def report_envelope(model: SpaceModel, body: dict, config: Config) -> dict:

@@ -3,9 +3,12 @@ the Hypothesis strategies that draw small instances."""
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import strategies as st
 
 from trspace import Approx, Block, EllentuckModel, FinModel, TreeModel, build_ellentuck, build_fin, build_tree
+from trspace.reportio import to_jsonable
 
 
 def atom_block(a: int) -> Block:
@@ -31,6 +34,13 @@ def fa(*groups) -> Approx:
 def atoms_of(s: Approx) -> tuple[tuple[int, ...], ...]:
     """Readable shape of an approximation: the atom tuple per block."""
     return tuple(b.atoms for b in s.blocks)
+
+
+def reference_canonical_json(value) -> str:
+    """The canonical report text by its defining formula: the stock
+    encoder over the `to_jsonable` copy, which the one-pass writer in
+    `reportio.canonical_json` must match byte for byte."""
+    return json.dumps(to_jsonable(value), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def flip_bits(model, flips, a, up, line):

@@ -240,8 +240,9 @@ class SpaceModel(ABC):
     The full reduct has one block per ground level, and the reducts are
     what one-step extensions grow from EMPTY inside it; their initial
     segments are the approximations of the instance. Subclasses supply
-    the one-step extensions _extension_blocks, which only the
-    enumeration asks, the selectors table and the pairwise finitization
+    the one-step extensions _extension_blocks, which depend on a parent
+    only through its last block and which only the enumeration asks,
+    the selectors table and the pairwise finitization
     order _leq_fin, the reference the engine never calls. The engine
     reads the order as bitsets over the reduct ids, the reducts above
     and below an approximation (_reducts_above, _reducts_below), built
@@ -307,8 +308,10 @@ class SpaceModel(ABC):
     @abstractmethod
     def _extension_blocks(self, s: Approx) -> Iterable[Block]:
         """Blocks b with s.extend(b) a reduct, in any order; a lazy
-        iterable lets a budget stop the enumeration early. Asked only by
-        the enumeration, once per parent s, which is EMPTY or a reduct."""
+        iterable lets a budget stop the enumeration early. They depend on
+        s only through its last block (none for EMPTY). Asked only by
+        the enumeration, once per distinct last block of a parent s,
+        which is EMPTY or a reduct."""
 
     def _pieces(self, y: Approx):
         """The pieces of reduct y that _piece_masks indexes the reducts by."""
@@ -481,15 +484,23 @@ class SpaceModel(ABC):
         _starts records. key(s + b) is key(s) + (key(b),), so the children
         of ordered parents come out ordered, one length after another.
         With a budget the walk stops once it holds more than budget, and
-        draws no parent's lazy hook past budget + 1 reducts.
+        draws no parent's lazy hook past budget + 1 reducts. The hook is
+        asked once per last block (None for EMPTY): a later parent with
+        the same last block reuses the sorted run, and a run cut short
+        by the budget ends the walk, so it is never reused.
         """
         reds: list[Approx] = []
         starts = self._starts = [0]
+        runs: dict[Optional[Block], list[Block]] = {}
         parent, done = EMPTY, 0
         while True:
             room = None if budget is None else budget + 1 - len(reds)
-            blocks = itertools.islice(self._extension_blocks(parent), room)
-            reds += [parent.extend(b) for b in sorted(blocks, key=block_key)]
+            last = parent.blocks[-1] if parent.blocks else None
+            run = runs.get(last)
+            if run is None:
+                blocks = itertools.islice(self._extension_blocks(parent), room)
+                run = runs[last] = sorted(blocks, key=block_key)
+            reds += [parent.extend(b) for b in run[:room]]
             starts.append(len(reds))
             if done == len(reds) or (budget is not None and len(reds) > budget):
                 return reds

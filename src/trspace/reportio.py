@@ -45,11 +45,22 @@ def config_to_json(config: Config) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(Config)}
 
 
+_STR, _STR_OR_INT = frozenset((str,)), frozenset((str, int))
+
+
 def _str_keys(d: dict) -> dict:
-    """d keyed by str(key); a ValueError if two keys would become one."""
+    """d keyed by str(key), d itself when every key is a str. A ValueError
+    if two keys would become one, and then a TypeError for a key that is
+    not a str or an int (a bool is neither), as its str() is no stable
+    name."""
+    if _STR.issuperset(map(type, d)):
+        return d
     keyed = {str(k): v for k, v in d.items()}
     if len(keyed) != len(d):
         raise ValueError("two keys of one dict have the same str(), so one would be lost")
+    for k in d:
+        if type(k) not in _STR_OR_INT:
+            raise TypeError(f"a {type(k).__name__} key has no canonical JSON form")
     return keyed
 
 

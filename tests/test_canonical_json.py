@@ -102,3 +102,18 @@ def test_the_only_golden_that_is_no_json_is_an_empty_stdout():
 def test_every_golden_is_its_own_canonical_form(path):
     text = path.read_text()
     assert canonical_json(json.loads(text)) == text
+
+
+# One key that is neither a str nor an int, alone in its dict, nested at
+# any depth among writable siblings: its str() is no stable name.
+BAD_KEY = st.sampled_from([None, True, 2.5, (1, 2), frozenset({3, 1}), object()])
+NESTED_BAD_KEY = st.recursive(
+    st.tuples(BAD_KEY, VALUES).map(lambda t: {t[0]: t[1]}), wrap_once, max_leaves=8
+)
+
+
+@given(NESTED_BAD_KEY)
+def test_a_key_that_is_no_str_or_int_is_refused(value):
+    for write in (to_jsonable, canonical_json):
+        with pytest.raises(TypeError, match="key has no canonical JSON form"):
+            write(value)

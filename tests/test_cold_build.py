@@ -1,5 +1,6 @@
 """A cold instance is built in documented order: the walk that
-enumerates the reducts emits them sorted, prefix_mask reads runs of ids
+enumerates the reducts emits them sorted and asks the extension hook
+once per last block, prefix_mask reads runs of ids
 instead of calling restrict, longest_first reads the witness order off
 the id order, and FIN builds each union of pieces once. Each fast path
 is compared here with the slow form it replaced."""
@@ -9,7 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trspace import EMPTY, Approx, build_ellentuck, build_fin
+from trspace import EMPTY, Approx, build_ellentuck, build_fin, build_tree
 from trspace.model import approx_sort_key, longest_first, witness_sort_key
 from trspace.spaces import EllentuckModel
 
@@ -61,6 +62,47 @@ def test_cold_build_matches_reference_on_fin_partitions(model):
 @given(model=tree_instances())
 def test_cold_build_matches_reference_on_drawn_trees(model):
     assert_cold_build_matches_reference(model)
+
+
+def assert_extensions_depend_only_on_the_last_block(model):
+    runs: dict = {}
+    for s in (EMPTY, *model.all_reducts()):
+        blocks = set(model._extension_blocks(s))
+        last = s.blocks[-1] if s.blocks else None
+        assert runs.setdefault(last, blocks) == blocks, s
+
+
+@pytest.mark.parametrize("name", sorted(LINE_INSTANCES))
+def test_extensions_depend_only_on_the_last_block(name):
+    assert_extensions_depend_only_on_the_last_block(LINE_INSTANCES[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=fin_instances())
+def test_extensions_depend_only_on_the_last_block_on_fin_partitions(model):
+    assert_extensions_depend_only_on_the_last_block(model)
+
+
+@settings(max_examples=10, deadline=None)
+@given(model=tree_instances())
+def test_extensions_depend_only_on_the_last_block_on_drawn_trees(model):
+    assert_extensions_depend_only_on_the_last_block(model)
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: build_ellentuck(7), 8),
+    (lambda: build_fin(5), 32),
+    (lambda: build_fin(5, span_cap=2), 16),
+    # every tree reduct ends in a block of its own
+    (lambda: build_tree(2, 3), 75),
+], ids=["e7", "fin5", "fin5cap2", "tree23"])
+def test_a_cold_build_asks_the_hook_once_per_last_block(build, calls):
+    model, asked = build(), []
+    hook = model._extension_blocks
+    model._extension_blocks = lambda s: asked.append(s) or hook(s)
+    reducts = model.all_reducts()
+    lasts = {s.blocks[-1] for s in reducts}
+    assert len(asked) == calls == len(lasts) + 1
 
 
 def assert_longest_first_is_witness_order(model, data):

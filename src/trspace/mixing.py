@@ -8,7 +8,8 @@ segments still have at least mu front extensions; pairs with an empty
 admissibility pool are sticky undecided, they have fallen out of the
 front's hat below this reduct. MixingEngine holds per-segment rows as
 bitsets over the model's reducts and forms the pool and the equally
-colored reducts from them on each call.
+colored reducts from them on each call; stage A's fusion scans its pair
+agenda on the same rows without a call per pair.
 """
 
 from __future__ import annotations
@@ -156,12 +157,41 @@ class MixingEngine:
         """Stage A: fuse the front's scope down to a reduct that decides
         every pair of hat segments, or sees the pair leave the hat below
         it. Raises FusionExhaustedError as fuse does."""
+        return fuse(self.model, _PairScan(self), start=self.front.scope, config=self.config)
 
-        def check(s: Approx, t: Approx, y: Approx) -> bool:
-            return self.decide(y, s, t) is not _SPLIT
 
-        oracle = PropertyOracle(check=check, pair=True, domain=self.in_hat)
-        return fuse(self.model, oracle, start=self.front.scope, config=self.config)
+class _PairScan(PropertyOracle):
+    """Stage A's oracle. Its agenda entries are the pairs (a, b) of hat
+    segments of the pool, b from a onward, and an entry fails on y when
+    decide(y, a, b) is _SPLIT. first_failure reads that verdict off the
+    rows directly: a's row is cut to y once, and its colors with no
+    reduct left below y are dropped before the walk over b."""
+
+    def __init__(self, engine: MixingEngine):
+        super().__init__(
+            check=lambda s, t, y: engine.decide(y, s, t) is not _SPLIT,
+            domain=engine.in_hat,
+        )
+        self.engine = engine
+
+    def first_failure(self, pool: list[Approx], y: Approx) -> Optional[tuple[Approx, Approx]]:
+        engine = self.engine
+        rows, row = engine._rows, engine._row
+        seg_rows = [rows.get(z) or row(z) for z in pool]
+        below = engine.model.sub_mask(y)
+        for i, (admissible_a, by_color_a) in enumerate(seg_rows):
+            xa = below & admissible_a
+            if not xa:
+                continue
+            live = [(c, xa & m) for c, m in enumerate(by_color_a) if xa & m]
+            for b, (admissible_b, by_color_b) in zip(pool[i:], seg_rows[i:]):
+                equal = 0
+                for c, m in live:
+                    equal |= m & by_color_b[c]
+                equal &= admissible_b
+                if equal and equal != xa & admissible_b:
+                    return pool[i], b
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -878,26 +878,30 @@ def pigeonhole_A4(
 class PropertyOracle:
     """A hereditary property handed to fuse.
 
-    check(args..., y) decides the property against reduct y; for the
-    single form args is one approximation, for the pair form two. domain
-    restricts which approximations are fused over (default: all).
+    check(*entry, y) decides an agenda entry against reduct y; the
+    default entries are single approximations. domain restricts which
+    approximations are fused over (default: all). first_failure is
+    fuse's scan of a stage's pool; a subclass may replace it with a
+    tighter scan over entries of its own, as long as holds(entry, y)
+    decides each entry it reports.
     """
 
     check: Callable[..., bool]
-    pair: bool = False
     domain: Optional[Callable[[Approx], bool]] = None
 
     def holds(self, args: tuple[Approx, ...], y: Approx) -> bool:
         return bool(self.check(*args, y))
 
+    def first_failure(self, pool: list[Approx], y: Approx) -> Optional[tuple[Approx, ...]]:
+        """The first agenda entry over pool that fails on y, or None."""
+        return next(((z,) for z in pool if not self.holds((z,), y)), None)
 
-def _fusion_agenda(model: SpaceModel, oracle: PropertyOracle, bound: Approx):
+
+def _fusion_agenda(model: SpaceModel, oracle: PropertyOracle, bound: Approx) -> list[Approx]:
     pool = [EMPTY, *model.sub_reducts(bound)]
     if oracle.domain is not None:
         pool = [z for z in pool if oracle.domain(z)]
-    if oracle.pair:
-        return [(a, b) for i, a in enumerate(pool) for b in pool[i:]]
-    return [(z,) for z in pool]
+    return pool
 
 
 def fuse(
@@ -907,7 +911,7 @@ def fuse(
     config: Config = DEFAULT_CONFIG,
 ) -> Approx:
     """Diagonal fusion: shrink a reduct until the property holds for all
-    approximations below it (pairs of them in the pair form).
+    agenda entries over the approximations below it.
 
     Stage n freezes the first n+1 blocks of the current reduct and
     settles the property for everything reducible to that segment,
@@ -926,9 +930,7 @@ def fuse(
         frozen = model.restrict(x, min(stage + 1, len(x)))
         agenda = _fusion_agenda(model, oracle, frozen)
         for _ in range(model.sub_mask(x).bit_count() + 1):
-            bad = next(
-                (args for args in agenda if not oracle.holds(args, x)), None
-            )
+            bad = oracle.first_failure(agenda, x)
             if bad is None:
                 break
             for y in longest_first(model.basic(frozen, x)):

@@ -7,7 +7,20 @@ import json
 
 from hypothesis import strategies as st
 
-from trspace import Approx, Block, EllentuckModel, FinModel, TreeModel, build_ellentuck, build_fin, build_tree
+from trspace import (
+    EMPTY,
+    Approx,
+    Block,
+    EllentuckModel,
+    FinModel,
+    FusionExhaustedError,
+    TreeModel,
+    build_ellentuck,
+    build_fin,
+    build_tree,
+)
+from trspace.mixing import _SPLIT
+from trspace.model import longest_first
 from trspace.reportio import to_jsonable
 
 
@@ -51,6 +64,40 @@ def flip_bits(model, flips, a, up, line):
         if (s if up else t) == a:
             line ^= 1 << model._bit(t if up else s)
     return line
+
+
+def reference_deciding_reduct(engine):
+    """Stage A in its pair form: fuse's loop with the stage agenda built
+    as the list of pairs (a, b) of hat segments, b from a onward, and
+    each pair asked of engine.decide. The per-segment scan of
+    MixingEngine.deciding_reduct must return the same reduct, or raise
+    the same FusionExhaustedError."""
+    model, config = engine.model, engine.config
+    model.all_reducts(config.max_reducts)
+
+    def holds(pair, y):
+        return engine.decide(y, *pair) is not _SPLIT
+
+    x, stage = engine.front.scope, 0
+    while True:
+        frozen = model.restrict(x, min(stage + 1, len(x)))
+        pool = [z for z in (EMPTY, *model.sub_reducts(frozen)) if engine.in_hat(z)]
+        agenda = [(a, b) for i, a in enumerate(pool) for b in pool[i:]]
+        for _ in range(model.sub_mask(x).bit_count() + 1):
+            bad = next((pair for pair in agenda if not holds(pair, x)), None)
+            if bad is None:
+                break
+            for y in longest_first(model.basic(frozen, x)):
+                if y != x and holds(bad, y):
+                    x = y
+                    break
+            else:
+                break
+        if bad is not None:
+            raise FusionExhaustedError(stage, partial=x)
+        stage += 1
+        if stage >= len(x) or (config.depth_budget is not None and stage > config.depth_budget):
+            return x
 
 
 def refuse_pairwise_hook(monkeypatch):

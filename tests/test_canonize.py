@@ -321,6 +321,27 @@ def test_oracle_skips_reducts_carrying_no_member(e5):
     assert report.oracle_agreement["agrees"]
 
 
+def test_a_witness_one_block_short_is_not_max_size():
+    # AU1 colored (0, 1, 1, 1): the witness keeps two blocks, one short
+    # of the oracle's largest, and the flag says so.
+    e4 = build_ellentuck(4)
+    report = canonize(e4, Coloring(uniform_front(e4, 1), (0, 1, 1, 1)), oracle=True)
+    assert len(report.witness) == report.stats["witness_size"] == 2
+    assert report.oracle_agreement["oracle_max_size"] == 3
+    assert report.stats["witness_is_max_size"] is False
+
+
+def test_grow_enlarges_the_witness_past_the_deciding_reduct(e5):
+    # max on AU3: stage A stops at four blocks, and _grow takes the
+    # witness back up to the full reduct, where the map still verifies.
+    coloring = color_front(uniform_front(e5, 3), GENERATORS["max"], name="max")
+    report = canonize(e5, coloring, oracle=True)
+    assert report.stats["deciding_reduct_size"] == 4
+    assert report.witness == e5.full
+    assert report.stats["witness_size"] == len(e5.full) == 5
+    assert report.stats["witness_is_max_size"] is True
+
+
 @pytest.mark.parametrize("name", ["constant", "min", "injective"])
 def test_searches_stay_inside_the_fronts_scope(e5, name):
     # AU1 restricted to ({0},{1},{2}) is a front of that reduct alone:

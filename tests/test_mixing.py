@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trspace import (
     Approx,
@@ -15,6 +17,7 @@ from trspace import (
     DEFAULT_CONFIG,
     DomainError,
     Front,
+    FusionExhaustedError,
     GENERATORS,
     InnerMap,
     MIXES,
@@ -22,6 +25,7 @@ from trspace import (
     SEPARATES,
     SpaceModel,
     UNDECIDED,
+    build_ellentuck,
     build_fin,
     build_tree,
     canonize,
@@ -35,7 +39,18 @@ from trspace import (
     weak_mixing_detect,
 )
 from trspace.model import _bits
-from helpers import ea, fa, atoms_of
+from helpers import (
+    atoms_of,
+    ea,
+    ellentuck_instances,
+    fa,
+    fin_instances,
+    flip_bits,
+    reference_deciding_reduct,
+    tree_instances,
+)
+
+mixing_module = importlib.import_module("trspace.mixing")
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +183,72 @@ def test_table_json_shape(e6):
     assert set(payload) >= {"reduct", "rows", "depths", "entries", "undecided"}
     assert payload["undecided"] == 0
     assert all({"i", "j", "verdict", "reason"} <= set(e) for e in payload["entries"])
+
+
+# ---------------------------------------------------------------------------
+# Stage A's pair scan against the pair form.
+
+def _stage_a(deciding_reduct, engine):
+    """The deciding reduct, or the stage and partial reduct of the
+    FusionExhaustedError."""
+    try:
+        return deciding_reduct(engine)
+    except FusionExhaustedError as err:
+        return ("exhausted", err.stage, err.partial)
+
+
+@st.composite
+def stage_a_inputs(draw):
+    model = draw(st.one_of(ellentuck_instances(), fin_instances(), tree_instances()))
+    rank = draw(st.integers(1, min(3, max(len(y) for y in model.all_reducts()))))
+    name = draw(st.sampled_from((*sorted(GENERATORS), "random-kernel")))
+    seed = draw(st.integers(0, 2**16)) if name == "random-kernel" else None
+    config = Config(mu=draw(st.integers(1, 2)), depth_budget=draw(st.sampled_from((None, 1, 2))))
+    return model, generated_coloring(uniform_front(model, rank), name, seed=seed), config
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=stage_a_inputs())
+def test_stage_a_scan_matches_the_pair_form(inputs):
+    assert (_stage_a(MixingEngine.deciding_reduct, MixingEngine(*inputs))
+            == _stage_a(reference_deciding_reduct, MixingEngine(*inputs)))
+
+
+def test_stage_a_exhaustion_matches_the_pair_form():
+    # Two flipped bits of the Ellentuck N=4 relation leave a pair that no
+    # one-block shrink of the full reduct decides at stage 2.
+    model = build_ellentuck(4)
+    flips = frozenset({(ea(0), ea(0, 1)), (ea(1, 3), ea(0, 1))})
+    line = model._line
+    model._line = lambda a, up: flip_bits(model, flips, a, up, line(a, up))
+    coloring = color_front(uniform_front(model, 2), GENERATORS["max"], name="max")
+    outcome = _stage_a(MixingEngine.deciding_reduct, MixingEngine(model, coloring))
+    assert outcome == ("exhausted", 2, model.full)
+    assert _stage_a(reference_deciding_reduct, MixingEngine(model, coloring)) == outcome
+
+
+@pytest.mark.parametrize("fixture", ["e6", "fin4", "tree23"])
+def test_stage_a_scans_without_a_decide_call_per_pair(fixture, request, monkeypatch):
+    # The pair form asks decide 474, 434 and 1,084 times on these.
+    model = request.getfixturevalue(fixture)
+    coloring = color_front(uniform_front(model, 2), GENERATORS["min"], name="min")
+    expected = reference_deciding_reduct(MixingEngine(model, coloring))
+    decided, fused = [], []
+    decide, fuse = MixingEngine.decide, mixing_module.fuse
+
+    def counting_decide(self, *args):
+        decided.append(args)
+        return decide(self, *args)
+
+    def counting_fuse(*args, **kwargs):
+        fused.append(args)
+        return fuse(*args, **kwargs)
+
+    monkeypatch.setattr(MixingEngine, "decide", counting_decide)
+    monkeypatch.setattr(mixing_module, "fuse", counting_fuse)
+    assert MixingEngine(model, coloring).deciding_reduct() is expected
+    assert decided == []
+    assert len(fused) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ _EXPORTS = {
         "build_tree", "closure", "instance_from_json",
     ),
     "fronts": (
-        "GENERATORS", "Coloring", "Front", "color_front", "coloring_from_json",
-        "coloring_to_json", "front_from_json", "front_to_json", "generated_coloring",
-        "hat", "is_front", "restrict_front", "subfront", "uniform_front",
+        "GENERATORS", "Coloring", "Front", "FrontTable", "color_front", "coloring_from_json",
+        "coloring_to_json", "front_from_json", "front_table", "front_to_json",
+        "generated_coloring", "hat", "is_front", "restrict_front", "subfront", "uniform_front",
     ),
     "mixing": (
         "MIXES", "SEPARATES", "UNDECIDED", "MixingEngine", "MixingTable", "Verdict",

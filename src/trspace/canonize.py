@@ -23,7 +23,7 @@ from .errors import (
     FusionExhaustedError,
     NoInnerWitnessError,
 )
-from .fronts import Coloring
+from .fronts import Coloring, front_table
 from .mixing import SEPARATES, UNDECIDED, MixingEngine
 from .model import (
     Approx,
@@ -31,6 +31,7 @@ from .model import (
     DEFAULT_CONFIG,
     PropertyOracle,
     SpaceModel,
+    _bits,
     _report,
     a4star_search,
     first_mismatch,
@@ -79,11 +80,12 @@ def verify_canonical(
 ) -> tuple[bool, Optional[tuple[Approx, Approx]]]:
     """Check f(s) = f(t) iff phi(s) = phi(t) over the front members
     realizable in x; returns the first violating pair in member order."""
-    members = model.below(coloring.front.members, x)
+    below = list(_bits(front_table(model, coloring.front).members_below(x)))
+    members = [coloring.front.members[i] for i in below]
     values = [eval_inner(model, phi, m) for m in members]
     # Only a disagreement of the kernels needs the pair scan, to name the
     # first violator.
-    if kernel_ids(map(coloring, members)) == kernel_ids(values):
+    if kernel_ids(coloring.colors[i] for i in below) == kernel_ids(values):
         return True, None
     pair = first_mismatch(members, lambda p, q: coloring(p) == coloring(q), values)
     return pair is None, pair
@@ -105,7 +107,8 @@ def oracle_canonize(
     exactly when the ids of phi's selectors agree at every position. A
     selector serves a position below x only if it gives each color one
     id there, and x verifies phi exactly when the id tuples are as many
-    as the colors."""
+    as the colors. The ids and the members below each reduct are read
+    off the front's table, shared by every coloring of the front."""
     family = model.selector_names()
     arity = coloring.front.arity()
     model.all_reducts(config.max_reducts)
@@ -115,9 +118,8 @@ def oracle_canonize(
         raise BudgetExceededError(
             f"oracle would enumerate {total} candidates, budget is {config.max_kernels}"
         )
-    front = coloring.front.members
-    positions = coloring.front.positions
-    ids = [[(name, _class_ids(model, name, pos, front)) for name in family] for pos in range(arity)]
+    table = front_table(model, coloring.front)
+    ids = [[(name, table.class_ids(pos, name)) for name in family] for pos in range(arity)]
 
     # The reducts arrive longest first, so the hits of the largest size
     # come in key order; each reduct's maps are sorted as found.
@@ -126,7 +128,7 @@ def oracle_canonize(
     for x in longest_first(reducts):
         if len(x) < best:
             break
-        below = [positions[m] for m in model.below(front, x)]
+        below = list(_bits(table.members_below(x)))
         if not below:
             continue
         colors = [coloring.colors[i] for i in below]
@@ -148,14 +150,6 @@ def oracle_canonize(
     return tuple(hits)
 
 
-def _class_ids(model: SpaceModel, name: str, pos: int, members) -> tuple[int, ...]:
-    """Per member, the id of the selector's value on its block at pos, or
-    of () when the member is shorter; equal values share an id."""
-    return kernel_ids(
-        model.apply_selector(name, m.blocks[pos]) if pos < len(m) else () for m in members
-    )
-
-
 def oracle_agreement(
     model: SpaceModel,
     coloring: Coloring,
@@ -170,10 +164,11 @@ def oracle_agreement(
     agree = False
     common_best = 0
     if ok:
-        mine = model.below(coloring.front.members, witness)
-        ours = {m: eval_inner(model, phi, m) for m in mine}
+        table = front_table(model, coloring.front)
+        mine = table.members_below(witness)
+        ours = {m: eval_inner(model, phi, m) for m in table.members_in(mine)}
         for x_o, phi_o in oracle_hits:
-            common = model.below(mine, x_o)
+            common = table.members_in(mine & table.members_below(x_o))
             theirs = [eval_inner(model, phi_o, m) for m in common]
             if kernel_ids(ours[m] for m in common) == kernel_ids(theirs):
                 agree = True
@@ -286,7 +281,8 @@ def _fallback(model: SpaceModel, coloring: Coloring) -> Optional[tuple[Approx, I
     carries that member alone, where the all-drop map verifies."""
     arity = coloring.front.arity()
     phi = InnerMap(("drop",) * arity)
-    for x in model.below(coloring.front.members, model.full):
+    table = front_table(model, coloring.front)
+    for x in table.members_in(table.members_below(model.full)):
         ok, _ = verify_canonical(model, x, phi, coloring)
         if ok:
             return x, phi
@@ -327,7 +323,7 @@ def canonize(
 
     starts = itertools.chain((z0,), (
         y for y in longest_first(model.sub_reducts(z0))
-        if y != z0 and model.below(coloring.front.members, y)
+        if y != z0 and engine.real_bits(y)
     ))
     witness = phi = None
     for attempt, start in enumerate(itertools.islice(starts, config.retries + 1)):
@@ -356,7 +352,7 @@ def canonize(
 
     witness = _grow(model, coloring, witness, phi)
     stats["witness_size"] = len(witness)
-    stats["members_on_witness"] = len(model.below(coloring.front.members, witness))
+    stats["members_on_witness"] = engine.real_bits(witness).bit_count()
     agreement = None
     if oracle:
         hits = oracle_canonize(model, coloring, config)
@@ -395,7 +391,7 @@ def lemma_suite(
     mixed with one segment share a selector value.
     """
     engine = MixingEngine(model, coloring, config)
-    members = model.below(coloring.front.members, witness)
+    members = engine.table.members_in(engine.real_bits(witness))
     hat_w = engine.hat_below(witness)
     interior = engine.interior_below(witness)
     values: dict[Approx, tuple] = {a: eval_inner(model, phi, a) for a in hat_w}
@@ -471,9 +467,10 @@ def maximality_check(
     a single member holds for every map, so admitting it would let any
     alternative through the precondition."""
     model.all_reducts(config.max_reducts)
+    table = front_table(model, coloring.front)
     common = None
     for y in longest_first(model.sub_reducts(coloring.front.scope)):
-        if len(model.below(coloring.front.members, y)) < 2:
+        if table.members_below(y).bit_count() < 2:
             continue
         ok1, _ = verify_canonical(model, y, phi, coloring)
         ok2, _ = verify_canonical(model, y, phi_alt, coloring)
@@ -485,7 +482,7 @@ def maximality_check(
             "the maps have no common verifying reduct; rejected as input"
         )
     for z in longest_first(model.sub_reducts(common)):
-        members = model.below(coloring.front.members, z)
+        members = table.members_in(table.members_below(z))
         if not members:
             continue
         contained = all(

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .errors import DomainError, InstanceMismatchError, ParameterError
-from .model import Approx, EMPTY, SpaceModel, _report, approx_sort_key, derive_seed, kernel_ids
+from .model import (
+    Approx, EMPTY, SpaceModel, _bits, _report, approx_sort_key, derive_seed, kernel_ids,
+)
 from .reportio import approx_from_json, approx_to_json, is_int_list
 
 
@@ -107,13 +109,69 @@ def is_front(
     )
 
 
+class FrontTable:
+    """What a front fixes on its model, whatever the coloring. Member i
+    is bit i of a member mask.
+
+    hat: every initial segment of a member, the members included, in
+    approx_sort_key order. extending: per hat segment, in hat order, the
+    mask of the members extending it. Filled on first use: per
+    approximation y, the mask of the members <= y (members_below), and
+    per (position, selector) the members' class ids (class_ids).
+    """
+
+    def __init__(self, model: SpaceModel, front: Front):
+        self.model = model
+        self.front = front
+        extending: dict[Approx, int] = {}
+        for i, m in enumerate(front.members):
+            for a in model.segments(m):
+                extending[a] = extending.get(a, 0) | 1 << i
+        self.hat = tuple(sorted(extending, key=approx_sort_key))
+        self.extending = {a: extending[a] for a in self.hat}
+        self._below: dict[Approx, int] = {}
+        self._ids: dict[tuple[int, str], tuple[int, ...]] = {}
+
+    def members_below(self, y: Approx) -> int:
+        """The mask of the members <= y."""
+        mask = self._below.get(y)
+        if mask is None:
+            positions = self.front.positions
+            below = self.model.below(self.front.members, y)
+            mask = self._below[y] = sum(1 << positions[m] for m in below)
+        return mask
+
+    def members_in(self, mask: int) -> tuple[Approx, ...]:
+        """The members whose bits are set, in member order."""
+        return tuple(self.front.members[i] for i in _bits(mask))
+
+    def class_ids(self, pos: int, name: str) -> tuple[int, ...]:
+        """Per member, the id of the selector's value on its block at pos,
+        or of () when the member is shorter; equal values share an id."""
+        ids = self._ids.get((pos, name))
+        if ids is None:
+            select = self.model.apply_selector
+            ids = self._ids[(pos, name)] = kernel_ids(
+                select(name, m.blocks[pos]) if pos < len(m) else () for m in self.front.members
+            )
+        return ids
+
+
+def front_table(model: SpaceModel, front: Front) -> FrontTable:
+    """The front's table on model, built on first use and kept in the
+    model's store. InstanceMismatchError for a front of another instance,
+    on every call."""
+    _check_instance(model, front)
+    tables = model.front_tables()
+    table = tables.get(front)
+    if table is None:
+        table = tables[front] = FrontTable(model, front)
+    return table
+
+
 def hat(model: SpaceModel, front: Front) -> tuple[Approx, ...]:
     """All initial segments of members, the members included."""
-    _check_instance(model, front)
-    seen: set[Approx] = set()
-    for m in front.members:
-        seen.update(model.segments(m))
-    return tuple(sorted(seen, key=approx_sort_key))
+    return front_table(model, front).hat
 
 
 def subfront(model: SpaceModel, front: Front, t: Approx) -> Front:

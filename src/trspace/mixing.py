@@ -21,7 +21,7 @@ from operator import and_, or_
 from typing import Optional
 
 from .errors import DomainError
-from .fronts import Coloring, hat
+from .fronts import Coloring, front_table
 from .model import (
     Approx,
     Config,
@@ -59,7 +59,8 @@ class MixingEngine:
     A segment's rows are one pair (admissible row, per-color rows), the
     tuple indexed by the kernel-normalized color. Realizability is
     up-closed under leq_fin, so a nonempty pool below x contains x, and
-    decide is three mask tests on it."""
+    decide is three mask tests on it. The member masks come from the
+    front's table, shared by every coloring of the front."""
 
     def __init__(self, model: SpaceModel, coloring: Coloring, config: Config = DEFAULT_CONFIG):
         model.all_reducts(config.max_reducts)
@@ -68,32 +69,24 @@ class MixingEngine:
         self.front = coloring.front
         self.config = config
         self.members = self.front.members
-        self._ext_bits = dict.fromkeys(hat(model, self.front), 0)
-        if len(model.below(self.members, self.front.scope)) < len(self.members):
+        self.table = front_table(model, self.front)
+        if self.table.members_below(self.front.scope) != (1 << len(self.members)) - 1:
             raise DomainError("a front member is no approximation inside the front's scope")
-        for i, m in enumerate(self.members):
-            for a in model.segments(m):
-                self._ext_bits[a] |= 1 << i
-        self._real_bits: dict[Approx, int] = {}
         self._rows: dict[Approx, tuple[int, tuple[int, ...]]] = {}
 
     # -- masks -------------------------------------------------------------
 
     def real_bits(self, y: Approx) -> int:
-        bits = self._real_bits.get(y)
-        if bits is None:
-            bits = sum(1 << self.front.positions[m] for m in self.model.below(self.members, y))
-            self._real_bits[y] = bits
-        return bits
+        return self.table.members_below(y)
 
     def live_bits(self, y: Approx, a: Approx) -> int:
-        return self._ext_bits[a] & self.real_bits(y)
+        return self.table.extending[a] & self.real_bits(y)
 
     def _row(self, a: Approx) -> tuple[int, tuple[int, ...]]:
         """The rows of hat segment a, from the up masks of its members."""
         row = self._rows.get(a)
         if row is None:
-            ext = self._ext_bits.get(a)
+            ext = self.table.extending.get(a)
             if ext is None:
                 raise DomainError("mixing is defined on initial segments of members")
             # Bit-sliced counters: slice k holds the reducts realizing
@@ -116,12 +109,12 @@ class MixingEngine:
         return self.model.sub_mask(x) & self._row(s)[0] & self._row(t)[0]
 
     def in_hat(self, a: Approx) -> bool:
-        return a in self._ext_bits
+        return a in self.table.extending
 
     def hat_below(self, x: Approx) -> tuple[Approx, ...]:
         """Initial segments of members realizable inside x."""
         live = self.real_bits(x)
-        return tuple(a for a, ext in self._ext_bits.items() if ext & live)
+        return tuple(a for a, ext in self.table.extending.items() if ext & live)
 
     def interior_below(self, x: Approx) -> tuple[Approx, ...]:
         """hat_below(x) without the members: the interior segments."""
@@ -165,7 +158,9 @@ class _PairScan(PropertyOracle):
     segments of the pool, b from a onward, and an entry fails on y when
     decide(y, a, b) is _SPLIT. first_failure reads that verdict off the
     rows directly: a's row is cut to y once, and its colors with no
-    reduct left below y are dropped before the walk over b."""
+    reduct left below y are dropped before the walk over b. The walk
+    starts past a: (a, a) is never split, since for mu >= 1 a's
+    admissible row lies inside the OR of its color rows."""
 
     def __init__(self, engine: MixingEngine):
         super().__init__(
@@ -184,7 +179,7 @@ class _PairScan(PropertyOracle):
             if not xa:
                 continue
             live = [(c, xa & m) for c, m in enumerate(by_color_a) if xa & m]
-            for b, (admissible_b, by_color_b) in zip(pool[i:], seg_rows[i:]):
+            for b, (admissible_b, by_color_b) in zip(pool[i + 1:], seg_rows[i + 1:]):
                 equal = 0
                 for c, m in live:
                     equal |= m & by_color_b[c]

@@ -254,8 +254,9 @@ class SpaceModel(ABC):
     Every store is per instance and filled on first use: the reducts in
     documented order with their ids and child runs, the approximations,
     the piece masks, the rows and columns, the answers of prefix_mask
-    (and, for a model that overrides restrict, its per-length tables)
-    and the segments of each reduct.
+    (and, for a model that overrides restrict, its per-length tables),
+    the segments of each reduct, the instance tag, and per front the
+    table that fronts.front_table builds (front_tables).
     """
 
     kind: str = "abstract"
@@ -291,6 +292,8 @@ class SpaceModel(ABC):
         self._prefix_masks: dict[Approx, int] = {}
         self._restrict_tables: dict[int, dict[Approx, int]] = {}
         self._segments: dict[Approx, tuple[Approx, ...]] = {}
+        self._tag: Optional[str] = None
+        self._front_tables: dict = {}
         # The maximal reduct (the truncated space itself).
         self.full = Approx(tuple(
             Block(source=(i + 1, i + 2), atoms=l) for i, l in enumerate(lv)
@@ -428,10 +431,12 @@ class SpaceModel(ABC):
         return hit
 
     def depth(self, x: Approx, s: Approx):
-        """Least k with s a reduction of restrict(x, k), read off
-        up_mask(s) at the segments of x; math.inf if none."""
+        """Least k with s a reduction of restrict(x, k), read off the
+        row of s at the segments of x; math.inf if none."""
+        row = self._row(s)
         for k, seg in enumerate(self.segments(x)):
-            if self.below((s,), seg):
+            j = self._bit(seg)
+            if j is not None and row >> j & 1:
                 return k
         return math.inf
 
@@ -599,8 +604,17 @@ class SpaceModel(ABC):
     # ---- identity --------------------------------------------------------
 
     def instance_tag(self) -> str:
-        blob = json.dumps(instance_to_json(self), sort_keys=True).encode()
-        return f"{self.kind}:{hashlib.sha256(blob).hexdigest()[:12]}"
+        """The kind and a digest of instance_to_json, computed once: the
+        levels and parameters are fixed at construction."""
+        if self._tag is None:
+            blob = json.dumps(instance_to_json(self), sort_keys=True).encode()
+            self._tag = f"{self.kind}:{hashlib.sha256(blob).hexdigest()[:12]}"
+        return self._tag
+
+    def front_tables(self) -> dict:
+        """The store of per-front tables, keyed by front, that
+        fronts.front_table fills; it holds only fronts of this instance."""
+        return self._front_tables
 
 
 def instance_to_json(model: SpaceModel) -> dict:

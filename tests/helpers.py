@@ -20,7 +20,7 @@ from trspace import (
     build_tree,
 )
 from trspace.mixing import _SPLIT
-from trspace.model import longest_first
+from trspace.model import approx_sort_key, kernel_ids, longest_first
 from trspace.reportio import to_jsonable
 
 
@@ -98,6 +98,28 @@ def reference_deciding_reduct(engine):
         stage += 1
         if stage >= len(x) or (config.depth_budget is not None and stage > config.depth_budget):
             return x
+
+
+def reference_hat(model, front):
+    """The hat as it was built per call: every initial segment of a
+    member, sorted by approx_sort_key."""
+    seen = set()
+    for m in front.members:
+        seen.update(model.segments(m))
+    return tuple(sorted(seen, key=approx_sort_key))
+
+
+def reference_members_below(model, front, y):
+    """The mask of the members <= y, one leq_fin per member."""
+    return sum(1 << i for i, m in enumerate(front.members) if model.leq_fin(m, y))
+
+
+def reference_class_ids(model, name, pos, members):
+    """Per member, the id of the selector's value on its block at pos, or
+    of () when the member is shorter; equal values share an id."""
+    return kernel_ids(
+        model.apply_selector(name, m.blocks[pos]) if pos < len(m) else () for m in members
+    )
 
 
 def refuse_pairwise_hook(monkeypatch):

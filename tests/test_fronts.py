@@ -13,13 +13,16 @@ from trspace import (
     GENERATORS,
     Front,
     InstanceMismatchError,
+    MixingEngine,
     ParameterError,
     build_ellentuck,
     build_fin,
+    canonize,
     color_front,
     coloring_from_json,
     coloring_to_json,
     front_from_json,
+    front_table,
     front_to_json,
     generated_coloring,
     hat,
@@ -189,6 +192,23 @@ def test_front_instance_mismatch(e5, e6):
     front = uniform_front(e6, 2)
     with pytest.raises(InstanceMismatchError):
         hat(e5, front)
+
+
+def test_front_instance_mismatch_after_its_table_exists(e5, e6):
+    # The front's table is built on its own model first; every use on
+    # another instance still refuses it, and builds no table there.
+    front = uniform_front(e6, 2)
+    coloring = generated_coloring(front, "min")
+    MixingEngine(e6, coloring)
+    assert front in e6.front_tables()
+    for use in (hat, front_table):
+        with pytest.raises(InstanceMismatchError):
+            use(e5, front)
+    with pytest.raises(InstanceMismatchError):
+        MixingEngine(e5, coloring)
+    with pytest.raises(InstanceMismatchError):
+        canonize(e5, coloring)
+    assert front not in e5.front_tables()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import time
 
 import pytest
@@ -273,3 +275,11 @@ def test_instance_roundtrip(e5, fin4cap2, tree23):
         clone = instance_from_json(instance_to_json(model))
         assert clone.instance_tag() == model.instance_tag()
         assert len(clone.all_reducts()) == len(model.all_reducts())
+
+
+def test_instance_tag_is_the_digest_of_the_instance_json(e5, fin4cap2, tree23):
+    for model in (e5, fin4cap2, tree23):
+        blob = json.dumps(instance_to_json(model), sort_keys=True).encode()
+        tag = model.instance_tag()
+        assert tag == f"{model.kind}:{hashlib.sha256(blob).hexdigest()[:12]}"
+        assert model.instance_tag() is tag  # computed once

@@ -255,8 +255,9 @@ class SpaceModel(ABC):
     documented order with their ids and child runs, the approximations,
     the piece masks, the rows and columns, the answers of prefix_mask
     (and, for a model that overrides restrict, its per-length tables),
-    the segments of each reduct, the instance tag, and per front the
-    table that fronts.front_table builds (front_tables).
+    the segments of each reduct, per (s, x) the A.4 candidate ranking
+    (a4_ranking), the instance tag, and per front the table that
+    fronts.front_table builds (front_tables).
     """
 
     kind: str = "abstract"
@@ -292,6 +293,7 @@ class SpaceModel(ABC):
         self._prefix_masks: dict[Approx, int] = {}
         self._restrict_tables: dict[int, dict[Approx, int]] = {}
         self._segments: dict[Approx, tuple[Approx, ...]] = {}
+        self._a4_rankings: dict[tuple[Approx, Approx], tuple] = {}
         self._tag: Optional[str] = None
         self._front_tables: dict = {}
         # The maximal reduct (the truncated space itself).
@@ -601,6 +603,32 @@ class SpaceModel(ABC):
         """[s, x]: reducts y <= x having s as an initial segment."""
         return self.reducts_in(self.sub_mask(x) & self.prefix_mask(s))
 
+    def a4_ranking(self, s: Approx, x: Approx) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The A.4 search's candidates on [s, x], kept per (s, x): the id
+        of s's first child; per child of s, its up_mask cut to the
+        candidates C, the reducts of [s, x] above s; and the ids in C
+        that some child lies below, by most such children, then least
+        key. extensions(s, y) for y in C are the children whose cut mask
+        has y's bit, in child order."""
+        hit = self._a4_rankings.get((s, x))
+        if hit is None:
+            hit = self._a4_rankings[s, x] = self._rank_a4(s, x)
+        return hit
+
+    def _rank_a4(self, s: Approx, x: Approx) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        reds, i = self.all_reducts(), self._bit(s)
+        if i is None:
+            return 0, (), ()
+        lo, hi = self._starts[i], self._starts[i + 1]
+        candidates = self.sub_mask(x) & self.prefix_mask(s) & self.up_mask(s)
+        cuts = tuple(self.up_mask(c) & candidates for c in reds[lo:hi])
+        counts: dict[int, int] = {}
+        for cut in cuts:
+            for k in _bits(cut):
+                counts[k] = counts.get(k, 0) + 1
+        # Ties go by key, not by id: across lengths the two orders differ.
+        return lo, cuts, tuple(sorted(counts, key=lambda k: (-counts[k], reds[k].key)))
+
     # ---- identity --------------------------------------------------------
 
     def instance_tag(self) -> str:
@@ -833,8 +861,9 @@ def a4star_search(
     selector of family whose values on the last blocks of those
     extensions have the kernel of color; None when there is none, as
     when s has no extension inside x. A.4 is the family ("drop",).
-    color is asked at most once per extension."""
-    model.all_reducts(config.max_reducts)
+    color is asked at most once per extension. The ranking is read
+    off a4_ranking, kept per (s, x) for every coloring."""
+    reds = model.all_reducts(config.max_reducts)
     colors: dict[Approx, object] = {}
 
     def same(p: Approx, q: Approx) -> bool:
@@ -843,18 +872,15 @@ def a4star_search(
                 colors[c] = color(c)
         return colors[p] == colors[q]
 
-    # Ties go by key, not by id: across lengths the two orders differ.
-    ranked = sorted(
-        ((y, model.extensions(s, y)) for y in model.basic(s, x)),
-        key=lambda item: (-len(item[1]), item[0].key),
-    )
-    for y, exts in ranked:
+    lo, cuts, ranked = model.a4_ranking(s, x)
+    for k in ranked:
+        exts = tuple([reds[lo + j] for j, cut in enumerate(cuts) if cut >> k & 1])
         if len(exts) < config.mu:
             break
         for name in family:
             values = [model.apply_selector(name, p.blocks[-1]) for p in exts]
             if first_mismatch(exts, same, values) is None:
-                return y, name
+                return reds[k], name
     return None
 
 

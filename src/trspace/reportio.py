@@ -105,8 +105,12 @@ def _write(obj, nl: str, out) -> None:
         if obj != math.inf and not math.isfinite(obj):
             raise ValueError(f"{obj!r} has no JSON form")
         out('"inf"' if obj == math.inf else float.__repr__(obj))
-    elif isinstance(obj, (Block, Approx)):
-        _write(to_jsonable(obj), nl, out)
+    elif isinstance(obj, Block):
+        out(_block_text(obj, nl))
+    elif isinstance(obj, Approx):
+        inner, item = nl + "  ", nl + "    "
+        blocks = ("," + item).join([_block_text(b, item) for b in obj.blocks])
+        out("{" + inner + '"blocks": ' + ("[" + item + blocks + inner + "]" if obj.blocks else "[]") + nl + "}")
     elif isinstance(obj, dict):
         keyed = _str_keys(obj)
         inner, sep = nl + "  ", "{"
@@ -124,6 +128,22 @@ def _write(obj, nl: str, out) -> None:
         out(nl + "]" if obj else "[]")
     else:
         raise TypeError(f"{type(obj).__name__} has no canonical JSON form")
+
+
+def _int_list(values: tuple[int, ...], nl: str) -> str:
+    """A nonempty tuple of ints as the list branch writes it."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + nl + "]"
+
+
+def _block_text(block: Block, nl: str) -> str:
+    """block_to_json(block) as the dict branch writes it, with no copy:
+    its two keys in sorted order, each a nonempty tuple of ints."""
+    inner = nl + "  "
+    return (
+        "{" + inner + '"atoms": ' + _int_list(block.atoms, inner) + ","
+        + inner + '"source": ' + _int_list(block.source, inner) + nl + "}"
+    )
 
 
 def report_envelope(model: SpaceModel, body: dict, config: Config) -> dict:

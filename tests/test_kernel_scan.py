@@ -18,7 +18,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trspace import (
     DEFAULT_CONFIG,
@@ -34,6 +34,9 @@ from trspace import (
     MixingEngine,
     TruncationTooShallowError,
     a4star_search,
+    build_ellentuck,
+    build_fin,
+    build_tree,
     canonical_json,
     canonize,
     color_front,
@@ -51,8 +54,9 @@ from trspace import (
     verify_canonical,
     witness_sort_key,
 )
+from helpers import ea, ellentuck_instances, fin_instances, flip_bits, tree_instances
 from trspace.canonize import _position_oracle
-from trspace.model import first_mismatch, kernel_ids
+from trspace.model import SpaceModel, first_mismatch, kernel_ids
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +65,20 @@ from trspace.model import first_mismatch, kernel_ids
 
 def reference_pigeonhole(model, s, x, coloring, mu):
     """The monochromatic reduct of [s, x] with the most extensions, ties
-    by least key; None when there is none."""
-    colors = {p: coloring(p) for p in model.extensions(s, x)}
+    by least key; None when there is none. Each extension's colour is
+    asked on first use: under a defective relation an extension inside
+    y <= x need not be one of extensions(s, x)."""
+    colors = {}
+
+    def color(p):
+        if p not in colors:
+            colors[p] = coloring(p)
+        return colors[p]
+
     best = None
     for y in model.basic(s, x):
         exts = model.extensions(s, y)
-        if len(exts) < mu or len({colors[p] for p in exts}) != 1:
+        if len(exts) < mu or len({color(p) for p in exts}) != 1:
             continue
         cand = (-len(exts), y.key, y)
         if best is None or cand[:2] < best[:2]:
@@ -86,13 +98,13 @@ def reference_kernel_matches(pairs_equal, model, name, exts):
     return True
 
 
-def reference_search_inner(model, s, x, coloring, mu):
+def reference_search_inner(model, s, x, coloring, mu, family=None):
     ranked = sorted(model.basic(s, x), key=lambda y: (-len(model.extensions(s, y)), y.key))
     for y in ranked:
         exts = model.extensions(s, y)
         if len(exts) < mu:
             continue
-        for name in model.selector_names():
+        for name in family or model.selector_names():
             if reference_kernel_matches(lambda p, q: coloring(p) == coloring(q), model, name, exts):
                 return y, name
     return None
@@ -340,6 +352,173 @@ def test_a4_searches_keep_their_own_errors(e5):
     with pytest.raises(TruncationTooShallowError, match="no monochromatic"):
         pigeonhole_A4(e5, EMPTY, e5.full, lambda p: 0, Config(mu=6))
     assert a4star_search(e5, EMPTY, e5.full, lambda p: 0, e5.selector_names(), Config(mu=6)) is None
+
+
+# ---------------------------------------------------------------------------
+# A.4 and A.4* on every base of drawn instances and of instances with
+# flipped relation bits, where [s, x] reaches past the truncation's order.
+
+def check_a4_searches(model, x, seed):
+    """a4star_search, over every selector and over drop alone, and
+    pigeonhole_A4 against the reference loops, at mu 1 and 2, for every
+    approximation s and a seeded two-coloring of every reduct."""
+    rng = random.Random(seed)
+    table = {y: rng.randrange(2) for y in model.all_reducts()}
+    for s in model.approximations():
+        for mu in (1, 2):
+            config = Config(mu=mu)
+            for family in (model.selector_names(), ("drop",)):
+                expected = reference_search_inner(model, s, x, table.__getitem__, mu, family)
+                got = a4star_search(model, s, x, table.__getitem__, family, config)
+                assert got == expected, (s, x, family, mu)
+            expected = reference_pigeonhole(model, s, x, table.__getitem__, mu)
+            if not model.extensions(s, x):
+                with pytest.raises(TruncationTooShallowError, match="no extensions"):
+                    pigeonhole_A4(model, s, x, table.__getitem__, config)
+            elif expected is None:
+                with pytest.raises(TruncationTooShallowError, match="no monochromatic"):
+                    pigeonhole_A4(model, s, x, table.__getitem__, config)
+            else:
+                assert pigeonhole_A4(model, s, x, table.__getitem__, config) == expected, (s, x, mu)
+
+
+def flipped(space, flips):
+    """A fresh model of one of FLIP_SPACES with the relation negated on
+    the pairs in flips, given as pairs of reduct ids (-1 for EMPTY)."""
+    model = FLIP_SPACES[space]()
+    approx = (*model.all_reducts(), EMPTY).__getitem__
+    pairs = {(approx(i), approx(j)) for i, j in flips}
+    line = model._line
+    model._line = lambda a, up: flip_bits(model, pairs, a, up, line(a, up))
+    return model
+
+
+FLIP_SPACES = {
+    "e4": lambda: build_ellentuck(4),
+    "e5": lambda: build_ellentuck(5),
+    "fin3": lambda: build_fin(3),
+    "tree22": lambda: build_tree(2, 2),
+}
+
+# Cases the drawn differentials below always run, each the one that
+# kills a mutant of the A.4 search in tests/test_mutants.py: (instance,
+# x as a reduct id or None for the full reduct, seed) and (space, flips,
+# x, seed). Ties across lengths, where id order and key order part,
+# first occur on FIN with five levels under span cap 2.
+A4_DRAWN_KILLERS = {
+    "ties broken by id": (lambda: build_fin(5, span_cap=2), None, 4),
+    "accepted with mu - 1 extensions": (lambda: build_ellentuck(1), None, 0),
+}
+# The atom 0 is denied below the full reduct: EMPTY's child {0} lies
+# below reducts of [EMPTY, full] but is no extension inside full.
+A4_FLIPPED_KILLERS = {
+    "children of extensions(s, x), no up_mask(s)": ("e4", ((0, 14),), None, 0),
+}
+
+
+def _reduct(model, index):
+    return model.full if index is None else model.all_reducts()[index]
+
+
+def _drawn_killer(name):
+    build, index, seed = A4_DRAWN_KILLERS[name]
+    return build(), index, seed
+
+
+@st.composite
+def a4_drawn_cases(draw):
+    five_levels = st.builds(build_fin, st.integers(1, 5), span_cap=st.none() | st.integers(1, 3))
+    instances = ellentuck_instances(5) | fin_instances() | five_levels | tree_instances()
+    model = draw(instances, label="instance")
+    index = draw(st.none() | st.integers(0, len(model.all_reducts()) - 1), label="x")
+    return model, index, draw(st.integers(0, 2**16), label="seed")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=a4_drawn_cases())
+@example(case=_drawn_killer("ties broken by id"))
+@example(case=_drawn_killer("accepted with mu - 1 extensions"))
+def test_a4_searches_match_the_references_on_drawn_instances(case):
+    model, index, seed = case
+    check_a4_searches(model, _reduct(model, index), seed)
+
+
+@st.composite
+def a4_flipped_cases(draw):
+    space = draw(st.sampled_from(sorted(FLIP_SPACES)), label="space")
+    count = len(FLIP_SPACES[space]().all_reducts())
+    ids = st.integers(-1, count - 1)
+    flips = tuple(draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=6), label="flips"))
+    index = draw(st.none() | st.integers(0, count - 1), label="x")
+    return space, flips, index, draw(st.integers(0, 2**16), label="seed")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=a4_flipped_cases())
+@example(case=A4_FLIPPED_KILLERS["children of extensions(s, x), no up_mask(s)"])
+def test_a4_searches_match_the_references_on_flipped_relations(case):
+    space, flips, index, seed = case
+    model = flipped(space, flips)
+    check_a4_searches(model, _reduct(model, index), seed)
+
+
+def reference_ranking(model, s, x):
+    """The A.4 ranking as the search built it per call: each y of
+    basic(s, x) with extensions(s, y), by most extensions then least
+    key, leaving out the y with none."""
+    exts = {y: model.extensions(s, y) for y in model.basic(s, x)}
+    ranked = sorted((y for y in exts if exts[y]), key=lambda y: (-len(exts[y]), y.key))
+    return [(y, exts[y]) for y in ranked]
+
+
+def stored_ranking(model, s, x):
+    """The same pairs read off a4_ranking."""
+    reds = model.all_reducts()
+    lo, cuts, ranked = model.a4_ranking(s, x)
+    return [(reds[k], tuple(reds[lo + j] for j, cut in enumerate(cuts) if cut >> k & 1)) for k in ranked]
+
+
+@pytest.mark.parametrize("name", ["e5", "fin4cap2", "tree22"])
+def test_the_stored_ranking_is_the_per_reduct_ranking(request, name):
+    model = request.getfixturevalue(name)
+    for x in (model.full, *model.all_reducts()[::7]):
+        for s in model.approximations():
+            assert stored_ranking(model, s, x) == reference_ranking(model, s, x), (s, x)
+
+
+def test_one_ranking_serves_every_coloring(monkeypatch):
+    fills = []
+    fill = SpaceModel._rank_a4
+
+    def spy(self, s, x):
+        fills.append((self, s, x))
+        return fill(self, s, x)
+
+    monkeypatch.setattr(SpaceModel, "_rank_a4", spy)
+    model = build_fin(4)
+    for color in (lambda p: 0, lambda p: len(p.blocks[-1].atoms) % 2):
+        pigeonhole_A4(model, EMPTY, model.full, color)
+    a4star_search(model, EMPTY, model.full, lambda p: p.blocks[-1].atoms[0], model.selector_names())
+    assert fills == [(model, EMPTY, model.full)]
+    other = build_fin(4)
+    pigeonhole_A4(other, EMPTY, other.full, lambda p: 0)
+    assert len(fills) == 2 and fills[1][0] is other
+
+
+def test_each_model_keeps_its_own_ranking():
+    # Two models of one instance, the second told that the atom 0 is not
+    # below the full reduct: same tag, other ranking.
+    clean, defective = build_ellentuck(5), flipped("e5", ((0, 30),))
+    assert clean.instance_tag() == defective.instance_tag()
+    assert clean.a4_ranking(EMPTY, clean.full) != defective.a4_ranking(EMPTY, defective.full)
+    for model in (clean, defective):
+        assert stored_ranking(model, EMPTY, model.full) == reference_ranking(model, EMPTY, model.full)
+    # The full reduct leads with five extensions; on the defective model
+    # it ties at four with {0, 1, 2, 3}, which is first by key.
+    assert [(y, len(e)) for y, e in stored_ranking(clean, EMPTY, clean.full)[:1]] == [(clean.full, 5)]
+    assert [(y, len(e)) for y, e in stored_ranking(defective, EMPTY, defective.full)[:2]] == [
+        (ea(0, 1, 2, 3), 4), (defective.full, 4)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,13 @@ def _verify_axioms(args, config, model, front, coloring):
 
 
 def _enumerate_front(args, config, model, front, coloring):
-    from .fronts import front_to_json
-
+    # front_to_json's text, with the Front's own approximations in it
     body = {
         "check": "enumerate_front",
-        "front": front_to_json(front),
+        "front": {
+            "instance": front.instance, "scope": front.scope, "anchor": front.anchor,
+            "members": front.members, "flags": front.flags,
+        },
         "count": len(front.members),
     }
     return body, PASS

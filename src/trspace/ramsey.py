@@ -22,7 +22,10 @@ tuple t, the n largest points of the set, so after coloring t the
 search tests the m-sets t + S with S inside [0, t[0]). A completed set
 that is canonical for some I stays so in every completion, and the
 branch is cut. A full assignment is a bad kernel, and an exhausted
-tree decides N.
+tree decides N. The mask of a color's class holds only the tuples
+below the search's depth: a tuple joins it when the search descends
+past the tuple and leaves it on the way back, so a node that is cut,
+as most are, touches no class.
 
 A tuple's index in colex order is its colex rank, which does not
 depend on N, so the tests of the tuples of [N] are the first rows of
@@ -30,6 +33,10 @@ those of [N+1], and a search of N+1 first visits again, node for node,
 the search of N up to its bad kernel. One search per call serves every
 N: N+1 resumes where N found its bad kernel and charges the budget for
 the nodes it skips, so each N costs what a search of N alone costs.
+The budget grants the search an allowance, the nodes it may visit
+before it charges them; it counts the allowance down and charges what
+is pending before it yields each N, so a budget stops it at the node
+where a charge per node would, and no node is charged to the wrong N.
 The rows depend only on (n, m): one table per (n, m) holds them for
 every call in the process, and a search builds a tuple's row when it
 is the first to reach the tuple. Only the rows are shared; each call
@@ -232,18 +239,28 @@ def _shared_table(n: int, m: int) -> _CompletionTable:
 
 
 def _bad_kernels(
-    table: _CompletionTable, N: int, spend: Callable[..., None]
+    table: _CompletionTable, N: int, spend: Callable[..., Optional[int]]
 ) -> Iterator[Optional[tuple[int, ...]]]:
     """For N, N+1, ... in turn, a kernel of the n-tuples of range(N), as
     its colors in colex order, with no canonical m-set; then None at the
     first N where every kernel has one, and stop. n and m are the
     table's. spend(nodes=1) charges the budget: at arity one once per N,
     for the partitions a largest-part-first walk visits (_unary_walk),
-    above it once per color tried at a tuple.
+    above it per color tried at a tuple.
 
     Above arity one this is one depth-first search: N+1 resumes from
     the state in which N colored its last tuple, and charges with one
-    spend the nodes a search of N+1 alone would visit again first."""
+    spend the nodes a search of N+1 alone would visit again first. Each
+    spend returns an allowance, the nodes the search may visit before it
+    calls again (None counts as 0). The search counts it down, charges
+    the nodes with the first node past it, and charges what is pending
+    before each yield, so each N is charged for its own nodes. With no
+    allowance, every node calls spend() with no argument.
+
+    classes[c] holds the tuples below the depth k that have color c: a
+    tuple joins its class when the search descends past it and leaves
+    it when the search backs up to it, so a cut node touches no class.
+    """
     n, m = table.n, table.m
     if m <= n:
         # an m-set holds at most one n-tuple, so it is vacuously canonical
@@ -258,9 +275,10 @@ def _bad_kernels(
                 return
     tests = table.rows
     colors: list[int] = []
-    classes: list[int] = []  # per color, the mask of tuples holding it
+    classes: list[int] = []  # per color, the mask of the tuples below k holding it
     equal = [0]              # equal[k]: equal-color pairs below tuple k
-    k = visited = 0
+    k = used = visited = 0   # used: len(classes)
+    left = granted = 0       # of the allowance granted, the nodes left
     while True:
         total = comb(N, n)
         if k == len(colors) < total:
@@ -268,41 +286,56 @@ def _bad_kernels(
             equal.append(0)
             table.fill(k + 1)
         while 0 <= k < total:
-            color = colors[k]
-            if color >= 0:
-                classes[color] ^= 1 << k
-                if not classes[color]:
-                    classes.pop()
-            color += 1
-            if color > len(classes):
+            color = colors[k] + 1
+            if color > used:
+                # every color tried: back up, and tuple k - 1 leaves its class
                 colors[k] = -1
                 k -= 1
+                if k >= 0:
+                    color = colors[k]
+                    mask = classes[color] ^ 1 << k
+                    if mask:
+                        classes[color] = mask
+                    else:
+                        classes.pop()
+                        used -= 1
                 continue
-            spend()
-            visited += 1
+            if left:
+                left -= 1
+            else:
+                # charge the nodes of the allowance and this one
+                visited += granted + 1
+                left = granted = (spend(granted + 1) if granted else spend()) or 0
             colors[k] = color
-            if color == len(classes):
-                classes.append(1 << k)
+            if color == used:
                 pairs = equal[k]
             else:
                 pairs = equal[k] | classes[color] << (k * (k - 1) // 2)
-                classes[color] |= 1 << k
             for mask, patterns in tests[k]:
                 if pairs & mask in patterns:
                     break
             else:
+                # tuple k joins its class, and the search descends
+                if color == used:
+                    classes.append(1 << k)
+                    used += 1
+                else:
+                    classes[color] |= 1 << k
                 equal[k + 1] = pairs
                 k += 1
                 if k == len(colors) < total:
                     colors.append(-1)
                     equal.append(0)
                     table.fill(k + 1)
+        if granted > left:  # the nodes pending, charged to this N
+            visited += granted - left
+            left = granted = spend(granted - left) or 0
         if k < 0:
             yield None
             return
         yield tuple(colors)
         N += 1
-        spend(visited)
+        left = granted = spend(visited) or 0
 
 
 def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> int:
@@ -311,8 +344,8 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
 
     config.max_kernels meters the search: at arity one the partitions
     a largest-part-first walk visits, above it colors tried at a tuple,
-    where N+1 is charged again for the nodes N visited. On exhaustion the error carries the
-    largest N shown to have a bad kernel.
+    where N+1 is charged again for the nodes N visited. On exhaustion
+    the error carries the largest N shown to have a bad kernel.
     """
     if n < 1 or m < 1:
         raise ParameterError("arity and target must both be at least 1")
@@ -320,7 +353,8 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
     largest_decided: Optional[int] = None
     N = m
 
-    def spend(nodes: int = 1) -> None:
+    def spend(nodes: int = 1) -> int:
+        """Charge nodes; the nodes left, or the error past the budget."""
         nonlocal spent
         spent += nodes
         if spent > config.max_kernels:
@@ -330,6 +364,7 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
             )
             err.largest_checked = largest_decided
             raise err
+        return config.max_kernels - spent
 
     searches = _bad_kernels(_shared_table(n, m), N, spend)
     while next(searches) is not None:

@@ -4,6 +4,8 @@ the Hypothesis strategies that draw small instances."""
 from __future__ import annotations
 
 import json
+from itertools import count
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from trspace import (
 )
 from trspace.mixing import _SPLIT
 from trspace.model import approx_sort_key, kernel_ids, longest_first
+from trspace.ramsey import _unary_walk
 from trspace.reportio import to_jsonable
 
 
@@ -98,6 +101,73 @@ def reference_deciding_reduct(engine):
         stage += 1
         if stage >= len(x) or (config.depth_budget is not None and stage > config.depth_budget):
             return x
+
+
+def reference_bad_kernels(table, N, spend):
+    """The Ramsey search as it was before its per-node trim: every node
+    sets its tuple's bit in the class masks and the next node clears it,
+    and every node calls spend() once. ramsey._bad_kernels must yield the
+    same kernels and charge each N the same nodes, and a budget must stop
+    both at the same node."""
+    n, m = table.n, table.m
+    if m <= n:
+        # an m-set holds at most one n-tuple, so it is vacuously canonical
+        yield None
+        return
+    if n == 1:
+        for N in count(N):
+            nodes, kernel = _unary_walk(N, m)
+            spend(nodes)
+            yield kernel
+            if kernel is None:
+                return
+    tests = table.rows
+    colors: list[int] = []
+    classes: list[int] = []  # per color, the mask of tuples holding it
+    equal = [0]              # equal[k]: equal-color pairs below tuple k
+    k = visited = 0
+    while True:
+        total = comb(N, n)
+        if k == len(colors) < total:
+            colors.append(-1)
+            equal.append(0)
+            table.fill(k + 1)
+        while 0 <= k < total:
+            color = colors[k]
+            if color >= 0:
+                classes[color] ^= 1 << k
+                if not classes[color]:
+                    classes.pop()
+            color += 1
+            if color > len(classes):
+                colors[k] = -1
+                k -= 1
+                continue
+            spend()
+            visited += 1
+            colors[k] = color
+            if color == len(classes):
+                classes.append(1 << k)
+                pairs = equal[k]
+            else:
+                pairs = equal[k] | classes[color] << (k * (k - 1) // 2)
+                classes[color] |= 1 << k
+            for mask, patterns in tests[k]:
+                if pairs & mask in patterns:
+                    break
+            else:
+                equal[k + 1] = pairs
+                k += 1
+                if k == len(colors) < total:
+                    colors.append(-1)
+                    equal.append(0)
+                    table.fill(k + 1)
+        if k < 0:
+            yield None
+            return
+        yield tuple(colors)
+        N += 1
+        spend(visited)
 
 
 def reference_hat(model, front):

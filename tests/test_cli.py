@@ -30,7 +30,7 @@ from trspace import (
 )
 from trspace import cli, ramsey
 from trspace.cli import main
-from trspace.reportio import approx_to_json, config_to_json
+from trspace.reportio import approx_to_json, canonical_json, config_to_json, report_envelope
 from trspace.spaces import EllentuckModel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -82,6 +82,18 @@ def test_enumerate_front(capsys):
     assert code == 0
     assert rep["count"] == 15
     assert len(rep["front"]["members"]) == 15
+
+
+@pytest.mark.parametrize("tokens", [["ellentuck", "N=4"], ["fin", "blocks=3"], ["tree", "b=2", "h=2"]])
+@pytest.mark.parametrize("label", ["AU1", "AU2", "AU3"])
+def test_enumerate_front_writes_the_text_of_front_to_json(capsys, tokens, label):
+    # the body holds the Front's own approximations; its text must be
+    # that of the front_to_json copy
+    assert main(["enumerate-front", *tokens, "--front", label]) == 0
+    model = cli._parse_instance(tokens, None, DEFAULT_CONFIG.max_reducts)
+    front = cli._build_front(model, label)
+    body = {"check": "enumerate_front", "front": front_to_json(front), "count": len(front)}
+    assert capsys.readouterr().out == canonical_json(report_envelope(model, body, DEFAULT_CONFIG))
 
 
 def test_transitivity_counts(capsys):

@@ -22,7 +22,16 @@ from test_kernel_scan import (
     check_a4_searches,
     flipped,
 )
+from test_ramsey import (
+    assert_stops_as_the_reference,
+    kernels_and_charges,
+    no_budget,
+    oracle_is_bad,
+    walk_to_first_bad,
+)
+from trspace import ramsey
 from trspace.model import DEFAULT_CONFIG, SpaceModel, _bits
+from trspace.ramsey import _CompletionTable, _admits_witness, _colex_tuples
 
 
 def _drawn_differential(name):
@@ -84,6 +93,66 @@ def one_extension_short(monkeypatch):
     monkeypatch.setattr(trspace.model, "a4star_search", mutant)
 
 
+# ---------------------------------------------------------------------------
+# The Ramsey searches: the completion rows, the unary walk and the budget.
+
+def no_injective_pattern(monkeypatch):
+    """The completion rows leave out the injective pattern, no equal
+    pairs (I holds every coordinate)."""
+    rows = ramsey._completion_rows
+
+    def mutant(n, m, start=0):
+        for row in rows(n, m, start):
+            yield [(mask, patterns - {0}) for mask, patterns in row]
+
+    monkeypatch.setattr(ramsey, "_completion_rows", mutant)
+
+
+def verdict_of_the_oracle(n, m, N):
+    """The search's verdict on N against whole kernels: its bad kernel
+    admits no witness, or the oracle finds no bad kernel either."""
+    kernel = next(ramsey._bad_kernels(_CompletionTable(n, m), N, no_budget))
+    if kernel is None:
+        assert oracle_is_bad(n, m, N) is False
+    else:
+        assert _admits_witness(_colex_tuples(N, n), kernel, n, m, N) is None
+
+
+def unary_walk_one_node_more(monkeypatch):
+    """The unary walk counts one partition more than it visits."""
+    walk = ramsey._unary_walk
+
+    def mutant(N, m):
+        nodes, kernel = walk(N, m)
+        return nodes + 1, kernel
+
+    monkeypatch.setattr(ramsey, "_unary_walk", mutant)
+
+
+def unary_charges_of_the_walk(m=4):
+    """The arity-one search charges each N the partitions a
+    largest-part-first walk visits up to its first bad one."""
+    sizes = range(m, (m - 1) ** 2 + 2)
+    walks = [walk_to_first_bad(N, m) for N in sizes]
+    assert kernels_and_charges(ramsey._bad_kernels, 1, m, sizes, None) == [
+        (kernel, nodes) for nodes, kernel in walks
+    ]
+
+
+def allowance_one_too_large(monkeypatch):
+    """spend grants one node more than the budget has left, so the
+    search stops one node late."""
+    search = ramsey._bad_kernels
+
+    def mutant(table, N, spend):
+        def late(nodes=1):
+            return spend(nodes) + 1
+
+        return search(table, N, late)
+
+    monkeypatch.setattr(ramsey, "_bad_kernels", mutant)
+
+
 # name: (mutation, killer)
 MUTANTS = {
     "A.4 ties broken by id": (
@@ -95,6 +164,13 @@ MUTANTS = {
     ),
     "A.4 accepted with mu - 1 extensions": (
         one_extension_short, lambda: _drawn_differential("accepted with mu - 1 extensions"),
+    ),
+    "Ramsey rows without the injective pattern": (
+        no_injective_pattern, lambda: verdict_of_the_oracle(2, 3, 4),
+    ),
+    "Ramsey unary walk one node more": (unary_walk_one_node_more, unary_charges_of_the_walk),
+    "Ramsey allowance one node too large": (
+        allowance_one_too_large, lambda: assert_stops_as_the_reference(2, 4, range(1, 401)),
     ),
 }
 

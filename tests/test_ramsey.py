@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import reference_bad_kernels
 from trspace import (
     BudgetExceededError,
     Config,
@@ -459,3 +461,80 @@ def test_an_exception_inside_a_row_leaves_the_shared_table_usable(monkeypatch):
     )
     assert table.rows == _CompletionTable(2, 4).fill(len(table.rows))
     assert calls > 40
+
+
+# ---------------------------------------------------------------------------
+# The search against its reference, the loop as it was before the class
+# masks held only the tuples below the depth and the budget became an
+# allowance: the same kernel and charge per N, and the same budget stop.
+
+def kernels_and_charges(search, n, m, sizes, allowance):
+    """(kernel, nodes charged) per N of one search resumed across sizes,
+    under a spend that grants allowance nodes per call."""
+    charged = 0
+
+    def spend(nodes=1):
+        nonlocal charged
+        charged += nodes
+        return allowance
+
+    searches = search(_CompletionTable(n, m), sizes[0], spend)
+    per_n = []
+    for N in sizes:
+        charged = 0
+        per_n.append((next(searches), charged))
+    return per_n
+
+
+DIFFERENTIAL_LADDERS = {**LADDERS, (4, 5): range(5, 8)}
+
+
+@pytest.mark.parametrize("n, m", sorted(DIFFERENTIAL_LADDERS))
+def test_the_search_charges_each_n_as_the_reference_does(n, m):
+    sizes = DIFFERENTIAL_LADDERS[n, m]
+    reference = kernels_and_charges(reference_bad_kernels, n, m, sizes, None)
+    assert all(kernel is not None for kernel, _ in reference)
+    for allowance in (None, 0, 1, 2, 7, 10**9):
+        assert kernels_and_charges(_bad_kernels, n, m, sizes, allowance) == reference, allowance
+
+
+def budget_stop(n, m, budget, search):
+    """The BudgetExceededError message of canonical_ramsey_number(n, m)
+    under budget, with search as its _bad_kernels, and the nodes charged
+    when it stopped. The message alone cannot tell a stop one node late:
+    both searches charge their pending nodes before a kernel is yielded,
+    so the N it names is the same."""
+    charged = 0
+
+    def searching(table, N, spend):
+        def counted(nodes=1):
+            nonlocal charged
+            charged += nodes
+            return spend(nodes)
+
+        return search(table, N, counted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ramsey, "_bad_kernels", searching)
+        with pytest.raises(BudgetExceededError) as info:
+            canonical_ramsey_number(n, m, Config(max_kernels=budget))
+    return str(info.value), charged
+
+
+def assert_stops_as_the_reference(n, m, budgets):
+    search = ramsey._bad_kernels
+    for budget in budgets:
+        assert budget_stop(n, m, budget, search) == budget_stop(
+            n, m, budget, reference_bad_kernels
+        ), (n, m, budget)
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 4), (2, 5), (3, 5)])
+def test_every_small_budget_stops_as_the_reference(n, m):
+    assert_stops_as_the_reference(n, m, range(1, 401))
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 4)])
+def test_seeded_budgets_stop_as_the_reference(n, m):
+    rng = random.Random(f"budget {n} {m}")
+    assert_stops_as_the_reference(n, m, [rng.randint(1, 20_000) for _ in range(100)])

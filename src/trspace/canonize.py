@@ -14,6 +14,7 @@ used to cross-validate.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -382,13 +383,20 @@ def lemma_suite(
     """Finite checks of the structure lemmas on a canonization witness.
 
     equal-values-mix: equal phi values on interior segments force mixing
-    (separation is a violation, lost pools are counted as gaps).
+    (separation is a violation, lost pools are counted as gaps). Each hat
+    segment is asked only against the later segments of its own value.
     prefix-freeness: over distinct members no phi value is a strict
     prefix of another; the same event on interior segments is reported
     as information only, the finite empty tuple is a prefix of
-    everything. color-respects-phi: f-equal members get phi-equal
+    everything. The members x members scan runs only when some member
+    value has a strict prefix among the member values; the interior
+    events are counted per hat segment t, over the strict prefixes of
+    phi(t). color-respects-phi: f-equal members get phi-equal values;
+    the pair scan runs only when some color of the members carries two
     values. class-uniqueness: at one depth, extensions of a common base
-    mixed with one segment share a selector value.
+    mixed with one segment share a selector value. Mixing is asked only
+    at the depths whose live extensions of the base carry two values.
+    Every violation list keeps the order of the plain pair scans.
     """
     engine = MixingEngine(model, coloring, config)
     members = engine.table.members_in(engine.real_bits(witness))
@@ -397,12 +405,17 @@ def lemma_suite(
     values: dict[Approx, tuple] = {a: eval_inner(model, phi, a) for a in hat_w}
     depths = {a: model.depth(witness, a) for a in hat_w}
 
+    # Per value, the hat segments not yet walked, in hat order: the head
+    # of s's group is s itself, the rest are the later segments of its value.
+    unwalked: dict[tuple, list[Approx]] = {}
+    for a in hat_w:
+        unwalked.setdefault(values[a], []).append(a)
     mix_violations = []
     mix_gaps = 0
-    for i, s in enumerate(hat_w):
-        for t in hat_w[i + 1:]:
-            if values[s] != values[t]:
-                continue
+    for s in hat_w:
+        later = unwalked[values[s]]
+        del later[0]
+        for t in later:
             verdict = engine.decide(witness, s, t)
             if verdict.kind == SEPARATES:
                 mix_violations.append({"s": s, "t": t})
@@ -413,30 +426,47 @@ def lemma_suite(
         vs, vt = values[s], values[t]
         return len(vs) < len(vt) and vt[: len(vs)] == vs
 
-    prefix_violations = [
-        {"s": s, "t": t} for s in members for t in members if strict_prefix(s, t)
-    ]
-    prefix_info = sum(1 for s in interior for t in hat_w if strict_prefix(s, t))
+    member_values = {values[m] for m in members}
+    prefix_violations = []
+    if any(v[:k] in member_values for v in member_values for k in range(len(v))):
+        prefix_violations = [
+            {"s": s, "t": t} for s in members for t in members if strict_prefix(s, t)
+        ]
+    interior_values = Counter(values[s] for s in interior)
+    prefix_info = sum(
+        interior_values[values[t][:k]] for t in hat_w for k in range(len(values[t]))
+    )
 
+    values_of_color: dict[int, set] = {}
+    for m in members:
+        values_of_color.setdefault(coloring(m), set()).add(values[m])
     color_violations = []
-    for i, s in enumerate(members):
-        for t in members[i + 1:]:
-            if coloring(s) == coloring(t) and values[s] != values[t]:
-                color_violations.append({"s": s, "t": t})
+    if any(len(vs) > 1 for vs in values_of_color.values()):
+        for i, s in enumerate(members):
+            for t in members[i + 1:]:
+                if coloring(s) == coloring(t) and values[s] != values[t]:
+                    color_violations.append({"s": s, "t": t})
 
     class_violations = []
     for base in interior:
-        pos = len(base)
-        at_depth: dict[object, list[Approx]] = {}
-        for p in engine.live_extensions(base, witness):
-            at_depth.setdefault(depths[p], []).append(p)
+        exts = engine.live_extensions(base, witness)
+        if not exts:
+            continue
+        selector = phi.selectors[len(base)]
+        at_depth: dict[object, list[tuple[Approx, tuple]]] = {}
+        for p in exts:
+            value = model.apply_selector(selector, p.blocks[-1])
+            at_depth.setdefault(depths[p], []).append((p, value))
+        # Only a depth whose extensions carry two values can split a class.
+        split = {d: ps for d, ps in at_depth.items() if len({v for _, v in ps}) > 1}
+        if not split:
+            continue
         for t in hat_w:
             # The extensions at t's depth mixing with t, each asked once.
-            mixed = [p for p in at_depth.get(depths[t], ()) if engine.mixes(witness, t, p)]
-            vals = [model.apply_selector(phi.selectors[pos], p.blocks[-1]) for p in mixed]
-            for i, p in enumerate(mixed):
-                for q, vq in zip(mixed[i + 1:], vals[i + 1:]):
-                    if vals[i] != vq:
+            mixed = [(p, v) for p, v in split.get(depths[t], ()) if engine.mixes(witness, t, p)]
+            for i, (p, vp) in enumerate(mixed):
+                for q, vq in mixed[i + 1:]:
+                    if vp != vq:
                         class_violations.append({"t": t, "p": p, "q": q})
 
     first = mix_violations or prefix_violations or color_violations or class_violations

@@ -21,8 +21,15 @@ from trspace import (
     build_fin,
     build_tree,
 )
-from trspace.mixing import _SPLIT
-from trspace.model import approx_sort_key, kernel_ids, longest_first
+from trspace.canonize import eval_inner
+from trspace.mixing import _SPLIT, SEPARATES, UNDECIDED, MixingEngine
+from trspace.model import (
+    DEFAULT_CONFIG,
+    _report,
+    approx_sort_key,
+    kernel_ids,
+    longest_first,
+)
 from trspace.ramsey import _unary_walk
 from trspace.reportio import to_jsonable
 
@@ -168,6 +175,71 @@ def reference_bad_kernels(table, N, spend):
         yield tuple(colors)
         N += 1
         spend(visited)
+
+
+def reference_lemma_suite(model, coloring, witness, phi, config=DEFAULT_CONFIG):
+    """canonize.lemma_suite as it was before its checks asked only where a
+    violation can come from: every pair of phi-equal hat segments by an
+    all-pairs scan, the members x members prefix and colour scans, and
+    one mixes call per interior base, hat segment t and live extension at
+    t's depth. The engine's report must equal this one byte for byte."""
+    engine = MixingEngine(model, coloring, config)
+    members = engine.table.members_in(engine.real_bits(witness))
+    hat_w = engine.hat_below(witness)
+    interior = engine.interior_below(witness)
+    values: dict[Approx, tuple] = {a: eval_inner(model, phi, a) for a in hat_w}
+    depths = {a: model.depth(witness, a) for a in hat_w}
+
+    mix_violations = []
+    mix_gaps = 0
+    for i, s in enumerate(hat_w):
+        for t in hat_w[i + 1:]:
+            if values[s] != values[t]:
+                continue
+            verdict = engine.decide(witness, s, t)
+            if verdict.kind == SEPARATES:
+                mix_violations.append({"s": s, "t": t})
+            elif verdict.kind == UNDECIDED:
+                mix_gaps += 1
+
+    def strict_prefix(s: Approx, t: Approx) -> bool:
+        vs, vt = values[s], values[t]
+        return len(vs) < len(vt) and vt[: len(vs)] == vs
+
+    prefix_violations = [
+        {"s": s, "t": t} for s in members for t in members if strict_prefix(s, t)
+    ]
+    prefix_info = sum(1 for s in interior for t in hat_w if strict_prefix(s, t))
+
+    color_violations = []
+    for i, s in enumerate(members):
+        for t in members[i + 1:]:
+            if coloring(s) == coloring(t) and values[s] != values[t]:
+                color_violations.append({"s": s, "t": t})
+
+    class_violations = []
+    for base in interior:
+        pos = len(base)
+        at_depth: dict[object, list[Approx]] = {}
+        for p in engine.live_extensions(base, witness):
+            at_depth.setdefault(depths[p], []).append(p)
+        for t in hat_w:
+            # The extensions at t's depth mixing with t, each asked once.
+            mixed = [p for p in at_depth.get(depths[t], ()) if engine.mixes(witness, t, p)]
+            vals = [model.apply_selector(phi.selectors[pos], p.blocks[-1]) for p in mixed]
+            for i, p in enumerate(mixed):
+                for q, vq in zip(mixed[i + 1:], vals[i + 1:]):
+                    if vals[i] != vq:
+                        class_violations.append({"t": t, "p": p, "q": q})
+
+    first = mix_violations or prefix_violations or color_violations or class_violations
+    return _report(
+        "lemma_suite", "fail" if first else "pass", witness=first[0] if first else None,
+        equal_values_mix={"violations": mix_violations, "undecided_pairs": mix_gaps},
+        prefix_freeness={"violations": prefix_violations, "interior_prefix_events": prefix_info},
+        color_respects_phi={"violations": color_violations},
+        class_uniqueness={"violations": class_violations},
+    )
 
 
 def reference_hat(model, front):

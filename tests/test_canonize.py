@@ -435,25 +435,38 @@ def test_lemma_suite_counts_color_and_class_violations(fin3):
     assert suite["witness"] == suite["color_respects_phi"]["violations"][0]
 
 
-def test_lemma_suite_asks_each_mixing_question_once(fin4, monkeypatch):
-    cmin = color_front(uniform_front(fin4, 1), GENERATORS["min"], name="min")
-    report = canonize(fin4, cmin)
+def count_lemma_questions(model, coloring, monkeypatch):
+    """The decide calls of lemma_suite on canonize's witness, the count
+    its checks should make, and the count of the plain pair scans."""
+    report = canonize(model, coloring)
     w, phi = report.witness, report.phi
-    engine = MixingEngine(fin4, cmin)
+    engine = MixingEngine(model, coloring)
     hat_w = engine.hat_below(w)
-    values = [eval_inner(fin4, phi, a) for a in hat_w]
-    depth = {a: fin4.depth(w, a) for a in hat_w}
+    values = [eval_inner(model, phi, a) for a in hat_w]
+    depth = {a: model.depth(w, a) for a in hat_w}
+
+    def carries_two_values(base, d):
+        selector = phi.selectors[len(base)]
+        return len({
+            model.apply_selector(selector, p.blocks[-1])
+            for p in engine.live_extensions(base, w) if depth[p] == d
+        }) > 1
+
     # equal-values-mix asks once per phi-equal pair of hat segments,
     # class-uniqueness once per interior base, hat segment t and live
-    # extension of the base at t's depth.
-    expected = sum(
+    # extension of the base at t's depth; the plain scan asked at every
+    # depth, the checks ask only where the extensions carry two values.
+    equal_pairs = sum(
         values[i] == values[j] for i in range(len(hat_w)) for j in range(i + 1, len(hat_w))
-    ) + sum(
-        depth[p] == depth[t]
+    )
+    asked = [
+        (base, depth[t])
         for base in engine.interior_below(w) if len(base) < len(phi)
         for p in engine.live_extensions(base, w)
-        for t in hat_w
-    )
+        for t in hat_w if depth[p] == depth[t]
+    ]
+    expected = equal_pairs + sum(carries_two_values(base, d) for base, d in asked)
+    plain = equal_pairs + len(asked)
     calls = []
     decide = MixingEngine.decide
 
@@ -462,8 +475,22 @@ def test_lemma_suite_asks_each_mixing_question_once(fin4, monkeypatch):
         return decide(self, *args)
 
     monkeypatch.setattr(MixingEngine, "decide", counting)
-    assert lemma_suite(fin4, cmin, w, phi)["verdict"] == "pass"
-    assert len(calls) == expected
+    assert lemma_suite(model, coloring, w, phi)["verdict"] == "pass"
+    return len(calls), expected, plain
+
+
+def test_lemma_suite_asks_each_mixing_question_once(fin4, monkeypatch):
+    cmin = color_front(uniform_front(fin4, 1), GENERATORS["min"], name="min")
+    calls, expected, plain = count_lemma_questions(fin4, cmin, monkeypatch)
+    assert calls == expected == 119
+    assert expected <= plain == 120
+
+
+def test_lemma_suite_asks_mixing_only_where_a_class_can_split(e6, monkeypatch):
+    cmax = color_front(uniform_front(e6, 2), GENERATORS["max"], name="max")
+    calls, expected, plain = count_lemma_questions(e6, cmax, monkeypatch)
+    assert calls == expected == 35
+    assert expected <= plain == 115
 
 
 # ---------------------------------------------------------------------------

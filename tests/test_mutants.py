@@ -11,16 +11,20 @@ so no store filled before the mutation answers for the mutant.
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import itertools
 
 import pytest
 
 import trspace.model
+from test_cold_build import restrict_table_mask
 from test_kernel_scan import (
     A4_FLIPPED_KILLERS,
     _drawn_killer,
     _reduct,
     check_a4_searches,
     flipped,
+    reference_verify,
 )
 from test_ramsey import (
     assert_stops_as_the_reference,
@@ -29,9 +33,21 @@ from test_ramsey import (
     oracle_is_bad,
     walk_to_first_bad,
 )
-from trspace import ramsey
+from trspace import (
+    GENERATORS,
+    InnerMap,
+    build_ellentuck,
+    canonize,
+    generated_coloring,
+    ramsey,
+    uniform_front,
+    verify_canonical,
+)
 from trspace.model import DEFAULT_CONFIG, SpaceModel, _bits
 from trspace.ramsey import _CompletionTable, _admits_witness, _colex_tuples
+
+# The package exports the canonize function under the submodule's name.
+canonize_module = importlib.import_module("trspace.canonize")
 
 
 def _drawn_differential(name):
@@ -91,6 +107,76 @@ def one_extension_short(monkeypatch):
         return search(model, s, x, color, family, config)
 
     monkeypatch.setattr(trspace.model, "a4star_search", mutant)
+
+
+# ---------------------------------------------------------------------------
+# Canonize: the witness growth and the kernel test; the prefix runs.
+
+def grow_keeps_its_input(monkeypatch):
+    """_grow returns the witness it was given, never a larger reduct."""
+    monkeypatch.setattr(canonize_module, "_grow", lambda model, coloring, x, phi: x)
+
+
+def max_on_e5_rank_3_is_canonical_on_the_full_reduct():
+    """On Ellentuck N=5, AU3 colored by max, the oracle's largest witness
+    is the full reduct, and canonize must reach it."""
+    e5 = build_ellentuck(5)
+    report = canonize(e5, generated_coloring(uniform_front(e5, 3), "max"), oracle=True)
+    assert report.oracle_agreement["agrees"]
+    assert report.stats["witness_is_max_size"]
+    assert report.witness == e5.full
+
+
+def kernel_ids_merging_two_labels(monkeypatch):
+    """The kernel test reads labels 0 and 1 as one."""
+    kernel_ids = canonize_module.kernel_ids
+
+    def mutant(values):
+        return tuple(0 if k == 1 else k for k in kernel_ids(values))
+
+    monkeypatch.setattr(canonize_module, "kernel_ids", mutant)
+
+
+def verify_as_the_pair_scan():
+    """verify_canonical gives the plain pair scan's answer and first pair
+    on every reduct and map of Ellentuck N=5, AU2, under every generator."""
+    e5 = build_ellentuck(5)
+    front = uniform_front(e5, 2)
+    maps = [InnerMap(names) for names in itertools.product(e5.selector_names(), repeat=2)]
+    for name in sorted(GENERATORS):
+        coloring = generated_coloring(front, name)
+        for x in e5.all_reducts():
+            for phi in maps:
+                expected = reference_verify(e5, x, phi, coloring)
+                assert verify_canonical(e5, x, phi, coloring) == expected, (name, x, phi)
+
+
+def prefix_runs_one_short(monkeypatch):
+    """_prefix_runs leaves out its last nonempty run of ids, the deepest
+    generation of s's descendants."""
+
+    def mutant(self, s):
+        j = self._bit(s)
+        if j is None:
+            return 0
+        self.all_reducts()
+        starts, runs = self._starts, []
+        lo, hi = j - 1, j
+        while lo < hi:
+            lo, hi = starts[lo + 1], starts[hi + 1]
+            if hi > lo:
+                runs.append((1 << hi) - (1 << lo))
+        return (1 << j) >> 1 | sum(runs[:-1])
+
+    monkeypatch.setattr(SpaceModel, "_prefix_runs", mutant)
+
+
+def prefix_masks_as_restrict():
+    """prefix_mask(s) equals the table read through restrict, on every
+    approximation of Ellentuck N=4."""
+    e4 = build_ellentuck(4)
+    for s in e4.approximations():
+        assert e4.prefix_mask(s) == restrict_table_mask(e4, s), s
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +251,11 @@ MUTANTS = {
     "A.4 accepted with mu - 1 extensions": (
         one_extension_short, lambda: _drawn_differential("accepted with mu - 1 extensions"),
     ),
+    "canonize _grow returns its input": (
+        grow_keeps_its_input, max_on_e5_rank_3_is_canonical_on_the_full_reduct,
+    ),
+    "canonize kernel_ids merges two labels": (kernel_ids_merging_two_labels, verify_as_the_pair_scan),
+    "prefix_mask runs without the last one": (prefix_runs_one_short, prefix_masks_as_restrict),
     "Ramsey rows without the injective pattern": (
         no_injective_pattern, lambda: verdict_of_the_oracle(2, 3, 4),
     ),

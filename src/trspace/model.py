@@ -362,6 +362,11 @@ class SpaceModel(ABC):
             return x
         return Approx(x.blocks[:n])
 
+    def _keeps(self, *hooks: str) -> bool:
+        """Whether the model reads every named hook as SpaceModel defines
+        it, overridden neither on its class nor on the instance."""
+        return all(getattr(getattr(self, h), "__func__", None) is getattr(SpaceModel, h) for h in hooks)
+
     def _bit(self, a: Approx) -> Optional[int]:
         """a's bit in the lines: 0 for EMPTY, i + 1 for reduct i; None
         when a is no approximation of the instance."""
@@ -549,7 +554,7 @@ class SpaceModel(ABC):
         """
         hit = self._prefix_masks.get(s)
         if hit is None:
-            if getattr(self.restrict, "__func__", None) is SpaceModel.restrict:
+            if self._keeps("restrict"):
                 hit = self._prefix_runs(s)
             else:
                 hit = self._restrict_table(len(s)).get(s, 0)
@@ -700,9 +705,40 @@ def _check_a1(model: SpaceModel) -> dict:
     return _report("A1", "pass", stats={"reducts": len(reds)})
 
 
+# The hooks through which a model reads its order. A model keeping
+# SpaceModel's for all of them orders the reducts by containment of their
+# piece sets, with EMPTY below everything: a preorder by construction.
+_ORDER_HOOKS = ("_line", "_reducts_above", "_reducts_below", "_pieces", "_piece_masks")
+
+
+def _orders_by_containment(model: SpaceModel) -> bool:
+    return model._keeps(*_ORDER_HOOKS)
+
+
 def _check_a2(model: SpaceModel) -> dict:
+    """A.2: (1) predecessor sets are finite, (2) x <= y iff every segment
+    of x lies below some segment of y, (3) a segment of t lies below some
+    segment of each t' >= t.
+
+    On a containment order with SpaceModel's restrict, segments are
+    prefixes, whose pieces lie in their reduct's. If every segment is
+    EMPTY or a reduct and every reduct lies below the full one, A.2
+    passes without a row: x <= y gives every segment of x below y, its
+    own segment; x below a segment of y gives x <= y; and a segment s of
+    t has s <= t <= t'. The predecessors of any t then lie among the
+    full reduct's, which are all the approximations. Otherwise, and on
+    every other model, the rows are searched.
+    """
     approxes = model.approximations()
     reds = model.all_reducts()
+    if (
+        _orders_by_containment(model) and model._keeps("restrict")
+        # EMPTY and every reduct are approximations, so no other segment
+        and len(approxes) == len(reds) + 1
+        and model._column(model.full) == (2 << len(reds)) - 1
+    ):
+        stats = {"max_predecessors": len(approxes), "approximations": len(approxes)}
+        return _report("A2", "pass", stats=stats)
     # Only EMPTY and the reducts lie below anything. EMPTY takes bit 0 and
     # reduct i bit i + 1, so the bits run in approximation order; a
     # segment that is neither (an overridden restrict can name one) takes
@@ -779,10 +815,19 @@ def _squeezes(sub: list[int], ps: int, bx: int, by: int) -> bool:
 
 
 def _check_a3(model: SpaceModel) -> dict:
+    """A.3: (1) [s, x] nonempty passes down to each y in it, (2) for
+    x <= y, some z in [s, y] has a nonempty [s, z] inside [s, x].
+
+    A preorder passes, whatever restrict does: y lies in [s, y], and any z
+    of [s, x] lies in [s, y] with [s, z] inside [s, x]. A containment
+    order is one by construction, so it passes without a column; other
+    orders are tested on the columns, and only one that is no preorder
+    is searched.
+    """
     reds = model.all_reducts()
+    if _orders_by_containment(model):
+        return _report("A3", "pass", stats={"reducts": len(reds)})
     sub = [model.sub_mask(x) for x in reds]
-    # A preorder passes, whatever restrict does: y lies in [s, y], and any z
-    # of [s, x] lies in [s, y] with [s, z] inside [s, x]. Others are searched.
     if _is_preorder(sub):
         return _report("A3", "pass", stats={"reducts": len(reds)})
     approxes = model.approximations()

@@ -17,6 +17,7 @@ import itertools
 import pytest
 
 import trspace.model
+from test_axioms import InflatedLeq
 from test_cold_build import restrict_table_mask
 from test_kernel_scan import (
     A4_FLIPPED_KILLERS,
@@ -33,11 +34,13 @@ from test_ramsey import (
     oracle_is_bad,
     walk_to_first_bad,
 )
+from test_relation_layer import CLAUSE3_DEFECTS, DroppedAtom, reference_a2, reference_a3
 from trspace import (
     GENERATORS,
     InnerMap,
     build_ellentuck,
     canonize,
+    check_axioms,
     generated_coloring,
     ramsey,
     uniform_front,
@@ -107,6 +110,49 @@ def one_extension_short(monkeypatch):
         return search(model, s, x, color, family, config)
 
     monkeypatch.setattr(trspace.model, "a4star_search", mutant)
+
+
+# ---------------------------------------------------------------------------
+# A.2 and A.3: clause 3 of the search, and the test that skips the search.
+
+def a2_without_clause_3(monkeypatch):
+    """_check_a2 stops after clause 2, so a clause-3 failure or boundary
+    miss is reported as a pass."""
+    check = trspace.model._check_a2
+
+    def mutant(model):
+        report = check(model)
+        if (report["witness"] or {}).get("clause") != 3:
+            return report
+        stats = {"max_predecessors": report["stats"]["max_predecessors"],
+                 "approximations": len(model.approximations())}
+        return trspace.model._report("A2", "pass", stats=stats)
+
+    monkeypatch.setitem(trspace.model._CHECKERS, "A2", mutant)
+
+
+def clause_3_defects_as_the_reference():
+    """A.2 on the clause-3 defects, which flip bits of _line and so keep
+    the search, gives the reference loop's report."""
+    for build in CLAUSE3_DEFECTS.values():
+        fast, slow = check_axioms(build(3), "A2"), reference_a2(build(3))
+        assert (fast["verdict"], fast["witness"], fast["stats"]) == (
+            slow["verdict"], slow["witness"], slow["stats"]
+        )
+
+
+def every_order_read_as_containment(monkeypatch):
+    """Every model counts as ordered by containment, so A.2 and A.3 skip
+    the search on defects too."""
+    monkeypatch.setattr(trspace.model, "_orders_by_containment", lambda model: True)
+
+
+def order_defects_as_the_reference():
+    """InflatedLeq's A.2 and DroppedAtom's A.3 give the reference loops'
+    verdicts and witnesses."""
+    for build, axiom, reference in ((InflatedLeq, "A2", reference_a2), (DroppedAtom, "A3", reference_a3)):
+        fast, slow = check_axioms(build(4), axiom), reference(build(4))
+        assert (fast["verdict"], fast["witness"]) == (slow["verdict"], slow["witness"]), axiom
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +296,10 @@ MUTANTS = {
     ),
     "A.4 accepted with mu - 1 extensions": (
         one_extension_short, lambda: _drawn_differential("accepted with mu - 1 extensions"),
+    ),
+    "A.2 without clause 3": (a2_without_clause_3, clause_3_defects_as_the_reference),
+    "A.2 and A.3 read every order as containment": (
+        every_order_read_as_containment, order_defects_as_the_reference,
     ),
     "canonize _grow returns its input": (
         grow_keeps_its_input, max_on_e5_rank_3_is_canonical_on_the_full_reduct,

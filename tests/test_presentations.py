@@ -39,7 +39,9 @@ def _pair(n: int):
     return build_ellentuck(n), build_fin(n, span_cap=1)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+# Ellentuck's A.2 and A.3 take the containment path and FIN's the search,
+# so from N = 7 on, where a pairwise check is slow, each checks the other.
+@pytest.mark.parametrize("n", range(1, 13))
 def test_axiom_reports_agree(n):
     ell, fin = _pair(n)
     assert ell.all_reducts() == fin.all_reducts()

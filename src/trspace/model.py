@@ -199,8 +199,8 @@ class Config:
     depth_budget: Optional[int] = None
     retries: int = 3
     max_reducts: int = 500_000       # enumeration guard for a single instance
-    # Ramsey numbers: partitions visited at arity one, colors tried at a
-    # tuple above it; oracle_canonize: (reduct, map) candidates
+    # Ramsey numbers: colors tried at a tuple (arity one spends none);
+    # oracle_canonize: (reduct, map) candidates
     max_kernels: int = 2_000_000
     seed: int = 0
 

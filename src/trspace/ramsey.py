@@ -11,9 +11,8 @@ Arity one depends only on the class sizes, so the kernels of [N] are
 its integer partitions. A partition admits a witness iff its largest
 class has m points (I empty, constant) or it has m classes (I = {0},
 injective); otherwise every m-set meets some class twice without lying
-inside it. So the number is (m-1)^2 + 1 (Erdos-Rado). The budget
-counts the partitions a largest-part-first walk would visit, and
-_unary_walk counts them without walking.
+inside it. So the number is (m-1)^2 + 1 (Erdos-Rado), which
+canonical_ramsey_number returns without a search or a budget charge.
 
 Higher arities search depth first for a bad kernel. The tuples are
 colored in colex order with restricted-growth colors, so each kernel
@@ -43,15 +42,16 @@ is the first to reach the tuple. Only the rows are shared; each call
 keeps its own search state, which grows the same way, so a budget stop
 allocates nothing for a tuple it did not reach.
 
-`restricted_growth_strings` and `_admits_witness` enumerate and test
-whole kernels; they are the slow reference for both searches.
+At arity one only the tests run the search, as the closed form's slow
+path: its first bad kernel of N <= (m-1)^2 is the greedy partition
+into classes of m-1. `restricted_growth_strings` and `_admits_witness`
+enumerate and test whole kernels, the slow reference for the search.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from collections.abc import Sequence
 from itertools import combinations, count, islice
 from math import comb
 from typing import Callable, Iterator, Optional
@@ -107,51 +107,6 @@ def _admits_witness(
             ):
                 return chosen, I
     return None
-
-
-class _GreedyKernel(Sequence):
-    """The colors of the greedy partition of range(N) into classes of
-    m - 1 points, remainder last: point i has color i // (m - 1). Each
-    color is worked out where it is read, so a search that only asks
-    whether N has a bad kernel allocates nothing per point. It equals
-    the tuple of its colors."""
-
-    def __init__(self, N: int, m: int):
-        self.N, self.width = N, m - 1
-
-    def __len__(self) -> int:
-        return self.N
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.N:
-            raise IndexError(i)
-        return i // self.width
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == other
-
-
-def _unary_walk(N: int, m: int) -> tuple[int, Optional[_GreedyKernel]]:
-    """(nodes, kernel) at arity one, 2 <= m <= N: the partitions of N a
-    largest-part-first walk visits up to its first bad one, and that
-    partition's colors class by class; p(N) and None when none is bad.
-
-    The walk first visits the partitions with a part of m or more, all
-    good. Next comes the greedy one into parts of m-1, remainder last:
-    of the rest it has the fewest classes, so it is bad iff any is,
-    iff N <= (m-1)^2. A partition with largest part L is L followed by
-    a partition of t = N-L into parts at most L, counted by q[t][k],
-    the partitions of t into parts at most k."""
-    low = m if N <= (m - 1) ** 2 else 1
-    top = N - low
-    q = [[1] * (top + 1)] + [[0] * (top + 1) for _ in range(top)]
-    for t in range(1, top + 1):
-        for k in range(1, top + 1):
-            q[t][k] = q[t][k - 1] + (q[t - k][k] if k <= t else 0)
-    nodes = sum(q[t][min(t, N - t)] for t in range(top + 1))
-    if low == 1:
-        return nodes, None
-    return nodes + 1, _GreedyKernel(N, m)
 
 
 def _colex_tuples(N: int, n: int) -> list[tuple[int, ...]]:
@@ -244,17 +199,16 @@ def _bad_kernels(
     """For N, N+1, ... in turn, a kernel of the n-tuples of range(N), as
     its colors in colex order, with no canonical m-set; then None at the
     first N where every kernel has one, and stop. n and m are the
-    table's. spend(nodes=1) charges the budget: at arity one once per N,
-    for the partitions a largest-part-first walk visits (_unary_walk),
-    above it per color tried at a tuple.
+    table's. spend(nodes=1) charges the budget per color tried at a
+    tuple.
 
-    Above arity one this is one depth-first search: N+1 resumes from
-    the state in which N colored its last tuple, and charges with one
-    spend the nodes a search of N+1 alone would visit again first. Each
-    spend returns an allowance, the nodes the search may visit before it
-    calls again (None counts as 0). The search counts it down, charges
-    the nodes with the first node past it, and charges what is pending
-    before each yield, so each N is charged for its own nodes. With no
+    This is one depth-first search: N+1 resumes from the state in which
+    N colored its last tuple, and charges with one spend the nodes a
+    search of N+1 alone would visit again first. Each spend returns an
+    allowance, the nodes the search may visit before it calls again
+    (None counts as 0). The search counts it down, charges the nodes
+    with the first node past it, and charges what is pending before
+    each yield, so each N is charged for its own nodes. With no
     allowance, every node calls spend() with no argument.
 
     classes[c] holds the tuples below the depth k that have color c: a
@@ -266,13 +220,6 @@ def _bad_kernels(
         # an m-set holds at most one n-tuple, so it is vacuously canonical
         yield None
         return
-    if n == 1:
-        for N in count(N):
-            nodes, kernel = _unary_walk(N, m)
-            spend(nodes)
-            yield kernel
-            if kernel is None:
-                return
     tests = table.rows
     colors: list[int] = []
     classes: list[int] = []  # per color, the mask of the tuples below k holding it
@@ -342,13 +289,16 @@ def canonical_ramsey_number(n: int, m: int, config: Config = DEFAULT_CONFIG) -> 
     """Least N such that every kernel on the increasing n-tuples from
     {0,...,N-1} admits a size-m witness set with some index set.
 
-    config.max_kernels meters the search: at arity one the partitions
-    a largest-part-first walk visits, above it colors tried at a tuple,
-    where N+1 is charged again for the nodes N visited. On exhaustion
-    the error carries the largest N shown to have a bad kernel.
+    Arity one is the closed form (m-1)^2 + 1 and spends no budget.
+    Above it config.max_kernels meters the search in colors tried at a
+    tuple, where N+1 is charged again for the nodes N visited. On
+    exhaustion the error carries the largest N shown to have a bad
+    kernel.
     """
     if n < 1 or m < 1:
         raise ParameterError("arity and target must both be at least 1")
+    if n == 1:
+        return (m - 1) ** 2 + 1
     spent = 0
     largest_decided: Optional[int] = None
     N = m

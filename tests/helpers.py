@@ -4,7 +4,6 @@ the Hypothesis strategies that draw small instances."""
 from __future__ import annotations
 
 import json
-from itertools import count
 from math import comb
 
 from hypothesis import strategies as st
@@ -30,7 +29,6 @@ from trspace.model import (
     kernel_ids,
     longest_first,
 )
-from trspace.ramsey import _unary_walk
 from trspace.reportio import to_jsonable
 
 
@@ -121,13 +119,6 @@ def reference_bad_kernels(table, N, spend):
         # an m-set holds at most one n-tuple, so it is vacuously canonical
         yield None
         return
-    if n == 1:
-        for N in count(N):
-            nodes, kernel = _unary_walk(N, m)
-            spend(nodes)
-            yield kernel
-            if kernel is None:
-                return
     tests = table.rows
     colors: list[int] = []
     classes: list[int] = []  # per color, the mask of tuples holding it

@@ -142,7 +142,7 @@ def test_er_number_value(capsys):
 
 
 def test_er_number_budget_is_undecided(capsys):
-    code, rep = run(capsys, ["er-number", "1", "4", "--max-kernels", "50"])
+    code, rep = run(capsys, ["er-number", "2", "4", "--max-kernels", "1000"])
     assert code == 2
     assert rep["verdict"] == "undecided"
     assert rep["largest_checked"] == 9

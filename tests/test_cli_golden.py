@@ -49,7 +49,7 @@ CASES = (
     "er-number 2 3",
     "canonize fin blocks=3 --front AU2 --coloring random-kernel --oracle --seed 7",
     "canonize tree b=2 h=2 --front AU2 --coloring random-kernel --oracle --seed 7",
-    # budget stops
+    # budget stops, and a budget the arity-one closed form does not spend
     "er-number 1 4 --max-kernels 50",
     "er-number 2 4 --max-kernels 1000",
     "verify-axioms ellentuck N=4 --max-reducts 3",

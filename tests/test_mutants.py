@@ -29,12 +29,17 @@ from test_kernel_scan import (
 )
 from test_ramsey import (
     assert_stops_as_the_reference,
-    kernels_and_charges,
+    assert_the_slow_path_gives_the_closed_form,
     no_budget,
     oracle_is_bad,
-    walk_to_first_bad,
 )
-from test_relation_layer import CLAUSE3_DEFECTS, DroppedAtom, reference_a2, reference_a3
+from test_relation_layer import (
+    CLAUSE3_DEFECTS,
+    DroppedAtom,
+    _assert_engine_matches_reference,
+    reference_a2,
+    reference_a3,
+)
 from trspace import (
     GENERATORS,
     InnerMap,
@@ -42,15 +47,22 @@ from trspace import (
     canonize,
     check_axioms,
     generated_coloring,
+    hat,
     ramsey,
     uniform_front,
     verify_canonical,
 )
+from trspace.fronts import front_table
+from trspace.mixing import _SEPARATED, _SPLIT, MixingEngine
 from trspace.model import DEFAULT_CONFIG, SpaceModel, _bits
 from trspace.ramsey import _CompletionTable, _admits_witness, _colex_tuples
 
 # The package exports the canonize function under the submodule's name.
 canonize_module = importlib.import_module("trspace.canonize")
+# The modules that import _bits by name.
+BITS_READERS = [
+    importlib.import_module(f"trspace.{name}") for name in ("model", "fronts", "mixing", "canonize")
+]
 
 
 def _drawn_differential(name):
@@ -226,7 +238,87 @@ def prefix_masks_as_restrict():
 
 
 # ---------------------------------------------------------------------------
-# The Ramsey searches: the completion rows, the unary walk and the budget.
+# Masks read as indices, and the mixing verdicts.
+
+def bits_without_the_top_bit(monkeypatch):
+    """_bits leaves out the highest set bit of its mask, in every module
+    that reads it."""
+
+    def mutant(mask):
+        return _bits(mask & ~((1 << mask.bit_length()) >> 1))
+
+    for module in BITS_READERS:
+        monkeypatch.setattr(module, "_bits", mutant)
+
+
+def masks_read_as_the_pairwise_order():
+    """On Ellentuck N=4, AU2, the members and the reducts below each
+    reduct, read off their masks, are those the pairwise _leq_fin puts
+    below it."""
+    e4 = build_ellentuck(4)
+    front = uniform_front(e4, 2)
+    table = front_table(e4, front)
+    reds = e4.all_reducts()
+    for x in reds:
+        assert table.members_in(table.members_below(x)) == tuple(
+            m for m in front.members if e4._leq_fin(m, x)
+        ), x
+        assert e4.reducts_in(e4.sub_mask(x)) == tuple(y for y in reds if e4._leq_fin(y, x)), x
+
+
+def decide_never_splits(monkeypatch):
+    """decide reports a pair split below the reduct as separated."""
+    decide = MixingEngine.decide
+
+    def mutant(self, x, s, t):
+        verdict = decide(self, x, s, t)
+        return _SEPARATED if verdict is _SPLIT else verdict
+
+    monkeypatch.setattr(MixingEngine, "decide", mutant)
+
+
+def one_slice_more(monkeypatch):
+    """_row keeps mu + 1 counter slices, so a segment is admissible only
+    with mu + 1 realizable extensions."""
+    row = MixingEngine._row
+
+    def mutant(self, a):
+        config = self.config
+        self.config = dataclasses.replace(config, mu=config.mu + 1)
+        try:
+            return row(self, a)
+        finally:
+            self.config = config
+
+    monkeypatch.setattr(MixingEngine, "_row", mutant)
+
+
+def decide_as_the_reference_loop():
+    """decide gives the verdict and reason of the per-reduct reference
+    loop on every triple of Ellentuck N=4, AU2, colored by random-kernel
+    seed 3, at mu 1 and 2; three of its triples split at mu 1."""
+    e4 = build_ellentuck(4)
+    front = uniform_front(e4, 2)
+    coloring = generated_coloring(front, "random-kernel", seed=3)
+    segs = hat(e4, front)
+    triples = [(x, s, t) for x in e4.all_reducts() for i, s in enumerate(segs) for t in segs[i:]]
+    for mu in (1, 2):
+        _assert_engine_matches_reference(e4, coloring, mu, triples)
+
+
+# ---------------------------------------------------------------------------
+# The Ramsey numbers: the closed form, the completion rows and the budget.
+
+def arity_one_one_less(monkeypatch):
+    """canonical_ramsey_number answers one less at arity one."""
+    number = ramsey.canonical_ramsey_number
+
+    def mutant(n, m, config=DEFAULT_CONFIG):
+        value = number(n, m, config)
+        return value - 1 if n == 1 else value
+
+    monkeypatch.setattr(ramsey, "canonical_ramsey_number", mutant)
+
 
 def no_injective_pattern(monkeypatch):
     """The completion rows leave out the injective pattern, no equal
@@ -248,27 +340,6 @@ def verdict_of_the_oracle(n, m, N):
         assert oracle_is_bad(n, m, N) is False
     else:
         assert _admits_witness(_colex_tuples(N, n), kernel, n, m, N) is None
-
-
-def unary_walk_one_node_more(monkeypatch):
-    """The unary walk counts one partition more than it visits."""
-    walk = ramsey._unary_walk
-
-    def mutant(N, m):
-        nodes, kernel = walk(N, m)
-        return nodes + 1, kernel
-
-    monkeypatch.setattr(ramsey, "_unary_walk", mutant)
-
-
-def unary_charges_of_the_walk(m=4):
-    """The arity-one search charges each N the partitions a
-    largest-part-first walk visits up to its first bad one."""
-    sizes = range(m, (m - 1) ** 2 + 2)
-    walks = [walk_to_first_bad(N, m) for N in sizes]
-    assert kernels_and_charges(ramsey._bad_kernels, 1, m, sizes, None) == [
-        (kernel, nodes) for nodes, kernel in walks
-    ]
 
 
 def allowance_one_too_large(monkeypatch):
@@ -306,10 +377,15 @@ MUTANTS = {
     ),
     "canonize kernel_ids merges two labels": (kernel_ids_merging_two_labels, verify_as_the_pair_scan),
     "prefix_mask runs without the last one": (prefix_runs_one_short, prefix_masks_as_restrict),
+    "_bits drops the top bit": (bits_without_the_top_bit, masks_read_as_the_pairwise_order),
+    "MixingEngine.decide never splits": (decide_never_splits, decide_as_the_reference_loop),
+    "MixingEngine._row keeps mu + 1 slices": (one_slice_more, decide_as_the_reference_loop),
+    "Ramsey arity one answers one less": (
+        arity_one_one_less, lambda: assert_the_slow_path_gives_the_closed_form(4),
+    ),
     "Ramsey rows without the injective pattern": (
         no_injective_pattern, lambda: verdict_of_the_oracle(2, 3, 4),
     ),
-    "Ramsey unary walk one node more": (unary_walk_one_node_more, unary_charges_of_the_walk),
     "Ramsey allowance one node too large": (
         allowance_one_too_large, lambda: assert_stops_as_the_reference(2, 4, range(1, 401)),
     ),

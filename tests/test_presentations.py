@@ -10,6 +10,7 @@ either hook set shows up as a disagreement between the two.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trspace import (
     GENERATORS,
@@ -81,6 +82,32 @@ def _oracle_kernels(model, coloring, hits):
     }
 
 
+def _assert_canonizations_agree(ell, fin, ell_coloring, fin_coloring, label, oracle):
+    """canonize gives both sides one witness and one kernel of phi on the
+    members below it, and the lemma suites and mixing tables agree.
+    Returns the two canonize reports and the two tables."""
+    mine, theirs = canonize(ell, ell_coloring, oracle=oracle), canonize(fin, fin_coloring, oracle=oracle)
+    assert mine.witness == theirs.witness, label
+    # The selector families differ in name (keep against identity,
+    # min, max and minmax on one-level blocks); the kernels agree.
+    members = ell.below(ell_coloring.front.members, mine.witness)
+    assert kernel_ids(eval_inner(ell, mine.phi, m) for m in members) == kernel_ids(
+        eval_inner(fin, theirs.phi, m) for m in members
+    ), label
+    # The lemma suite runs on each side's own result; its report names
+    # segments and reducts, not selectors.
+    assert lemma_suite(ell, ell_coloring, mine.witness, mine.phi) == lemma_suite(
+        fin, fin_coloring, theirs.witness, theirs.phi
+    ), label
+    ell_table, fin_table = mixing_table(ell, ell_coloring), mixing_table(fin, fin_coloring)
+    assert ell_table.reduct == fin_table.reduct, label
+    assert ell_table.rows == fin_table.rows, label
+    assert {ij: v.kind for ij, v in ell_table.verdicts.items()} == {
+        ij: v.kind for ij, v in fin_table.verdicts.items()
+    }, label
+    return mine, theirs, ell_table, fin_table
+
+
 @pytest.mark.parametrize("n", range(4, 7))
 @pytest.mark.parametrize("rank", (1, 2, 3))
 def test_canonization_agrees(n, rank):
@@ -92,27 +119,12 @@ def test_canonization_agrees(n, rank):
         # family, so the color vector itself moves across.
         fin_coloring = Coloring(fin_front, ell_coloring.colors, name=ell_coloring.name)
         label = ell_coloring.name
-        mine, theirs = canonize(ell, ell_coloring, oracle=True), canonize(fin, fin_coloring, oracle=True)
-        assert mine.witness == theirs.witness, label
+        mine, theirs, ell_table, fin_table = _assert_canonizations_agree(
+            ell, fin, ell_coloring, fin_coloring, label, oracle=True
+        )
         assert mine.stats["witness_is_max_size"] == theirs.stats["witness_is_max_size"], label
-        # The selector families differ in name (keep against identity,
-        # min, max and minmax on one-level blocks); the kernels agree.
-        members = ell.below(ell_front.members, mine.witness)
-        assert kernel_ids(eval_inner(ell, mine.phi, m) for m in members) == kernel_ids(
-            eval_inner(fin, theirs.phi, m) for m in members
-        ), label
-        # The lemma suite runs on each side's own result; its report and
-        # Property P's name segments and reducts, not selectors.
-        assert lemma_suite(ell, ell_coloring, mine.witness, mine.phi) == lemma_suite(
-            fin, fin_coloring, theirs.witness, theirs.phi
-        ), label
+        # Property P's report, too, names segments and reducts.
         assert property_p_check(ell, ell_coloring) == property_p_check(fin, fin_coloring), label
-        ell_table, fin_table = mixing_table(ell, ell_coloring), mixing_table(fin, fin_coloring)
-        assert ell_table.reduct == fin_table.reduct, label
-        assert ell_table.rows == fin_table.rows, label
-        assert {ij: v.kind for ij, v in ell_table.verdicts.items()} == {
-            ij: v.kind for ij, v in fin_table.verdicts.items()
-        }, label
         assert transitivity_check(ell_table) == transitivity_check(fin_table), label
         assert _weak_mixing_scan(ell, ell_coloring, ell_table) == _weak_mixing_scan(
             fin, fin_coloring, fin_table
@@ -123,3 +135,17 @@ def test_canonization_agrees(n, rank):
             fin, fin_coloring, fin_hits
         ), label
 
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_drawn_colorings_canonize_alike(data):
+    n = data.draw(st.integers(1, 7), label="N")
+    rank = data.draw(st.integers(1, min(3, n)), label="rank")
+    ell, fin = _pair(n)
+    ell_front, fin_front = uniform_front(ell, rank), uniform_front(fin, rank)
+    assert ell_front.members == fin_front.members
+    size = len(ell_front.members)
+    colors = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size), label="colors")
+    ell_coloring = Coloring(ell_front, tuple(colors))
+    fin_coloring = Coloring(fin_front, ell_coloring.colors)
+    _assert_canonizations_agree(ell, fin, ell_coloring, fin_coloring, colors, oracle=False)

@@ -29,7 +29,6 @@ from trspace.ramsey import (
     _admits_witness,
     _bad_kernels,
     _colex_tuples,
-    _unary_walk,
 )
 
 
@@ -114,11 +113,11 @@ def test_pair_numbers_small():
 
 
 def test_budget_error_carries_progress():
-    # largest part first, N=4..9 each end at their first bad partition
-    # after 2+3+5+8+13+19 = 50 partitions; the budget runs dry inside
-    # the N=10 sweep (p(10) = 42)
+    # arity one is the closed form and spends no budget; above it a
+    # stop carries the largest N shown to have a bad kernel
+    assert canonical_ramsey_number(1, 4, Config(max_kernels=1)) == 10
     with pytest.raises(BudgetExceededError) as info:
-        canonical_ramsey_number(1, 4, Config(max_kernels=50))
+        canonical_ramsey_number(2, 4, Config(max_kernels=1000))
     assert info.value.largest_checked == 9
 
 
@@ -136,65 +135,22 @@ def no_budget(nodes: int = 1) -> None:
     pass
 
 
-def partition_counts(limit: int) -> list[int]:
-    """p(0..limit) by adding one allowed part size at a time."""
-    counts = [1] + [0] * limit
-    for part in range(1, limit + 1):
-        for total in range(part, limit + 1):
-            counts[total] += counts[total - part]
-    return counts
+def assert_the_slow_path_gives_the_closed_form(m: int) -> None:
+    """The colex search at arity one: up to (m-1)^2 its first bad kernel
+    of N is the greedy partition into classes of m-1, and the first N
+    it finds none at is the number canonical_ramsey_number returns."""
+    searches = _bad_kernels(_CompletionTable(1, m), m, no_budget)
+    N = m
+    while (kernel := next(searches)) is not None:
+        assert _admits_witness(_colex_tuples(N, 1), kernel, 1, m, N) is None, (m, N)
+        assert kernel == tuple(i // (m - 1) for i in range(N)), (m, N)
+        N += 1
+    assert N == (m - 1) ** 2 + 1 == ramsey.canonical_ramsey_number(1, m), m
 
 
-def largest_first(N: int):
-    """Each partition of N >= 1 in reverse lexicographic order, [N]
-    first, as its parts above 1 (one list, reused) and its number of 1s.
-    The successor lowers the last part above 1 by one and refills what
-    follows it greedily with parts no larger."""
-    big, ones = ([N], 0) if N > 1 else ([], 1)
-    while True:
-        yield big, ones
-        if not big:
-            return
-        k = big.pop() - 1
-        rest = ones + 1 + k
-        if k == 1:
-            ones = rest
-            continue
-        full, ones = divmod(rest, k)
-        big += [k] * full
-        if ones > 1:
-            big.append(ones)
-            ones = 0
-
-
-def walk_to_first_bad(N: int, m: int):
-    """(partitions visited, kernel) of a largest-part-first walk that
-    stops at the first partition with fewer than m points per class and
-    fewer than m classes; (p(N), None) when it finds none."""
-    for nodes, (big, ones) in enumerate(largest_first(N), 1):
-        if (big[0] if big else 1) < m and len(big) + ones < m:
-            parts = big + [1] * ones
-            return nodes, tuple(c for c, size in enumerate(parts) for _ in range(size))
-    return nodes, None
-
-
-def test_partition_count_matches_recurrence():
-    counts = partition_counts(20)
-    for N in range(1, 21):
-        assert sum(1 for _ in largest_first(N)) == counts[N], N
-
-
-def test_partitions_are_distinct_largest_first():
-    for N in range(1, 13):
-        seen = [tuple(big) + (1,) * ones for big, ones in largest_first(N)]
-        assert all(sum(p) == N and list(p) == sorted(p, reverse=True) for p in seen)
-        assert seen == sorted(set(seen), reverse=True), N
-
-
-def test_unary_walk_matches_a_largest_part_first_walk():
-    for m in range(2, 9):
-        for N in range(m, (m - 1) ** 2 + 2):
-            assert _unary_walk(N, m) == walk_to_first_bad(N, m), (N, m)
+@pytest.mark.parametrize("m", range(1, 5))
+def test_unary_closed_form_against_its_slow_path(m):
+    assert_the_slow_path_gives_the_closed_form(m)
 
 
 def test_unary_numbers_match_closed_form():

@@ -156,7 +156,7 @@ class Approx:
 
     @property
     def key(self) -> tuple:
-        return tuple(b.key for b in self.blocks)
+        return tuple(map(block_key, self.blocks))
 
     def atom_set(self) -> frozenset[int]:
         out: set[int] = set()
@@ -496,25 +496,36 @@ class SpaceModel(ABC):
         _starts records. key(s + b) is key(s) + (key(b),), so the children
         of ordered parents come out ordered, one length after another.
         With a budget the walk stops once it holds more than budget, and
-        draws no parent's lazy hook past budget + 1 reducts. The hook is
+        draws no parent's lazy hook past budget + 1 reducts; a reused run
+        is appended whole, so the walk may stop holding more. The hook is
         asked once per last block (None for EMPTY): a later parent with
         the same last block reuses the sorted run, and a run cut short
-        by the budget ends the walk, so it is never reused.
+        by the budget ends the walk, so it is never reused. Each child
+        is parent.extend(b), read off the intern table here: the
+        constructor runs only for a child no one holds.
         """
         reds: list[Approx] = []
         starts = self._starts = [0]
         runs: dict[Optional[Block], list[Block]] = {}
         parent, done = EMPTY, 0
+        held = _APPROXES.get
+        limit = math.inf if budget is None else budget
         while True:
-            room = None if budget is None else budget + 1 - len(reds)
-            last = parent.blocks[-1] if parent.blocks else None
+            head = parent.blocks
+            last = head[-1] if head else None
             run = runs.get(last)
             if run is None:
+                room = None if budget is None else budget + 1 - len(reds)
                 blocks = itertools.islice(self._extension_blocks(parent), room)
                 run = runs[last] = sorted(blocks, key=block_key)
-            reds += [parent.extend(b) for b in run[:room]]
-            starts.append(len(reds))
-            if done == len(reds) or (budget is not None and len(reds) > budget):
+            for b in run:
+                key = head + (b,)
+                ref = held(key)
+                child = None if ref is None else ref()
+                reds.append(Approx(key) if child is None else child)
+            total = len(reds)
+            starts.append(total)
+            if done == total or total > limit:
                 return reds
             parent, done = reds[done], done + 1
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import and_
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ParameterError
-from .model import Approx, Block, SpaceModel, block_key, reduct_budget_error
+from .model import _BLOCKS, Approx, Block, SpaceModel, block_key, reduct_budget_error
 from .reportio import is_int_list
 
 
@@ -165,9 +165,9 @@ class FinModel(SpaceModel):
         for speed, as it skips rebuilding and sorting the atoms."""
         hit = self._unions.get(combo)
         if hit is None:
-            hit = self._unions[combo] = Block(
-                source=(combo[0].source[0], combo[-1].source[1]),
-                atoms=tuple(sorted(a for b in combo for a in b.atoms)),
+            hit = self._unions[combo] = interned_block(
+                (combo[0].source[0], combo[-1].source[1]),
+                tuple(sorted(a for b in combo for a in b.atoms)),
             )
         return hit
 
@@ -221,30 +221,31 @@ class TreeModel(SpaceModel):
         t_levels = {b.source for b in t.blocks}
         return s_levels <= t_levels and s.atom_set() <= t.atom_set()
 
-    def _extension_blocks(self, s: Approx) -> tuple[Block, ...]:
+    def _extension_blocks(self, s: Approx) -> Iterator[Block]:
+        # A plain function returning a lazy iterator, so that a budget
+        # stops it inside a run of hundreds of thousands of blocks.
         if not s.blocks:
-            return tuple(
-                Block(source=xb.source, atoms=(u,))
-                for xb in self.full.blocks for u in xb.atoms
-            )
+            return (interned_block(xb.source, (u,)) for xb in self.full.blocks for u in xb.atoms)
         last = s.blocks[-1]
         d = last.source[0] - 1
         first = self.levels[d][0]
-        out: list[Block] = []
-        for dl in range(d + 1, len(self.levels)):
-            # Nodes are numbered in level order: child c of the i-th node
-            # of level d is node k = i*b + c of level d+1, and its
-            # descendants at depth dl are run k, of width b^(dl-d-1), of
-            # level dl.
-            level, width = self.levels[dl], self.b ** (dl - d - 1)
-            slots = [
-                level[k * width:(k + 1) * width]
-                for u in last.atoms
-                for k in range((u - first) * self.b, (u - first + 1) * self.b)
-            ]
-            for pick in itertools.product(*slots):
-                out.append(Block(source=(dl + 1, dl + 2), atoms=tuple(sorted(pick))))
-        return tuple(out)
+
+        def runs():
+            for dl in range(d + 1, len(self.levels)):
+                # Nodes are numbered in level order: child c of the i-th
+                # node of level d is node k = i*b + c of level d+1, and
+                # its descendants at depth dl are run k, of width
+                # b^(dl-d-1), of level dl. The slots are increasing and
+                # disjoint, so each pick is already sorted.
+                level, width = self.levels[dl], self.b ** (dl - d - 1)
+                slots = [
+                    level[k * width:(k + 1) * width]
+                    for u in last.atoms
+                    for k in range((u - first) * self.b, (u - first + 1) * self.b)
+                ]
+                yield map(interned_block, itertools.repeat((dl + 1, dl + 2)), itertools.product(*slots))
+
+        return itertools.chain.from_iterable(runs())
 
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
         if block.source != w.source:
@@ -273,6 +274,14 @@ def build_fin(
 
 def build_tree(branching: int, height: int) -> TreeModel:
     return TreeModel(branching, height)
+
+
+def interned_block(source: tuple[int, int], atoms: tuple[int, ...]) -> Block:
+    """Block(source=source, atoms=atoms), read off the intern table here:
+    the constructor, with its checks, runs only for a block no one holds."""
+    ref = _BLOCKS.get((source, atoms))
+    block = None if ref is None else ref()
+    return Block(source=source, atoms=atoms) if block is None else block
 
 
 def closure(model: SpaceModel, x: Approx) -> tuple[Block, ...]:

@@ -2,16 +2,22 @@
 enumerates the reducts emits them sorted and asks the extension hook
 once per last block, prefix_mask reads runs of ids
 instead of calling restrict, longest_first reads the witness order off
-the id order, and FIN builds each union of pieces once. Each fast path
+the id order, and FIN builds each union of pieces once. The walk and
+the block hooks read the intern table and construct only what no one
+holds, and a budget stops a tree inside one block run. Each fast path
 is compared here with the slow form it replaced."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trspace import EMPTY, Approx, build_ellentuck, build_fin, build_tree
-from trspace.model import approx_sort_key, longest_first, witness_sort_key
+from trspace import EMPTY, Approx, BudgetExceededError, build_ellentuck, build_fin, build_tree
+from trspace.model import _APPROXES, Block, approx_sort_key, longest_first, witness_sort_key
 from trspace.spaces import EllentuckModel
 
 from helpers import fin_instances, tree_instances
@@ -187,3 +193,123 @@ def test_fin_builds_each_union_once():
     # and the reducts holding it share that object too
     holders = {id(b) for y in model.all_reducts() for b in y.blocks if b == tail[0]}
     assert holders == {id(tail[0])}
+
+
+@contextlib.contextmanager
+def counted_constructors():
+    """Counts the calls of Approx.__new__ and Block.__new__ while open."""
+    calls = {Approx: 0, Block: 0}
+    saved = {cls: cls.__dict__["__new__"] for cls in calls}
+
+    def counting(cls, *args, **kwargs):
+        calls[cls] += 1
+        return saved[cls].__func__(cls, *args, **kwargs)
+
+    for cls in calls:
+        cls.__new__ = counting
+    try:
+        yield calls
+    finally:
+        for cls, new in saved.items():
+            cls.__new__ = new
+
+
+def held(blocks) -> bool:
+    """Whether some live object holds the approximation of these blocks."""
+    ref = _APPROXES.get(blocks)
+    return ref is not None and ref() is not None
+
+
+def assert_reducts_are_the_interned_closure(model, reducts):
+    assert reducts == dfs_closure(model)
+    assert all(Approx(y.blocks) is y for y in reducts)
+
+
+def assert_both_intern_paths(build) -> int:
+    """Builds with every lookup a hit, then with misses; returns the
+    number of misses."""
+    # Hits: another model of the instance holds every reduct, so the
+    # walk and the block hooks construct nothing.
+    holder = build()
+    holder.approximations()
+    model = build()
+    with counted_constructors() as calls:
+        reducts = model.all_reducts()
+    assert calls == {Approx: 0, Block: 0}
+    assert_reducts_are_the_interned_closure(model, reducts)
+    assert all(y is h for y, h in zip(reducts, holder.all_reducts()))
+    # Misses: with both models gone, the walk constructs each reduct that
+    # no one holds. The new model holds its full reduct, and a live model
+    # of another instance (a session fixture, say) may hold some more;
+    # those are hits again.
+    keys = [y.blocks for y in reducts]
+    del holder, model, reducts
+    gc.collect()
+    model = build()
+    unheld = sum(not held(k) for k in keys)
+    with counted_constructors() as calls:
+        reducts = model.all_reducts()
+    assert calls[Approx] == unheld
+    assert [y.blocks for y in reducts] == keys
+    assert_reducts_are_the_interned_closure(model, reducts)
+    return unheld
+
+
+@pytest.mark.parametrize("name", sorted(LINE_INSTANCES))
+def test_both_intern_paths(name):
+    assert_both_intern_paths(LINE_INSTANCES[name])
+
+
+def test_a_cold_build_no_one_shares_misses_on_every_reduct():
+    # Levels no other instance has, so no other model holds a reduct:
+    # the miss build constructs all 12 but the full one, which the model
+    # holds from the start.
+    assert assert_both_intern_paths(lambda: build_fin(levels=[[9, 7], [8], [6, 5]], span_cap=2)) == 11
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=fin_instances())
+def test_both_intern_paths_on_fin_partitions(model):
+    assert_both_intern_paths(lambda: build_fin(levels=model.levels, span_cap=model.span_cap))
+
+
+@settings(max_examples=8, deadline=None)
+@given(model=tree_instances())
+def test_both_intern_paths_on_drawn_trees(model):
+    assert_both_intern_paths(lambda: build_tree(model.b, model.h))
+
+
+def assert_the_budget_stops_inside_a_run(model, budget, bound):
+    """all_reducts(budget) is refused below bound bytes traced, and the
+    hook, wrapped, yields at most budget + 1 blocks in all."""
+    hook, drawn = model._extension_blocks, 0
+
+    def counted(s):
+        nonlocal drawn
+        for block in hook(s):
+            drawn += 1
+            yield block
+
+    model._extension_blocks = counted
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"max_reducts budget of {budget}$"):
+            model.all_reducts(budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert drawn <= budget + 1
+    assert peak < bound
+
+
+# After the run of EMPTY (every node: 364 and 121), the root's run is
+# 81^3 = 531,441 blocks of level 5, some hundreds of megabytes built
+# whole, and 27^3 = 19,683 of level 4, about 8 MB; lazily, the budget
+# stops each after a few hundred.
+BUDGET_STOPS = {"tree35": (3, 5, 1000, 4_000_000), "tree34": (3, 4, 200, 1_000_000)}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_STOPS))
+def test_a_budget_stops_a_tree_inside_a_block_run(name):
+    b, h, budget, bound = BUDGET_STOPS[name]
+    assert_the_budget_stops_inside_a_run(build_tree(b, h), budget, bound)

@@ -18,7 +18,7 @@ import pytest
 
 import trspace.model
 from test_axioms import InflatedLeq
-from test_cold_build import restrict_table_mask
+from test_cold_build import BUDGET_STOPS, assert_the_budget_stops_inside_a_run, restrict_table_mask
 from test_kernel_scan import (
     A4_FLIPPED_KILLERS,
     _drawn_killer,
@@ -37,6 +37,7 @@ from test_relation_layer import (
     CLAUSE3_DEFECTS,
     DroppedAtom,
     _assert_engine_matches_reference,
+    _assert_lines_match_hook,
     reference_a2,
     reference_a3,
 )
@@ -44,6 +45,8 @@ from trspace import (
     GENERATORS,
     InnerMap,
     build_ellentuck,
+    build_fin,
+    build_tree,
     canonize,
     check_axioms,
     generated_coloring,
@@ -56,6 +59,7 @@ from trspace.fronts import front_table
 from trspace.mixing import _SEPARATED, _SPLIT, MixingEngine
 from trspace.model import DEFAULT_CONFIG, SpaceModel, _bits
 from trspace.ramsey import _CompletionTable, _admits_witness, _colex_tuples
+from trspace.spaces import EllentuckModel, FinModel, TreeModel
 
 # The package exports the canonize function under the submodule's name.
 canonize_module = importlib.import_module("trspace.canonize")
@@ -238,6 +242,58 @@ def prefix_masks_as_restrict():
 
 
 # ---------------------------------------------------------------------------
+# The cold build: the block hooks and FIN's block masks.
+
+def ellentuck_skips_an_atom(monkeypatch):
+    """EllentuckModel's hook leaves out the atom right after the last
+    block, so no reduct holds atom 0 or two neighbouring atoms."""
+
+    def mutant(self, s):
+        floor = s.blocks[-1].atoms[0] if s.blocks else -1
+        return (b for b in self.full.blocks if b.atoms[0] > floor + 1)
+
+    monkeypatch.setattr(EllentuckModel, "_extension_blocks", mutant)
+
+
+def ellentuck_counts_as_the_closed_form():
+    """Ellentuck N has 2^N - 1 reducts, the nonempty subsets of its atoms."""
+    for n in range(1, 8):
+        assert len(build_ellentuck(n).all_reducts()) == 2 ** n - 1, n
+
+
+def fin_masks_with_a_flipped_bit(monkeypatch):
+    """FinModel._masks reports the first reduct wrongly as splitting
+    each block, or not."""
+    masks = FinModel._masks
+
+    def mutant(self, block):
+        split, inside, touch = masks(self, block)
+        return split ^ 1, inside, touch
+
+    monkeypatch.setattr(FinModel, "_masks", mutant)
+
+
+def fin_lines_as_the_pairwise_order():
+    """FIN(4)'s rows and columns, built from the block masks, are the
+    pairwise _leq_fin."""
+    _assert_lines_match_hook(build_fin(4))
+
+
+def eager_tree_hook(monkeypatch):
+    """TreeModel's hook builds its whole run as a tuple, so a budget
+    cannot stop it inside the run."""
+    hook = TreeModel._extension_blocks
+    monkeypatch.setattr(TreeModel, "_extension_blocks", lambda self, s: tuple(hook(self, s)))
+
+
+def tree_budget_stops_inside_a_run():
+    """The budget stops tree b=3 h=4 inside the root's run of 19,683
+    blocks, below 1 MB traced."""
+    b, h, budget, bound = BUDGET_STOPS["tree34"]
+    assert_the_budget_stops_inside_a_run(build_tree(b, h), budget, bound)
+
+
+# ---------------------------------------------------------------------------
 # Masks read as indices, and the mixing verdicts.
 
 def bits_without_the_top_bit(monkeypatch):
@@ -377,6 +433,9 @@ MUTANTS = {
     ),
     "canonize kernel_ids merges two labels": (kernel_ids_merging_two_labels, verify_as_the_pair_scan),
     "prefix_mask runs without the last one": (prefix_runs_one_short, prefix_masks_as_restrict),
+    "Ellentuck hook skips an atom": (ellentuck_skips_an_atom, ellentuck_counts_as_the_closed_form),
+    "FinModel._masks flips a bit": (fin_masks_with_a_flipped_bit, fin_lines_as_the_pairwise_order),
+    "Tree hook builds its run eagerly": (eager_tree_hook, tree_budget_stops_inside_a_run),
     "_bits drops the top bit": (bits_without_the_top_bit, masks_read_as_the_pairwise_order),
     "MixingEngine.decide never splits": (decide_never_splits, decide_as_the_reference_loop),
     "MixingEngine._row keeps mu + 1 slices": (one_slice_more, decide_as_the_reference_loop),

@@ -42,6 +42,9 @@ from .model import (
 )
 from .reportio import approx_to_json, to_jsonable
 
+# Deciding starts tried after the first before the fallback.
+RETRIES = 3
+
 
 @dataclass(frozen=True)
 class InnerMap:
@@ -301,8 +304,8 @@ def canonize(
     Stage A fuses to a reduct deciding every pair of hat segments, stage B
     uniformizes one selector per position against the mixing kernel,
     then the map is verified and the witness grown while verification
-    holds. Failed attempts retry from the next smaller deciding start;
-    when retries are exhausted the deterministic single-member fallback
+    holds. Failed attempts retry from the next smaller deciding start, up
+    to RETRIES times; after that the deterministic single-member fallback
     keeps the result honest and the stats record the degradation.
     """
     engine = MixingEngine(model, coloring, config)
@@ -327,7 +330,7 @@ def canonize(
         if y != z0 and engine.real_bits(y)
     ))
     witness = phi = None
-    for attempt, start in enumerate(itertools.islice(starts, config.retries + 1)):
+    for attempt, start in enumerate(itertools.islice(starts, RETRIES + 1)):
         stats["retries_used"] = attempt
         try:
             cand_x, cand_phi = _assemble(engine, start, config)

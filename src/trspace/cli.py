@@ -254,9 +254,9 @@ COMMANDS = (
     ("weak-mixing", "scan mixed unequal-depth pairs for transfer blocks", _COLORED,
      _MIXING_FLAGS, _weak_mixing),
     ("canonize", "search a canonical inner map", _COLORED + ("oracle",),
-     ("mu", "depth_budget", "retries", "max_reducts", "max_kernels", "seed"), _canonize),
+     ("mu", "depth_budget", "max_reducts", "max_kernels", "seed"), _canonize),
     ("lemma-suite", "canonize, then check the structure lemmas", _COLORED,
-     ("mu", "depth_budget", "retries", "max_reducts", "seed"), _lemma_suite),
+     ("mu", "depth_budget", "max_reducts", "seed"), _lemma_suite),
     ("er-number", "canonical partition number by exhaustive search", ("arity",),
      ("max_kernels",), _er_number),
 )

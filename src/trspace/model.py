@@ -128,6 +128,14 @@ class Block:
         return (self.source, self.atoms)
 
 
+def interned_block(source: tuple[int, int], atoms: tuple[int, ...]) -> Block:
+    """Block(source=source, atoms=atoms), read off the intern table here:
+    the constructor, with its checks, runs only for a block no one holds."""
+    ref = _BLOCKS.get((source, atoms))
+    block = None if ref is None else ref()
+    return Block(source=source, atoms=atoms) if block is None else block
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Approx:
     """A finite approximation: a (possibly empty) sequence of blocks.
@@ -197,7 +205,6 @@ class Config:
 
     mu: int = 1                      # admissibility threshold for quantifier pools
     depth_budget: Optional[int] = None
-    retries: int = 3
     max_reducts: int = 500_000       # enumeration guard for a single instance
     # Ramsey numbers: colors tried at a tuple (arity one spends none);
     # oracle_canonize: (reduct, map) candidates
@@ -210,8 +217,6 @@ class Config:
                 raise ParameterError(f"{name} must be an integer")
         if self.mu < 1:
             raise ParameterError("mu must be at least 1")
-        if self.retries < 0:
-            raise ParameterError("retries must be nonnegative")
         if self.max_reducts < 1 or self.max_kernels < 1:
             raise ParameterError("enumeration budgets must be positive")
         if self.depth_budget is not None and self.depth_budget < 1:
@@ -731,25 +736,25 @@ def _check_a2(model: SpaceModel) -> dict:
     of x lies below some segment of y, (3) a segment of t lies below some
     segment of each t' >= t.
 
-    On a containment order with SpaceModel's restrict, segments are
-    prefixes, whose pieces lie in their reduct's. If every segment is
-    EMPTY or a reduct and every reduct lies below the full one, A.2
-    passes without a row: x <= y gives every segment of x below y, its
-    own segment; x below a segment of y gives x <= y; and a segment s of
-    t has s <= t <= t'. The predecessors of any t then lie among the
-    full reduct's, which are all the approximations. Otherwise, and on
-    every other model, the rows are searched.
+    On a containment order with SpaceModel's restrict, A.2 passes on the
+    full reduct's column alone, once every reduct lies below it. The walk
+    makes each reduct parent.extend(b), the parent EMPTY or an earlier
+    reduct, so with interning every prefix of a reduct is EMPTY or a
+    stored reduct: the approximations are EMPTY and the R reducts, whose
+    pieces lie in their reduct's. So x <= y gives every segment of x
+    below y, its own segment; x below a segment of y gives x <= y; a
+    segment s of t has s <= t <= t'; and the predecessors of any t lie
+    among the full reduct's, all R + 1 approximations. Otherwise, and
+    on every other model, the rows are searched.
     """
-    approxes = model.approximations()
     reds = model.all_reducts()
     if (
         _orders_by_containment(model) and model._keeps("restrict")
-        # EMPTY and every reduct are approximations, so no other segment
-        and len(approxes) == len(reds) + 1
         and model._column(model.full) == (2 << len(reds)) - 1
     ):
-        stats = {"max_predecessors": len(approxes), "approximations": len(approxes)}
-        return _report("A2", "pass", stats=stats)
+        count = len(reds) + 1
+        return _report("A2", "pass", stats={"max_predecessors": count, "approximations": count})
+    approxes = model.approximations()
     # Only EMPTY and the reducts lie below anything. EMPTY takes bit 0 and
     # reduct i bit i + 1, so the bits run in approximation order; a
     # segment that is neither (an overridden restrict can name one) takes

@@ -18,7 +18,7 @@ from operator import and_
 from typing import Iterable, Iterator, Optional
 
 from .errors import ParameterError
-from .model import _BLOCKS, Approx, Block, SpaceModel, block_key, reduct_budget_error
+from .model import Approx, Block, SpaceModel, block_key, interned_block, reduct_budget_error
 from .reportio import is_int_list
 
 
@@ -274,14 +274,6 @@ def build_fin(
 
 def build_tree(branching: int, height: int) -> TreeModel:
     return TreeModel(branching, height)
-
-
-def interned_block(source: tuple[int, int], atoms: tuple[int, ...]) -> Block:
-    """Block(source=source, atoms=atoms), read off the intern table here:
-    the constructor, with its checks, runs only for a block no one holds."""
-    ref = _BLOCKS.get((source, atoms))
-    block = None if ref is None else ref()
-    return Block(source=source, atoms=atoms) if block is None else block
 
 
 def closure(model: SpaceModel, x: Approx) -> tuple[Block, ...]:

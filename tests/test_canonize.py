@@ -183,8 +183,8 @@ def test_canonize_skips_starts_where_no_selector_fuses(e5, monkeypatch):
     monkeypatch.setattr(canonize_module, "_assemble", recording)
     coloring = generated_coloring(uniform_front(e5, 2), "parity")
     report = canonize(e5, coloring)
-    assert raised == [NoInnerWitnessError] * (DEFAULT_CONFIG.retries + 1)
-    assert report.stats["retries_used"] == DEFAULT_CONFIG.retries == 3
+    assert raised == [NoInnerWitnessError] * (canonize_module.RETRIES + 1)
+    assert report.stats["retries_used"] == canonize_module.RETRIES == 3
     assert report.stats["fallback"] is True
     assert report.verdict == "pass"
     assert verify_canonical(e5, report.witness, report.phi, coloring) == (True, None)

@@ -202,12 +202,12 @@ def test_reports_embed_full_config(capsys):
     code, rep = run(
         capsys,
         ["canonize", "ellentuck", "N=5", "--front", "AU2", "--coloring", "min",
-         "--mu", "2", "--seed", "9", "--retries", "4"],
+         "--mu", "2", "--seed", "9"],
     )
     assert code == 0
     cfg = rep["config"]
-    assert set(cfg) == {"mu", "depth_budget", "retries", "max_reducts", "max_kernels", "seed"}
-    assert (cfg["mu"], cfg["seed"], cfg["retries"]) == (2, 9, 4)
+    assert set(cfg) == {"mu", "depth_budget", "max_reducts", "max_kernels", "seed"}
+    assert (cfg["mu"], cfg["seed"]) == (2, 9)
     assert rep["instance"]["instance"] == "ellentuck"
     assert rep["instance"]["params"] == {"N": 5}
     assert rep["instance_tag"].startswith("ellentuck:")
@@ -289,6 +289,9 @@ def test_an_unwritable_out_prints_nothing(capsys, tmp_path, where):
         ["canonize", "ellentuck", "N=4", "--fr", "AU1", "--col", "min", "--orac"],
         ["verify-axioms", "ellentuck", "N=4", "--max-r", "20"],
         ["--hel"],
+        # canonize's retry count is a constant, not a flag
+        ["canonize", "ellentuck", "N=4", "--front", "AU1", "--coloring", "min", "--retries", "4"],
+        ["lemma-suite", "ellentuck", "N=4", "--front", "AU1", "--coloring", "min", "--retries", "4"],
     ),
 )
 def test_usage_errors(capsys, argv):
@@ -347,7 +350,7 @@ def test_readme_lists_the_config_flags_of_each_command():
             flags = tuple(f.replace("-", "_") for f in re.findall(r"`--([a-z-]+)`", cells[2]))
             documented.update((name, flags) for name in re.findall(r"`([a-z-]+)`", cells[1]))
     assert documented == {c[0]: c[3] for c in cli.COMMANDS}
-    assert sum(map(len, documented.values())) == 26
+    assert sum(map(len, documented.values())) == 24
 
 
 def test_tree_height_past_the_node_cap_exits_3_at_once(capsys):

@@ -13,10 +13,13 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import itertools
+import json
+import math
 
 import pytest
 
 import trspace.model
+from helpers import ea, reference_canonical_json
 from test_axioms import InflatedLeq
 from test_cold_build import BUDGET_STOPS, assert_the_budget_stops_inside_a_run, restrict_table_mask
 from test_kernel_scan import (
@@ -47,11 +50,13 @@ from trspace import (
     build_ellentuck,
     build_fin,
     build_tree,
+    canonical_json,
     canonize,
     check_axioms,
     generated_coloring,
     hat,
     ramsey,
+    reportio,
     uniform_front,
     verify_canonical,
 )
@@ -412,6 +417,81 @@ def allowance_one_too_large(monkeypatch):
     monkeypatch.setattr(ramsey, "_bad_kernels", mutant)
 
 
+# ---------------------------------------------------------------------------
+# The report writer: canonical_json against its defining formula.
+
+def _write_instead(monkeypatch, when, text):
+    """reportio._write writes text(obj) for each obj with when(obj) and
+    is itself otherwise; its recursion reaches the mutant through the
+    module name."""
+    write = reportio._write
+
+    def mutant(obj, nl, out):
+        if when(obj):
+            out(text(obj))
+        else:
+            write(obj, nl, out)
+
+    monkeypatch.setattr(reportio, "_write", mutant)
+
+
+def keys_unsorted(monkeypatch):
+    """The writer takes a dict's keys in insertion order."""
+    monkeypatch.setattr(reportio, "sorted", list, raising=False)
+
+
+def non_ascii_raw(monkeypatch):
+    """Strings keep their non-ASCII characters instead of \\u escapes."""
+    monkeypatch.setattr(reportio, "_encode_str", json.encoder.encode_basestring)
+
+
+def nan_written(monkeypatch):
+    """NaN is written as NaN, as json.dumps does with allow_nan."""
+    _write_instead(monkeypatch, lambda obj: isinstance(obj, float) and obj != obj, lambda obj: "NaN")
+
+
+def floats_rounded(monkeypatch):
+    """Finite floats are written rounded to six decimals."""
+    _write_instead(
+        monkeypatch, lambda obj: type(obj) is float and math.isfinite(obj),
+        lambda obj: float.__repr__(round(obj, 6)),
+    )
+
+
+def empty_list_spaced(monkeypatch):
+    """An empty list or tuple is written as [ ]."""
+    _write_instead(monkeypatch, lambda obj: isinstance(obj, (list, tuple)) and not obj, lambda obj: "[ ]")
+
+
+# Keys out of sorted order, non-ASCII text, floats that need every
+# digit, empty containers and engine objects.
+WRITER_PAYLOAD = {
+    "zeta": [],
+    "alpha": {"só": "naïve → ∞", "b": (0.1 + 0.2, 1 / 3, -2.5e-8, math.inf)},
+    "ids": [3, -1, 2**70],
+    "flags": [True, False, None],
+    "empty": {},
+    "witness": ea(1, 3),
+    "nothing": ea(),
+}
+
+
+def writes_as_the_formula():
+    """canonical_json gives the formula's text on the fixed payload."""
+    assert canonical_json(WRITER_PAYLOAD) == reference_canonical_json(WRITER_PAYLOAD)
+
+
+def refuses_as_the_formula():
+    """NaN and -inf have no JSON form: the formula refuses them, and so
+    does canonical_json."""
+    for value in (math.nan, -math.inf):
+        payload = {"value": [1.5, value]}
+        with pytest.raises(ValueError):
+            reference_canonical_json(payload)
+        with pytest.raises(ValueError):
+            canonical_json(payload)
+
+
 # name: (mutation, killer)
 MUTANTS = {
     "A.4 ties broken by id": (
@@ -448,6 +528,11 @@ MUTANTS = {
     "Ramsey allowance one node too large": (
         allowance_one_too_large, lambda: assert_stops_as_the_reference(2, 4, range(1, 401)),
     ),
+    "writer keys unsorted": (keys_unsorted, writes_as_the_formula),
+    "writer non-ASCII text raw": (non_ascii_raw, writes_as_the_formula),
+    "writer NaN written": (nan_written, refuses_as_the_formula),
+    "writer floats rounded": (floats_rounded, writes_as_the_formula),
+    "writer [ ] for an empty list": (empty_list_spaced, writes_as_the_formula),
 }
 
 

@@ -251,10 +251,12 @@ class SpaceModel(ABC):
     order _leq_fin, the reference the engine never calls. The engine
     reads the order as bitsets over the reduct ids, the reducts above
     and below an approximation (_reducts_above, _reducts_below), built
-    from per-piece reduct masks (_pieces, _piece_masks). By default s <= y iff y holds every piece of s, with
-    atoms for pieces; a space with another order overrides both
-    directions. The relation is stored only as lazily filled lines, rows
-    (up_mask) and columns (sub_mask), and leq_fin reads one bit of a row.
+    from per-piece reduct masks (_pieces of each block, _piece_masks).
+    By default s <= y iff y holds every piece of s, with atoms for
+    pieces; a space with another order overrides both directions and
+    names in _order_hooks the hooks its order is argued from. The
+    relation is stored only as lazily filled lines, rows (up_mask) and
+    columns (sub_mask), and leq_fin reads one bit of a row.
 
     Every store is per instance and filled on first use: the reducts in
     documented order with their ids and child runs, the approximations,
@@ -319,22 +321,36 @@ class SpaceModel(ABC):
     def _extension_blocks(self, s: Approx) -> Iterable[Block]:
         """Blocks b with s.extend(b) a reduct, in any order; a lazy
         iterable lets a budget stop the enumeration early. They depend on
-        s only through its last block (none for EMPTY). Asked only by
-        the enumeration, once per distinct last block of a parent s,
-        which is EMPTY or a reduct."""
+        s only through _run_key of its last block (None for EMPTY). Asked
+        only by the enumeration, once per run key of a parent s, which
+        is EMPTY or a reduct."""
 
-    def _pieces(self, y: Approx):
-        """The pieces of reduct y that _piece_masks indexes the reducts by."""
-        return (a for b in y.blocks for a in b.atoms)
+    # The hooks through which the model reads its order. Where a model
+    # keeps all of them as the class that names them defines them, its
+    # order is argued, not searched, by A.2 and A.3: SpaceModel's is
+    # containment of piece sets, with EMPTY below everything.
+    _order_hooks = ("_line", "_reducts_above", "_reducts_below", "_pieces", "_piece_masks")
+
+    def _run_key(self, last: Optional[Block]):
+        """What a parent's extensions depend on, read off its last block
+        (None for EMPTY): by default the block itself."""
+        return last
+
+    def _pieces(self, block: Block):
+        """The pieces of a block that _piece_masks indexes the reducts by."""
+        return block.atoms
 
     def _reducts_above(self, s: Approx) -> int:
         """Bitset of the reducts y with s <= y; s is EMPTY or a reduct."""
-        masks = self._piece_masks()
-        return reduce(and_, (masks[piece] for piece in self._pieces(s)), self._every_reduct())
+        above, masks = self._every_reduct(), self._piece_masks()
+        for b in s.blocks:
+            for piece in self._pieces(b):
+                above &= masks[piece]
+        return above
 
     def _reducts_below(self, x: Approx) -> int:
         """Bitset of the reducts y <= x; x is EMPTY or a reduct."""
-        inside = set(self._pieces(x))
+        inside = {piece for b in x.blocks for piece in self._pieces(b)}
         outside = [mask for piece, mask in self._piece_masks().items() if piece not in inside]
         return self._every_reduct() & ~reduce(or_, outside, 0)
 
@@ -367,10 +383,12 @@ class SpaceModel(ABC):
             return x
         return Approx(x.blocks[:n])
 
-    def _keeps(self, *hooks: str) -> bool:
-        """Whether the model reads every named hook as SpaceModel defines
-        it, overridden neither on its class nor on the instance."""
-        return all(getattr(getattr(self, h), "__func__", None) is getattr(SpaceModel, h) for h in hooks)
+    def _keeps(self, *hooks: str, owner: Optional[type] = None) -> bool:
+        """Whether the model reads every named hook as owner (SpaceModel
+        by default) defines it, overridden neither on a subclass nor on
+        the instance."""
+        owner = SpaceModel if owner is None else owner
+        return all(getattr(getattr(self, h), "__func__", None) is getattr(owner, h) for h in hooks)
 
     def _bit(self, a: Approx) -> Optional[int]:
         """a's bit in the lines: 0 for EMPTY, i + 1 for reduct i; None
@@ -390,10 +408,12 @@ class SpaceModel(ABC):
         filled in one pass over the reducts on first use."""
         if self._masks_by_piece is None:
             masks: dict = {}
+            get, pieces = masks.get, self._pieces
             for i, y in enumerate(self.all_reducts()):
                 bit = 1 << i
-                for piece in self._pieces(y):
-                    masks[piece] = masks.get(piece, 0) | bit
+                for b in y.blocks:
+                    for piece in pieces(b):
+                        masks[piece] = get(piece, 0) | bit
             self._masks_by_piece = masks
         return self._masks_by_piece
 
@@ -503,26 +523,26 @@ class SpaceModel(ABC):
         With a budget the walk stops once it holds more than budget, and
         draws no parent's lazy hook past budget + 1 reducts; a reused run
         is appended whole, so the walk may stop holding more. The hook is
-        asked once per last block (None for EMPTY): a later parent with
-        the same last block reuses the sorted run, and a run cut short
-        by the budget ends the walk, so it is never reused. Each child
-        is parent.extend(b), read off the intern table here: the
-        constructor runs only for a child no one holds.
+        asked once per run key, _run_key of the parent's last block (None
+        for EMPTY): a later parent with the same key reuses the sorted
+        run, and a run cut short by the budget ends the walk, so it is
+        never reused. Each child is parent.extend(b), read off the intern
+        table here: the constructor runs only for a child no one holds.
         """
         reds: list[Approx] = []
         starts = self._starts = [0]
-        runs: dict[Optional[Block], list[Block]] = {}
+        runs: dict = {}
         parent, done = EMPTY, 0
-        held = _APPROXES.get
+        held, run_key = _APPROXES.get, self._run_key
         limit = math.inf if budget is None else budget
         while True:
             head = parent.blocks
-            last = head[-1] if head else None
-            run = runs.get(last)
+            slot = run_key(head[-1] if head else None)
+            run = runs.get(slot)
             if run is None:
                 room = None if budget is None else budget + 1 - len(reds)
                 blocks = itertools.islice(self._extension_blocks(parent), room)
-                run = runs[last] = sorted(blocks, key=block_key)
+                run = runs[slot] = sorted(blocks, key=block_key)
             for b in run:
                 key = head + (b,)
                 ref = held(key)
@@ -691,7 +711,18 @@ def _bits(mask: int):
 
 
 def _check_a1(model: SpaceModel) -> dict:
+    """A.1: (1) the empty segment of every reduct is empty, (2) distinct
+    reducts differ at some segment, (3) equal segments have equal lengths
+    and equal earlier segments.
+
+    SpaceModel's restrict passes by argument: restrict(x, 0) is EMPTY,
+    restrict(x, len(x)) is x, and equal prefixes have equal lengths and
+    equal earlier prefixes. Under an overridden restrict the segments are
+    searched.
+    """
     reds = model.all_reducts()
+    if model._keeps("restrict"):
+        return _report("A1", "pass", stats={"reducts": len(reds)})
     segs = [model.segments(x) for x in reds]
     # A.1(1): the empty segment of every reduct is empty.
     for x, sx in zip(reds, segs):
@@ -721,14 +752,29 @@ def _check_a1(model: SpaceModel) -> dict:
     return _report("A1", "pass", stats={"reducts": len(reds)})
 
 
-# The hooks through which a model reads its order. A model keeping
-# SpaceModel's for all of them orders the reducts by containment of their
-# piece sets, with EMPTY below everything: a preorder by construction.
-_ORDER_HOOKS = ("_line", "_reducts_above", "_reducts_below", "_pieces", "_piece_masks")
-
-
 def _orders_by_containment(model: SpaceModel) -> bool:
-    return model._keeps(*_ORDER_HOOKS)
+    """Whether the model reads its order through the hooks of the class
+    that names them in _order_hooks, as that class defines them: then
+    the order is a preorder in which each prefix of a reduct lies below
+    it, by the argument of that class (piece containment on SpaceModel;
+    FIN's unions of blocks)."""
+    owner = next(c for c in type(model).__mro__ if "_order_hooks" in vars(c))
+    return model._keeps(*owner._order_hooks, owner=owner)
+
+
+def _full_is_above_every_reduct(model: SpaceModel) -> bool:
+    """The full reduct is a reduct and every reduct lies below it. On
+    SpaceModel's piece containment no line is read: every piece of every
+    reduct is one of the full reduct's, tested on the reducts' distinct
+    blocks, which are their last blocks since every prefix of a reduct
+    is a reduct. Any other argued order reads the full reduct's column."""
+    reds = model.all_reducts()
+    if model._bit(model.full) is None:
+        return False
+    if model._keeps(*SpaceModel._order_hooks):
+        pieces = {piece for b in model.full.blocks for piece in model._pieces(b)}
+        return all(pieces.issuperset(model._pieces(b)) for b in {y.blocks[-1] for y in reds})
+    return model._column(model.full) == (2 << len(reds)) - 1
 
 
 def _check_a2(model: SpaceModel) -> dict:
@@ -736,22 +782,19 @@ def _check_a2(model: SpaceModel) -> dict:
     of x lies below some segment of y, (3) a segment of t lies below some
     segment of each t' >= t.
 
-    On a containment order with SpaceModel's restrict, A.2 passes on the
-    full reduct's column alone, once every reduct lies below it. The walk
-    makes each reduct parent.extend(b), the parent EMPTY or an earlier
-    reduct, so with interning every prefix of a reduct is EMPTY or a
-    stored reduct: the approximations are EMPTY and the R reducts, whose
-    pieces lie in their reduct's. So x <= y gives every segment of x
-    below y, its own segment; x below a segment of y gives x <= y; a
-    segment s of t has s <= t <= t'; and the predecessors of any t lie
-    among the full reduct's, all R + 1 approximations. Otherwise, and
-    on every other model, the rows are searched.
+    On an argued order with SpaceModel's restrict, A.2 passes once the
+    full reduct is a reduct above every reduct. The walk makes each
+    reduct parent.extend(b), the parent EMPTY or an earlier reduct, so
+    with interning every prefix of a reduct is EMPTY or a stored reduct:
+    the approximations are EMPTY and the R reducts, each prefix below its
+    reduct. So x <= y gives every segment of x below y, its own segment;
+    x below a segment of y gives x <= y by transitivity; a segment s of t
+    has s <= t <= t'; and the predecessors of any t lie among the full
+    reduct's, all R + 1 approximations. Otherwise, and on every other
+    model, the rows are searched.
     """
     reds = model.all_reducts()
-    if (
-        _orders_by_containment(model) and model._keeps("restrict")
-        and model._column(model.full) == (2 << len(reds)) - 1
-    ):
+    if _orders_by_containment(model) and model._keeps("restrict") and _full_is_above_every_reduct(model):
         count = len(reds) + 1
         return _report("A2", "pass", stats={"max_predecessors": count, "approximations": count})
     approxes = model.approximations()
@@ -835,10 +878,10 @@ def _check_a3(model: SpaceModel) -> dict:
     x <= y, some z in [s, y] has a nonempty [s, z] inside [s, x].
 
     A preorder passes, whatever restrict does: y lies in [s, y], and any z
-    of [s, x] lies in [s, y] with [s, z] inside [s, x]. A containment
-    order is one by construction, so it passes without a column; other
-    orders are tested on the columns, and only one that is no preorder
-    is searched.
+    of [s, x] lies in [s, y] with [s, z] inside [s, x]. An argued order
+    is one by construction, so it passes without a column; other orders
+    are tested on the columns, and only one that is no preorder is
+    searched.
     """
     reds = model.all_reducts()
     if _orders_by_containment(model):

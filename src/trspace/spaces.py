@@ -102,10 +102,14 @@ class FinModel(SpaceModel):
         return True
 
     # s <= t iff every block of s is a union of blocks of t: the pieces
-    # are blocks, and a reduct holds a block that it splits.
+    # are blocks, and a reduct holds a block that it splits. That order is
+    # a preorder, and each prefix of a reduct lies below it, its blocks
+    # being blocks of the reduct: so A.2 and A.3 pass by argument on a
+    # model that reads the order through these hooks.
+    _order_hooks = (*SpaceModel._order_hooks, "_masks")
 
-    def _pieces(self, y: Approx):
-        return y.blocks
+    def _pieces(self, block: Block):
+        return (block,)
 
     def _masks(self, block: Block) -> tuple[int, int, int]:
         """(split, inside, touch): bitsets of the reducts in which block
@@ -135,8 +139,11 @@ class FinModel(SpaceModel):
 
     def _reducts_below(self, x: Approx) -> int:
         # y <= x iff y holds no ground level outside x, and each block of
-        # x lies inside one block of y or meets none.
+        # x lies inside one block of y or meets none. Every block is a
+        # union of ground levels, so every reduct lies below the full one.
         column = self._every_reduct()
+        if x is self.full:
+            return column
         for block in x.blocks:
             _, inside, touch = self._masks(block)
             column &= inside | ~touch
@@ -146,9 +153,13 @@ class FinModel(SpaceModel):
                 column &= ~self._masks(ground)[2]
         return column
 
+    def _run_key(self, last: Optional[Block]):
+        return None if last is None else last.source[1]
+
     def _extension_blocks(self, s: Approx) -> Iterable[Block]:
         # Blocks of the instance are separated and increasing, so the
-        # ground levels past s start where the last block of s ends.
+        # ground levels past s start where the last block of s ends, the
+        # run key.
         start = s.blocks[-1].source[1] if s.blocks else 1
         pieces = self.full.blocks[start - 1:]
         # Each piece is one ground level, so a union of k pieces spans k
@@ -246,6 +257,13 @@ class TreeModel(SpaceModel):
                 yield map(interned_block, itertools.repeat((dl + 1, dl + 2)), itertools.product(*slots))
 
         return itertools.chain.from_iterable(runs())
+
+    def _run_key(self, last: Optional[Block]):
+        # A block of the deepest level has no extensions, so all such
+        # blocks share one run, the empty one, keyed by their level.
+        if last is not None and last.source[0] == len(self.levels):
+            return last.source
+        return last
 
     def proper_combination(self, block: Block, w: Block, s: Approx) -> bool:
         if block.source != w.source:

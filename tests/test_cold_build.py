@@ -1,11 +1,11 @@
 """A cold instance is built in documented order: the walk that
 enumerates the reducts emits them sorted and asks the extension hook
-once per last block, prefix_mask reads runs of ids
+once per run key of a last block, prefix_mask reads runs of ids
 instead of calling restrict, longest_first reads the witness order off
 the id order, and FIN builds each union of pieces once. The walk and
 the block hooks read the intern table and construct only what no one
-holds, and a budget stops a tree inside one block run. Each fast path
-is compared here with the slow form it replaced."""
+holds, and a budget stops a tree or FIN inside one block run. Each fast
+path is compared here with the slow form it replaced."""
 
 from __future__ import annotations
 
@@ -71,11 +71,12 @@ def test_cold_build_matches_reference_on_drawn_trees(model):
 
 
 def assert_extensions_depend_only_on_the_last_block(model):
+    """Parents whose last blocks have one run key have one run."""
     runs: dict = {}
     for s in (EMPTY, *model.all_reducts()):
         blocks = set(model._extension_blocks(s))
-        last = s.blocks[-1] if s.blocks else None
-        assert runs.setdefault(last, blocks) == blocks, s
+        key = model._run_key(s.blocks[-1] if s.blocks else None)
+        assert runs.setdefault(key, blocks) == blocks, s
 
 
 @pytest.mark.parametrize("name", sorted(LINE_INSTANCES))
@@ -97,18 +98,20 @@ def test_extensions_depend_only_on_the_last_block_on_drawn_trees(model):
 
 @pytest.mark.parametrize("build, calls", [
     (lambda: build_ellentuck(7), 8),
-    (lambda: build_fin(5), 32),
-    (lambda: build_fin(5, span_cap=2), 16),
-    # every tree reduct ends in a block of its own
-    (lambda: build_tree(2, 3), 75),
+    # a FIN run is keyed by where the last block ends: ground levels 2-6
+    (lambda: build_fin(5), 6),
+    (lambda: build_fin(5, span_cap=2), 6),
+    # every tree reduct ends in a block of its own, and the 59 that end
+    # on the deepest level share one key
+    (lambda: build_tree(2, 3), 17),
 ], ids=["e7", "fin5", "fin5cap2", "tree23"])
 def test_a_cold_build_asks_the_hook_once_per_last_block(build, calls):
     model, asked = build(), []
     hook = model._extension_blocks
     model._extension_blocks = lambda s: asked.append(s) or hook(s)
     reducts = model.all_reducts()
-    lasts = {s.blocks[-1] for s in reducts}
-    assert len(asked) == calls == len(lasts) + 1
+    keys = {model._run_key(s.blocks[-1]) for s in reducts}
+    assert len(asked) == calls == len(keys) + 1
 
 
 def assert_longest_first_is_witness_order(model, data):
@@ -305,11 +308,17 @@ def assert_the_budget_stops_inside_a_run(model, budget, bound):
 # After the run of EMPTY (every node: 364 and 121), the root's run is
 # 81^3 = 531,441 blocks of level 5, some hundreds of megabytes built
 # whole, and 27^3 = 19,683 of level 4, about 8 MB; lazily, the budget
-# stops each after a few hundred.
-BUDGET_STOPS = {"tree35": (3, 5, 1000, 4_000_000), "tree34": (3, 4, 200, 1_000_000)}
+# stops each after a few hundred. FIN on 22 ground levels has a run of
+# 2^22 - 1 blocks from EMPTY, which the budget stops after 1,001 (about
+# 0.8 MB traced).
+BUDGET_STOPS = {
+    "tree35": (lambda: build_tree(3, 5), 1000, 4_000_000),
+    "tree34": (lambda: build_tree(3, 4), 200, 1_000_000),
+    "fin22": (lambda: build_fin(22), 1000, 2_000_000),
+}
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET_STOPS))
-def test_a_budget_stops_a_tree_inside_a_block_run(name):
-    b, h, budget, bound = BUDGET_STOPS[name]
-    assert_the_budget_stops_inside_a_run(build_tree(b, h), budget, bound)
+def test_a_budget_stops_inside_a_block_run(name):
+    build, budget, bound = BUDGET_STOPS[name]
+    assert_the_budget_stops_inside_a_run(build(), budget, bound)

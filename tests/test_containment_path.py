@@ -1,13 +1,15 @@
-"""A.2 and A.3 on a containment order, against the exhaustive search.
+"""A.1, A.2 and A.3 by argument, against the exhaustive search.
 
-A model that reads its order as SpaceModel does (none of the order
-hooks overridden, on its class or on the instance) orders its reducts by
-containment of piece sets, a preorder by construction. A.3 then passes
-without a column, and A.2, under SpaceModel's restrict, after a linear
-check on the segments. The search stays the independent slow path: a
-subclass that re-declares a hook as a call to super() reads the same
-order through the search, and its reports must be the same, stats
-included.
+A.1 passes by argument under SpaceModel's restrict. A model that reads
+its order as the class naming its order hooks defines them (none of
+them overridden, on a subclass or on the instance) has an argued order:
+containment of piece sets on SpaceModel, unions of blocks on FIN, each
+a preorder in which a prefix lies below its reduct. A.3 then passes
+without a column, and A.2, under SpaceModel's restrict, once the full
+reduct is a reduct above every other, which reads no piece mask. The
+search stays the independent slow path: a subclass that re-declares a
+hook as a call to super() reads the same order through the search, and
+its reports must be the same, stats included.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trspace import EllentuckModel, build_ellentuck, build_tree, check_axioms
-from trspace.model import _ORDER_HOOKS, SpaceModel, _orders_by_containment
-from helpers import ellentuck_instances, tree_instances
+from trspace import EllentuckModel, build_ellentuck, build_fin, build_tree, check_axioms
+from trspace.model import SpaceModel, _orders_by_containment
+from helpers import fin_instances, tree_instances
 from test_relation_layer import LINE_INSTANCES
 
 # Each hook, re-declared as a call to SpaceModel's: the same behaviour,
@@ -29,14 +31,18 @@ SAME_HOOKS = {
     "_line": lambda self, a, up: SpaceModel._line(self, a, up),
     "_reducts_above": lambda self, s: SpaceModel._reducts_above(self, s),
     "_reducts_below": lambda self, x: SpaceModel._reducts_below(self, x),
-    "_pieces": lambda self, y: SpaceModel._pieces(self, y),
+    "_pieces": lambda self, block: SpaceModel._pieces(self, block),
     "_piece_masks": lambda self: SpaceModel._piece_masks(self),
     "restrict": lambda self, x, n: SpaceModel.restrict(self, x, n),
 }
 
 
 class Searching:
-    """Re-declares _line as a call to super(), so the axiom checks search."""
+    """Re-declares restrict and _line as calls to super(), so the axiom
+    checks search."""
+
+    def restrict(self, x, n):
+        return super().restrict(x, n)
 
     def _line(self, a, up):
         return super()._line(a, up)
@@ -56,14 +62,16 @@ def searching(model):
 
 
 def _reads_no_lines(model):
-    """No row and no column but the full reduct's was built."""
-    return not model._rows and set(model._columns) <= {model.full}
+    """No piece mask, no row and no column but the full reduct's was
+    built."""
+    return model._masks_by_piece is None and not model._rows and set(model._columns) <= {model.full}
 
 
 def _assert_paths_agree(build):
-    for axiom, store in (("A2", "_rows"), ("A3", "_columns")):
+    for axiom, store in (("A1", "_segments"), ("A2", "_rows"), ("A3", "_columns")):
         fast, slow = build(), searching(build())
         assert check_axioms(fast, axiom) == check_axioms(slow, axiom), axiom
+        assert not fast._segments, axiom
         if _orders_by_containment(fast):
             assert _reads_no_lines(fast), axiom
         assert getattr(slow, store), axiom  # the search ran
@@ -77,6 +85,9 @@ def test_both_paths_agree_on_line_instances(name):
 builds = st.one_of(
     st.integers(min_value=1, max_value=8).map(lambda n: functools.partial(build_ellentuck, n)),
     tree_instances().map(lambda tree: functools.partial(build_tree, tree.b, tree.h)),
+    fin_instances().map(
+        lambda fin: functools.partial(build_fin, levels=fin.levels, span_cap=fin.span_cap)
+    ),
 )
 
 
@@ -113,7 +124,7 @@ def test_keeps_asks_for_each_hook_on_class_and_instance():
     model = build_ellentuck(3)
     assert model._keeps(*SAME_HOOKS)
     model.restrict = SAME_HOOKS["restrict"].__get__(model)
-    assert not model._keeps("restrict") and model._keeps(*_ORDER_HOOKS)
+    assert not model._keeps("restrict") and model._keeps(*SpaceModel._order_hooks)
     assert not searching(build_ellentuck(3))._keeps("_line")
 
 
@@ -144,9 +155,10 @@ def test_a2_falls_back_to_the_search_when_the_full_reduct_is_no_reduct():
 
 # ---------------------------------------------------------------------------
 # Memory: on Ellentuck N=14 (16,383 reducts) the search holds one line of
-# R bits per reduct, 116 MB for A.2 and 18 MB for A.3 under tracemalloc.
+# R bits per reduct, 116 MB for A.2 and 18 MB for A.3 under tracemalloc,
+# and A.1's search a segment tuple per reduct, 4.4 MB.
 
-@pytest.mark.parametrize("axiom, bound_mb", [("A2", 24), ("A3", 1)])
+@pytest.mark.parametrize("axiom, bound_mb", [("A1", 1), ("A2", 24), ("A3", 1)])
 def test_containment_path_holds_no_lines_on_e14(axiom, bound_mb):
     model = build_ellentuck(14)
     model.all_reducts()
@@ -158,4 +170,4 @@ def test_containment_path_holds_no_lines_on_e14(axiom, bound_mb):
         tracemalloc.stop()
     assert report["verdict"] == "pass"
     assert peak < bound_mb * 2**20, peak
-    assert _reads_no_lines(model)
+    assert _reads_no_lines(model) and not model._segments

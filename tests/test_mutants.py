@@ -21,7 +21,13 @@ import pytest
 import trspace.model
 from helpers import ea, reference_canonical_json
 from test_axioms import InflatedLeq
-from test_cold_build import BUDGET_STOPS, assert_the_budget_stops_inside_a_run, restrict_table_mask
+from test_cold_build import (
+    BUDGET_STOPS,
+    assert_cold_build_matches_reference,
+    assert_the_budget_stops_inside_a_run,
+    restrict_table_mask,
+)
+import test_containment_path
 from test_kernel_scan import (
     A4_FLIPPED_KILLERS,
     _drawn_killer,
@@ -39,8 +45,11 @@ from test_ramsey import (
 from test_relation_layer import (
     CLAUSE3_DEFECTS,
     DroppedAtom,
+    LongHeadRestrict,
+    ShiftedRestrict,
     _assert_engine_matches_reference,
     _assert_lines_match_hook,
+    reference_a1,
     reference_a2,
     reference_a3,
 )
@@ -176,6 +185,64 @@ def order_defects_as_the_reference():
         assert (fast["verdict"], fast["witness"]) == (slow["verdict"], slow["witness"]), axiom
 
 
+def a1_argued_under_any_restrict(monkeypatch):
+    """A.1 passes by argument whatever restrict the model reads."""
+
+    def mutant(model):
+        return trspace.model._report("A1", "pass", stats={"reducts": len(model.all_reducts())})
+
+    monkeypatch.setitem(trspace.model._CHECKERS, "A1", mutant)
+
+
+def restrict_defects_as_the_reference():
+    """ShiftedRestrict's and LongHeadRestrict's A.1 give the reference
+    loop's verdict and witness."""
+    for build in (ShiftedRestrict, LongHeadRestrict):
+        fast, slow = check_axioms(build(4), "A1"), reference_a1(build(4))
+        assert (fast["verdict"], fast["witness"]) == (slow["verdict"], slow["witness"]), build
+
+
+def order_hooks_read_off_the_class(monkeypatch):
+    """The argued-order test reads the hooks off the model's class, so a
+    hook overridden on the instance keeps the argued path."""
+
+    def mutant(model):
+        cls = type(model)
+        owner = next(c for c in cls.__mro__ if "_order_hooks" in vars(c))
+        return all(getattr(cls, h) is getattr(owner, h) for h in owner._order_hooks)
+
+    monkeypatch.setattr(trspace.model, "_orders_by_containment", mutant)
+
+
+def fin_instance_masks_as_the_reference():
+    """FIN(4) with _masks overridden on the instance, reporting the first
+    reduct wrongly as splitting each block or not, gives the reference
+    A.2 loop's verdict and witness: a clause-2 failure."""
+    model = build_fin(4)
+
+    def masks(block):
+        split, inside, touch = FinModel._masks(model, block)
+        return split ^ 1, inside, touch
+
+    model._masks = masks
+    fast, slow = check_axioms(model, "A2"), reference_a2(model)
+    assert (fast["verdict"], fast["witness"]) == (slow["verdict"], slow["witness"])
+
+
+def full_column_without_its_reduct(monkeypatch):
+    """The full-column test of A.2 leaves out that the full reduct is a
+    reduct."""
+
+    def mutant(model):
+        reds = model.all_reducts()
+        if model._keeps(*SpaceModel._order_hooks):
+            pieces = {piece for b in model.full.blocks for piece in model._pieces(b)}
+            return all(piece in pieces for y in reds for piece in model._pieces(y.blocks[-1]))
+        return model._column(model.full) == (2 << len(reds)) - 1
+
+    monkeypatch.setattr(trspace.model, "_full_is_above_every_reduct", mutant)
+
+
 # ---------------------------------------------------------------------------
 # Canonize: the witness growth and the kernel test; the prefix runs.
 
@@ -284,6 +351,34 @@ def fin_lines_as_the_pairwise_order():
     _assert_lines_match_hook(build_fin(4))
 
 
+def fin_runs_keyed_by_start(monkeypatch):
+    """FinModel keys a parent's run by where its last block starts, not
+    where it ends."""
+    monkeypatch.setattr(FinModel, "_run_key", lambda self, last: None if last is None else last.source[0])
+
+
+def fin4_as_the_closure():
+    """FIN(4)'s walk gives the depth-first closure of EMPTY."""
+    assert_cold_build_matches_reference(build_fin(4))
+
+
+def tree_deepest_key_a_level_early(monkeypatch):
+    """TreeModel shares one run among the blocks of the level above the
+    deepest too, as if they had no extensions either."""
+
+    def mutant(self, last):
+        if last is not None and last.source[0] >= len(self.levels) - 1:
+            return last.source
+        return last
+
+    monkeypatch.setattr(TreeModel, "_run_key", mutant)
+
+
+def tree23_as_the_closure():
+    """Tree b=2 h=3's walk gives the depth-first closure of EMPTY."""
+    assert_cold_build_matches_reference(build_tree(2, 3))
+
+
 def eager_tree_hook(monkeypatch):
     """TreeModel's hook builds its whole run as a tuple, so a budget
     cannot stop it inside the run."""
@@ -294,8 +389,8 @@ def eager_tree_hook(monkeypatch):
 def tree_budget_stops_inside_a_run():
     """The budget stops tree b=3 h=4 inside the root's run of 19,683
     blocks, below 1 MB traced."""
-    b, h, budget, bound = BUDGET_STOPS["tree34"]
-    assert_the_budget_stops_inside_a_run(build_tree(b, h), budget, bound)
+    build, budget, bound = BUDGET_STOPS["tree34"]
+    assert_the_budget_stops_inside_a_run(build(), budget, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +603,12 @@ MUTANTS = {
     "A.2 and A.3 read every order as containment": (
         every_order_read_as_containment, order_defects_as_the_reference,
     ),
+    "A.1 argued under any restrict": (a1_argued_under_any_restrict, restrict_defects_as_the_reference),
+    "argued order read off the class": (order_hooks_read_off_the_class, fin_instance_masks_as_the_reference),
+    "A.2 full column without the full reduct a reduct": (
+        full_column_without_its_reduct,
+        test_containment_path.test_a2_falls_back_to_the_search_when_the_full_reduct_is_no_reduct,
+    ),
     "canonize _grow returns its input": (
         grow_keeps_its_input, max_on_e5_rank_3_is_canonical_on_the_full_reduct,
     ),
@@ -516,6 +617,8 @@ MUTANTS = {
     "Ellentuck hook skips an atom": (ellentuck_skips_an_atom, ellentuck_counts_as_the_closed_form),
     "FinModel._masks flips a bit": (fin_masks_with_a_flipped_bit, fin_lines_as_the_pairwise_order),
     "Tree hook builds its run eagerly": (eager_tree_hook, tree_budget_stops_inside_a_run),
+    "FinModel._run_key on where the block starts": (fin_runs_keyed_by_start, fin4_as_the_closure),
+    "Tree deepest-level key a level early": (tree_deepest_key_a_level_early, tree23_as_the_closure),
     "_bits drops the top bit": (bits_without_the_top_bit, masks_read_as_the_pairwise_order),
     "MixingEngine.decide never splits": (decide_never_splits, decide_as_the_reference_loop),
     "MixingEngine._row keeps mu + 1 slices": (one_slice_more, decide_as_the_reference_loop),
